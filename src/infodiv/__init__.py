@@ -28,6 +28,7 @@ from .errors import (
     EmptyMatrixError,
     InfodivError,
     NegativeValueError,
+    NonFiniteValueError,
     ParseError,
     SizeLimitError,
     UndefinedCorrelation,

@@ -128,7 +128,7 @@ def _cmd_entropy(args) -> str:
         "groups": {name: {"p": rep.groups[g][0], "h": rep.groups[g][1]}
                    for name, g in name_id.items()},
     }
-    return div_io._canon(doc) + "\n"
+    return div_io.canonical_json(doc) + "\n"
 
 
 def _cmd_oracle(args) -> str:
@@ -152,7 +152,7 @@ def _cmd_oracle(args) -> str:
             "gap": bisect.gap,
         },
     }
-    return div_io._canon(doc) + "\n"
+    return div_io.canonical_json(doc) + "\n"
 
 
 def _cmd_render(args) -> str:

@@ -15,14 +15,20 @@ default stop rule such splits are rejected.
 The greedy search per group: try every single row as a seed subgroup, keep
 the admissible seeds, start from the one with the highest transmission,
 then repeatedly move in the single best outside row while that strictly
-increases the transmission.
+increases the transmission. It and the exhaustive search rank candidates by
+one kernel on pooled row sums; only the winner goes through
+`evaluate_bipartition`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
+
+import numpy as np
 
 from .entropy import shannon_entropy
+from .errors import SizeLimitError
 from .matrix import (
     LabeledMatrix,
     ProbabilityModel,
@@ -33,6 +39,8 @@ from .matrix import (
 )
 
 STRICT_TOL = 1e-12  # strict ">" / "<" comparisons in bits
+MAX_BISECT_ROWS = 24
+_CHUNK = 1 << 14  # exhaustive candidates scored per kernel call
 
 
 @dataclass(frozen=True)
@@ -41,18 +49,14 @@ class ClusterOptions:
 
     stop_rule: "divisive" stops recursion where no strictly divisive split
     exists; "full" keeps splitting down to singletons, flagging each split.
-    min_delta: minimum strict transmission gain for a growth move, in bits.
     Tie-breaking is always by lowest row index and is not configurable.
     """
 
     stop_rule: str = "divisive"
-    min_delta: float = 0.0
 
     def __post_init__(self):
         if self.stop_rule not in ("divisive", "full"):
             raise ValueError(f"unknown stop_rule: {self.stop_rule!r}")
-        if self.min_delta < 0:
-            raise ValueError("min_delta must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -88,32 +92,22 @@ class Dendrogram:
     root: DendrogramNode
     row_labels: tuple[str, ...]
 
+    def walk(self, descend=None) -> Iterator[DendrogramNode]:
+        """Nodes in pre-order, left child first. The children of an inner
+        node are visited only when `descend(node)` is true (default: all)."""
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            yield node
+            if not node.is_leaf and (descend is None or descend(node)):
+                stack += reversed(node.children)
+
     def leaves(self) -> list[DendrogramNode]:
-        out: list[DendrogramNode] = []
-
-        def walk(node):
-            if node.is_leaf:
-                out.append(node)
-            else:
-                walk(node.children[0])
-                walk(node.children[1])
-
-        walk(self.root)
-        return out
+        return [node for node in self.walk() if node.is_leaf]
 
     def max_height(self) -> float:
-        best = 0.0
-
-        def walk(node):
-            nonlocal best
-            if not node.is_leaf:
-                cut = node.height + node.split.global_delta
-                best = max(best, cut)
-                walk(node.children[0])
-                walk(node.children[1])
-
-        walk(self.root)
-        return best
+        return max([0.0, *(node.height + node.split.global_delta
+                           for node in self.walk() if not node.is_leaf)])
 
 
 def evaluate_bipartition(model: ProbabilityModel, subtree: RowSubset,
@@ -144,6 +138,40 @@ def evaluate_bipartition(model: ProbabilityModel, subtree: RowSubset,
                            global_delta=w_sub * local_h0, divisive=divisive)
 
 
+def _entropies(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy in bits of each row of `sums` once normalized, and its total."""
+    weights = sums.sum(axis=-1)
+    p = np.divide(sums, weights[..., None], out=np.zeros_like(sums),
+                  where=sums > 0)
+    plogp = np.log2(p, out=np.zeros_like(p), where=p > 0) * p
+    return np.maximum(-plogp.sum(axis=-1), 0.0), weights
+
+
+def _split_scores(total: np.ndarray, left_sums: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """local_h0 and divisive flag of bipartitions of one group, as in
+    evaluate_bipartition but unvalidated: `total` sums the group's rows of
+    `model.joint`, each row of `left_sums` those of a proper left half."""
+    h_agg, w_sub = _entropies(total)
+    h_l, w_l = _entropies(left_sums)
+    # Rounding can leave a right half's sum below zero where it is zero.
+    h_r, w_r = _entropies(np.maximum(total - left_sums, 0.0))
+    local_h0 = np.maximum(h_agg - (w_l * h_l + w_r * h_r) / w_sub, 0.0)
+    divisive = (h_l < h_agg - STRICT_TOL) & (h_r < h_agg - STRICT_TOL)
+    return local_h0, divisive
+
+
+def _first_best(scores: np.ndarray, floor: float) -> tuple[int | None, float]:
+    """The sequential tie rule: take the first score above `floor`, then each
+    later one more than STRICT_TOL above the score taken. Returns the index
+    taken last (None if none) and the floor a further score must beat."""
+    best = None
+    for i, score in enumerate(scores.tolist()):
+        if score > floor:
+            best, floor = i, score + STRICT_TOL
+    return best, floor
+
+
 def greedy_bisect(model: ProbabilityModel, subtree: RowSubset,
                   options: ClusterOptions = ClusterOptions(),
                   ) -> SplitEvaluation | None:
@@ -155,36 +183,75 @@ def greedy_bisect(model: ProbabilityModel, subtree: RowSubset,
     subtree = check_subset(model, subtree)
     if len(subtree) < 2:
         raise ValueError("cannot bisect fewer than 2 rows")
+    rows = model.joint[list(subtree)]
+    total = rows.sum(axis=0)
 
-    # Seed: best admissible single-row set-aside, ties by lowest row index.
-    candidates = [evaluate_bipartition(model, subtree, (i,)) for i in subtree]
-    if options.stop_rule == "divisive":
-        candidates = [c for c in candidates if c.divisive]
-    if not candidates:
-        return None
-    best = candidates[0]
-    for c in candidates[1:]:
-        if c.local_h0 > best.local_h0 + STRICT_TOL:
-            best = c
-
-    # Growth: best-improvement moves of one row into the seed group.
-    while len(best.right) > 1:
-        move_best = None
-        for i in best.right:
-            cand = evaluate_bipartition(model, subtree, best.left + (i,))
-            if cand.local_h0 > best.local_h0 + max(options.min_delta,
-                                                   STRICT_TOL):
-                if move_best is None or \
-                        cand.local_h0 > move_best.local_h0 + STRICT_TOL:
-                    move_best = cand
-        if move_best is None:
+    # The first move picks the seed: the best admissible single row, ties
+    # by lowest row index. Each later move adds the outside row that raises
+    # the transmission most, while one raises it by more than STRICT_TOL.
+    left: list[int] = []
+    out = list(range(len(subtree)))
+    floor = -np.inf
+    while len(out) > 1:
+        candidates = rows[left].sum(axis=0) + rows[out]
+        scores, divisive = _split_scores(total, candidates)
+        if not left and options.stop_rule == "divisive":
+            scores = np.where(divisive, scores, -np.inf)
+        k, floor = _first_best(scores, floor)
+        if k is None:
             break
-        best = move_best
+        left.append(out.pop(k))
+    if not left:
+        return None
 
     # The divisive flag of the final, grown bipartition governs acceptance.
+    best = evaluate_bipartition(model, subtree,
+                                tuple(subtree[i] for i in left))
     if options.stop_rule == "divisive" and not best.divisive:
         return None
     return best
+
+
+def exhaustive_bisect(model: ProbabilityModel,
+                      subtree: RowSubset) -> SplitEvaluation:
+    """Bipartition of `subtree` maximizing local transmission, by brute force.
+
+    Candidates are the 2^(n-1) - 1 bipartitions, enumerated as subsets
+    containing the first row; ties go to the lexicographically smallest
+    such subset.
+    """
+    subtree = tuple(sorted(check_subset(model, subtree)))
+    n = len(subtree)
+    if n < 2:
+        raise ValueError("cannot bisect fewer than 2 rows")
+    if n > MAX_BISECT_ROWS:
+        raise SizeLimitError(
+            f"{n} rows exceeds the exhaustive bisect limit of "
+            f"{MAX_BISECT_ROWS} (2^{n - 1} - 1 candidates)")
+
+    # Subsets of the other rows as bitmasks, in lexicographic order of their
+    # sorted tuples. Those of rows j.. are the empty set, {j}, {j} with each
+    # nonempty one of rows j+1.., then those nonempty ones again.
+    masks = np.zeros(1, dtype=np.int32)
+    for j in range(n - 2, -1, -1):
+        masks = np.concatenate(([0, 1 << j], masks[1:] | 1 << j, masks[1:]),
+                               dtype=np.int32)
+    masks = np.delete(masks, n - 1)  # the full set, after {0}, {0, 1}, ...
+    if len(masks) != 2 ** (n - 1) - 1:
+        raise AssertionError(f"{len(masks)} candidates for {n} rows")
+    rows = model.joint[list(subtree)]
+    total = rows.sum(axis=0)
+    best, floor = None, -np.inf
+    for start in range(0, len(masks), _CHUNK):
+        chunk = masks[start:start + _CHUNK]
+        members = (chunk[:, None] >> np.arange(n - 1) & 1).astype(float)
+        scores, _ = _split_scores(total, rows[0] + members @ rows[1:])
+        if scores.max() > floor:  # else the chunk cannot change the winner
+            k, floor = _first_best(scores, floor)
+            best = int(chunk[k])
+    left = (subtree[0],) + tuple(row for b, row in enumerate(subtree[1:])
+                                 if best >> b & 1)
+    return evaluate_bipartition(model, subtree, left)
 
 
 def divisive_cluster(matrix: LabeledMatrix,
@@ -192,8 +259,8 @@ def divisive_cluster(matrix: LabeledMatrix,
                      method: str = "greedy") -> Dendrogram:
     """Recursive divisive clustering of the matrix rows.
 
-    method: "greedy" uses greedy_bisect; "exhaustive" uses the oracle's
-    exhaustive_bisect at every node (small matrices only).
+    method: "greedy" uses greedy_bisect; "exhaustive" uses exhaustive_bisect
+    at every node (small matrices only).
     """
     if method not in ("greedy", "exhaustive"):
         raise ValueError(f"unknown method: {method!r}")
@@ -202,7 +269,6 @@ def divisive_cluster(matrix: LabeledMatrix,
     def bisect(subtree: RowSubset) -> SplitEvaluation | None:
         if method == "greedy":
             return greedy_bisect(model, subtree, options)
-        from .oracle import exhaustive_bisect
         ev = exhaustive_bisect(model, subtree)
         if options.stop_rule == "divisive" and not ev.divisive:
             return None
@@ -242,21 +308,10 @@ def extract_clusters(dendrogram: Dendrogram, rule: str = "nondivisive",
         if height < 0:
             raise ValueError("cut height must be >= 0")
 
-    out: list[RowSubset] = []
-
-    def walk(node: DendrogramNode):
-        if node.is_leaf:
-            out.append(node.members)
-            return
+    def descend(node: DendrogramNode) -> bool:
         if rule == "nondivisive":
-            descend = node.split.divisive
-        else:
-            descend = node.height + node.split.global_delta <= height
-        if descend:
-            walk(node.children[0])
-            walk(node.children[1])
-        else:
-            out.append(node.members)
+            return node.split.divisive
+        return node.height + node.split.global_delta <= height
 
-    walk(dendrogram.root)
-    return out
+    return [node.members for node in dendrogram.walk(descend)
+            if node.is_leaf or not descend(node)]

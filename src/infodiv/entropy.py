@@ -10,8 +10,8 @@ between the grouping variable and the column variable. Equivalent identities
     H(n|m) = H(n,m) - H(m)
     H0     = H(n) + H(m) - H(n,m)
 
-are computed and (optionally) asserted on every decomposition. All entropies
-are in bits (base-2 logarithms).
+are computed, and the first identity and the bounds on H0 are checked on
+every decomposition. All entropies are in bits (base-2 logarithms).
 """
 
 from __future__ import annotations
@@ -81,12 +81,12 @@ def shannon_entropy(dist) -> float:
     return float(max(-(nz * np.log2(nz)).sum(), 0.0))
 
 
-def decompose(model: ProbabilityModel, grouping: Grouping,
-              verify: bool = True) -> EntropyReport:
+def decompose(model: ProbabilityModel, grouping: Grouping) -> EntropyReport:
     """Entropy decomposition of the column variable under a row grouping.
 
-    With verify=True the three decomposition identities are asserted to
-    within 1e-9 bits; a violation indicates a bug, not bad data.
+    H(n) = H0 + sum_g Pg Hg and 0 <= H0 <= min(H(n), H(m)) are checked to
+    within 1e-9 bits. A violation indicates a bug or an inconsistent model,
+    not bad data, so it raises AssertionError, also under `python -O`.
     """
     if len(grouping.assignment) != model.n_rows:
         raise ValueError(
@@ -111,12 +111,13 @@ def decompose(model: ProbabilityModel, grouping: Grouping,
         h_g = shannon_entropy(agg[g] / p_g)
         groups.append((p_g, h_g))
 
-    if verify:
-        within = sum(p_g * h_g for p_g, h_g in groups)
-        assert abs(h_n - (h0 + within)) <= IDENTITY_TOL
-        assert abs(h_cond - within) <= IDENTITY_TOL
-        assert abs(h0 - (h_n + h_m - h_joint)) <= IDENTITY_TOL
-        assert -IDENTITY_TOL <= h0 <= min(h_n, h_m) + IDENTITY_TOL
+    # H(n|m) = sum_g Pg Hg is this identity once h0 is substituted, and
+    # h0 = H(n) + H(m) - H(n,m) holds by its definition above.
+    within = sum(p_g * h_g for p_g, h_g in groups)
+    if abs(h_n - (h0 + within)) > IDENTITY_TOL:
+        raise AssertionError(f"H(n) = {h_n} != H0 + within = {h0 + within}")
+    if not -IDENTITY_TOL <= h0 <= min(h_n, h_m) + IDENTITY_TOL:
+        raise AssertionError(f"H0 = {h0} outside [0, min({h_n}, {h_m})]")
 
     ratio = h0 / h_n if h_n > 0 else 0.0
     return EntropyReport(h_n=h_n, h_m=h_m, h_joint=h_joint, h_cond=h_cond,

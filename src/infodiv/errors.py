@@ -13,6 +13,10 @@ class NegativeValueError(InfodivError):
     """A matrix cell is negative."""
 
 
+class NonFiniteValueError(InfodivError):
+    """A matrix cell is NaN or infinite."""
+
+
 class DuplicateLabelError(InfodivError):
     """Row or column labels are not pairwise distinct."""
 

@@ -84,35 +84,36 @@ def parse_csv(text_or_path, zero_row_policy: str = "reject",
     return build_matrix(row_labels, col_labels, arr, zero_row_policy)
 
 
-def write_csv(matrix: LabeledMatrix) -> str:
-    """Inverse of parse_csv, at 12 significant digits."""
+def _csv(row_labels, col_labels, values) -> str:
     out = _io.StringIO()
     w = csv.writer(out, lineterminator="\n")
-    w.writerow(["", *matrix.col_labels])
-    for label, row in zip(matrix.row_labels, matrix.values):
+    w.writerow(["", *col_labels])
+    for label, row in zip(row_labels, values):
         w.writerow([label, *[format_number(v) for v in row]])
     return out.getvalue()
+
+
+def write_csv(matrix: LabeledMatrix) -> str:
+    """Inverse of parse_csv, at 12 significant digits."""
+    return _csv(matrix.row_labels, matrix.col_labels, matrix.values)
 
 
 def similarity_csv(sim: SimilarityMatrix) -> str:
     """Similarity matrix as CSV, same layout as the input matrices."""
-    out = _io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["", *sim.labels])
-    for label, row in zip(sim.labels, sim.values):
-        w.writerow([label, *[format_number(v) for v in row]])
-    return out.getvalue()
+    return _csv(sim.labels, sim.labels, sim.values)
 
 
 # --- canonical JSON ---------------------------------------------------------
 
-def _canon(obj) -> str:
+def canonical_json(obj) -> str:
+    """JSON text with sorted keys, no spaces and numbers at 12 significant
+    digits, so equal data gives equal bytes. No trailing newline."""
     if isinstance(obj, dict):
-        items = sorted(obj.items())
-        body = ",".join(f"{json.dumps(k)}:{_canon(v)}" for k, v in items)
+        body = ",".join(f"{json.dumps(k)}:{canonical_json(v)}"
+                        for k, v in sorted(obj.items()))
         return "{" + body + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_canon(v) for v in obj) + "]"
+        return "[" + ",".join(canonical_json(v) for v in obj) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
@@ -144,7 +145,7 @@ def export_dendrogram(dendrogram: Dendrogram, fmt: str = "json") -> str:
     if fmt == "json":
         doc = {"labels": list(dendrogram.row_labels),
                "tree": _node_dict(dendrogram.root, dendrogram.row_labels)}
-        return _canon(doc) + "\n"
+        return canonical_json(doc) + "\n"
     if fmt == "newick":
         return _newick(dendrogram)
     if fmt == "dot":

@@ -16,6 +16,7 @@ from .errors import (
     DuplicateLabelError,
     EmptyMatrixError,
     NegativeValueError,
+    NonFiniteValueError,
     ZeroRowError,
 )
 
@@ -109,6 +110,12 @@ def build_matrix_report(row_labels, col_labels, values,
         raise EmptyMatrixError(
             f"values shape {arr.shape} does not match "
             f"{len(row_labels)} rows x {len(col_labels)} columns")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise NonFiniteValueError(
+            f"non-finite value {arr[i, j]} at row {row_labels[i]!r}, "
+            f"column {col_labels[j]!r}")
     if np.any(arr < 0):
         i, j = np.argwhere(arr < 0)[0]
         raise NegativeValueError(
@@ -170,5 +177,6 @@ def pooled_profile(model: ProbabilityModel,
     pooled = model.joint[idx].sum(axis=0)
     weight = float(pooled.sum())
     # Zero rows are rejected at ingestion, so the weight is always positive.
-    assert weight > 0, "row subset with zero total probability"
+    if not weight > 0:
+        raise AssertionError(f"row subset {subset} has zero total probability")
     return weight, pooled / weight

@@ -2,24 +2,23 @@
 
 Searching all bipartitions of n rows means 2^(n-1) - 1 candidates; all set
 partitions, Bell(n). Both explode quickly, so hard size guards raise rather
-than let a call run for hours. Partitions are enumerated via restricted
-growth strings, which visit each set partition exactly once.
+than let a call run for hours. `exhaustive_bisect` shares the greedy
+search's scoring kernel in `cluster` and is re-exported here. Partitions are
+enumerated via restricted growth strings, which visit each set partition
+exactly once.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .cluster import ClusterOptions, SplitEvaluation, evaluate_bipartition, \
+from .cluster import MAX_BISECT_ROWS, ClusterOptions, exhaustive_bisect, \
     greedy_bisect
 from .entropy import Grouping, decompose
 from .errors import SizeLimitError
-from .matrix import LabeledMatrix, ProbabilityModel, RowSubset, check_subset, \
-    probability_model
+from .matrix import LabeledMatrix, ProbabilityModel, probability_model
 
-MAX_BISECT_ROWS = 24
 MAX_PARTITION_ROWS = 12
 TOL = 1e-12
 
@@ -56,49 +55,6 @@ def restricted_growth_strings(n: int, max_groups: int) -> Iterator[tuple[int, ..
     yield from rec(1, 0)
 
 
-def _lex_subsets(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Nonempty subsets of `items` in lexicographic order of sorted tuples."""
-
-    def rec(prefix: tuple[int, ...], start: int):
-        for k in range(start, len(items)):
-            cur = prefix + (items[k],)
-            yield cur
-            yield from rec(cur, k + 1)
-
-    yield from rec((), 0)
-
-
-def exhaustive_bisect(model: ProbabilityModel,
-                      subtree: RowSubset) -> SplitEvaluation:
-    """Bipartition of `subtree` maximizing local transmission, by brute force.
-
-    Candidates are the 2^(n-1) - 1 bipartitions, enumerated as subsets
-    containing the first row; ties go to the lexicographically smallest
-    such subset.
-    """
-    subtree = tuple(sorted(check_subset(model, subtree)))
-    n = len(subtree)
-    if n < 2:
-        raise ValueError("cannot bisect fewer than 2 rows")
-    if n > MAX_BISECT_ROWS:
-        raise SizeLimitError(
-            f"{n} rows exceeds the exhaustive bisect limit of "
-            f"{MAX_BISECT_ROWS} (2^{n - 1} - 1 candidates)")
-
-    first, rest = subtree[0], subtree[1:]
-    best = None
-    count = 0
-    for sub in itertools.chain([()], _lex_subsets(rest)):
-        if len(sub) == len(rest):
-            continue  # complement would be empty
-        count += 1
-        ev = evaluate_bipartition(model, subtree, (first,) + sub)
-        if best is None or ev.local_h0 > best.local_h0 + TOL:
-            best = ev
-    assert count == 2 ** (n - 1) - 1, (count, n)
-    return best
-
-
 def exhaustive_partition(model: ProbabilityModel,
                          max_groups: int) -> OracleReport:
     """Grouping of all rows maximizing H0, over every set partition.
@@ -129,16 +85,12 @@ def exhaustive_partition(model: ProbabilityModel,
                         candidates_examined=count)
 
 
-def verify_greedy(matrix: LabeledMatrix,
-                  options: ClusterOptions = ClusterOptions(),
-                  ) -> OracleReport:
+def verify_greedy(matrix: LabeledMatrix) -> OracleReport:
     """Compare greedy and exhaustive bisection at the root of the matrix."""
     model = probability_model(matrix)
     all_rows = tuple(range(model.n_rows))
     exact = exhaustive_bisect(model, all_rows)
-    greedy = greedy_bisect(model, all_rows,
-                           ClusterOptions(stop_rule="full",
-                                          min_delta=options.min_delta))
+    greedy = greedy_bisect(model, all_rows, ClusterOptions(stop_rule="full"))
     greedy_h0 = greedy.local_h0 if greedy is not None else 0.0
     grouping = Grouping.from_sets([exact.left, exact.right], model.n_rows)
     return OracleReport(best_grouping=grouping, best_h0=exact.local_h0,

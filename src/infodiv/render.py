@@ -15,18 +15,9 @@ from .io import format_number
 def divisive_cut_height(dendrogram: Dendrogram) -> float:
     """Cumulative height of the deepest split reachable through divisive
     splits only; 0 when the root split is already non-divisive."""
-    best = 0.0
-
-    def walk(node: DendrogramNode):
-        nonlocal best
-        if node.is_leaf or not node.split.divisive:
-            return
-        best = max(best, node.height + node.split.global_delta)
-        walk(node.children[0])
-        walk(node.children[1])
-
-    walk(dendrogram.root)
-    return best
+    return max([0.0, *(node.height + node.split.global_delta
+                       for node in dendrogram.walk(lambda n: n.split.divisive)
+                       if not node.is_leaf and node.split.divisive)])
 
 
 def render_dendrogram(dendrogram: Dendrogram, fmt: str = "text",

@@ -18,6 +18,9 @@ from .errors import UndefinedCorrelation, UndefinedCosine
 from .matrix import LabeledMatrix, build_matrix
 
 TOL = 1e-12
+# A sum of squares in this range has lost no small terms to underflow and
+# has not overflowed; products of two such vectors cannot overflow either.
+_SQ_LO, _SQ_HI = 2.0 ** -960, 2.0 ** 960
 
 
 @dataclass(frozen=True)
@@ -37,13 +40,9 @@ def pearson(x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
         raise ValueError("pearson needs two equal-length vectors, length >= 2")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = math.sqrt(math.fsum(dx * dx))
-    sy = math.sqrt(math.fsum(dy * dy))
-    if sx == 0 or sy == 0:
+    r = _cosine(x - x.mean(), y - y.mean())
+    if r is None:
         raise UndefinedCorrelation("correlation undefined for a constant vector")
-    r = math.fsum(dx * dy) / (sx * sy)
     return min(1.0, max(-1.0, r))
 
 
@@ -53,13 +52,41 @@ def cosine(x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or len(x) < 1:
         raise ValueError("cosine needs two equal-length vectors, length >= 1")
-    # Exactly-rounded sums make the result invariant under appending
-    # coordinates that are zero in both vectors.
-    nx = math.sqrt(math.fsum(x * x))
-    ny = math.sqrt(math.fsum(y * y))
-    if nx == 0 or ny == 0:
+    r = _cosine(x, y)
+    if r is None:
         raise UndefinedCosine("cosine undefined for an all-zero vector")
-    return math.fsum(x * y) / (nx * ny)
+    return r
+
+
+def _cosine(x: np.ndarray, y: np.ndarray) -> float | None:
+    """sum(xy) / sqrt(sum(x^2) * sum(y^2)), or None if x or y is all zero.
+
+    Exactly-rounded sums make the result invariant under appending
+    coordinates that are zero in both vectors; `math.fsum` reads a list of
+    Python floats about twice as fast as a numpy array. Pearson r is this
+    ratio for the centered vectors.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        x, sxx = _scaled(x)
+        y, syy = _scaled(y)
+        if sxx == 0 or syy == 0:
+            return None
+        return math.fsum((x * y).tolist()) / (math.sqrt(sxx) * math.sqrt(syy))
+
+
+def _scaled(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """`v` and its exactly rounded sum of squares. Only when that sum lies
+    outside [_SQ_LO, _SQ_HI] is `v` first scaled by an exact power of two,
+    to a largest magnitude in [0.5, 1); the ratio in `_cosine` does not
+    change under such a scaling."""
+    try:
+        ss = math.fsum((v * v).tolist())
+    except OverflowError:  # finite squares whose sum overflows
+        ss = math.inf
+    if _SQ_LO <= ss <= _SQ_HI:
+        return v, ss
+    v = np.ldexp(v, -math.frexp(float(np.max(np.abs(v))))[1])
+    return v, math.fsum((v * v).tolist())
 
 
 def log_transform(matrix: LabeledMatrix) -> LabeledMatrix:

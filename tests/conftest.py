@@ -1,12 +1,15 @@
-"""Shared helpers: seeded random matrices and pure-Python brute-force
-entropy computations, kept independent of the library's numpy code paths."""
+"""Shared helpers: seeded random matrices, pure-Python brute-force
+entropy computations kept independent of the library's numpy code paths,
+and reference bisection searches that score every candidate separately."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from infodiv import build_matrix
+from infodiv import build_matrix, evaluate_bipartition
+from infodiv.cluster import STRICT_TOL
 
 
 def entropy_bits(probs):
@@ -68,6 +71,49 @@ def random_grouping(rng, n_rows):
     for g, i in enumerate(rng.permutation(n_rows)[:m]):
         assignment[int(i)] = g
     return assignment
+
+
+def reference_greedy_bisect(model, subtree, stop_rule="divisive"):
+    """Seed-and-grow search with one evaluate_bipartition call per
+    candidate and the sequential tie rule written out."""
+    candidates = [evaluate_bipartition(model, subtree, (i,)) for i in subtree]
+    if stop_rule == "divisive":
+        candidates = [c for c in candidates if c.divisive]
+    if not candidates:
+        return None
+    best = candidates[0]
+    for c in candidates[1:]:
+        if c.local_h0 > best.local_h0 + STRICT_TOL:
+            best = c
+    while len(best.right) > 1:
+        move_best = None
+        for i in best.right:
+            cand = evaluate_bipartition(model, subtree, best.left + (i,))
+            if cand.local_h0 > best.local_h0 + STRICT_TOL:
+                if move_best is None or \
+                        cand.local_h0 > move_best.local_h0 + STRICT_TOL:
+                    move_best = cand
+        if move_best is None:
+            break
+        best = move_best
+    if stop_rule == "divisive" and not best.divisive:
+        return None
+    return best
+
+
+def reference_exhaustive_bisect(model, subtree):
+    """Every bipartition, as the subset holding the first row, in
+    lexicographic order of that subset; ties to the first one."""
+    subtree = tuple(sorted(subtree))
+    first, rest = subtree[0], subtree[1:]
+    subsets = sorted(itertools.chain.from_iterable(
+        itertools.combinations(rest, r) for r in range(len(rest))))
+    best = None
+    for sub in subsets:
+        ev = evaluate_bipartition(model, subtree, (first,) + sub)
+        if best is None or ev.local_h0 > best.local_h0 + STRICT_TOL:
+            best = ev
+    return best
 
 
 @pytest.fixture

@@ -53,6 +53,16 @@ def test_negative_cell_exits_2(tmp_path, capsys):
     assert "r1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_non_finite_cell_exits_2(tmp_path, capsys, cell):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"x,a,b\nr1,1,2\nr2,{cell},1\nr3,2,2\n")
+    assert run_cli(["cluster", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite" in captured.err and "'r2'" in captured.err
+
+
 def test_missing_file_exits_2(capsys):
     assert run_cli(["cluster", "/nonexistent/file.csv"]) == 2
 

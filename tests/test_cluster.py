@@ -1,6 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infodiv import (
     ClusterOptions,
@@ -14,7 +17,10 @@ from infodiv import (
     transmission,
 )
 
-from conftest import brute_local_h0, random_matrix
+from infodiv.cluster import STRICT_TOL, _first_best, exhaustive_bisect
+
+from conftest import brute_local_h0, random_matrix, \
+    reference_exhaustive_bisect, reference_greedy_bisect
 
 BLOCK = [[4, 4, 0, 0], [4, 4, 0, 0], [0, 0, 4, 4], [0, 0, 4, 4]]
 
@@ -189,3 +195,51 @@ def test_identical_profile_rows_merge_equivalence():
         return sorted(out)
 
     assert deltas(d1) == pytest.approx(deltas(d2), abs=1e-9)
+
+
+@st.composite
+def sparse_count_matrices(draw):
+    """Small count matrices with many zero cells and some exactly repeated
+    rows, whose candidate splits tie exactly."""
+    n = draw(st.integers(2, 10))
+    k = draw(st.integers(1, 5))
+    cell = st.sampled_from([0, 0, 0, 1, 2, 5])
+    rows = []
+    for _ in range(n):
+        if rows and draw(st.integers(0, 3)) == 0:
+            row = list(draw(st.sampled_from(rows)))
+        else:
+            row = draw(st.lists(cell, min_size=k, max_size=k))
+            if sum(row) == 0:
+                row[draw(st.integers(0, k - 1))] = 1
+        rows.append(row)
+    return build_matrix([f"r{i}" for i in range(n)],
+                        [f"c{j}" for j in range(k)], rows)
+
+
+@given(sparse_count_matrices(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_bisect_searches_match_per_candidate_reference(m, data):
+    pm = probability_model(m)
+    order = data.draw(st.permutations(range(m.n_rows)))
+    subtree = tuple(order[:data.draw(st.integers(2, m.n_rows))])
+    for stop in ("divisive", "full"):
+        assert greedy_bisect(pm, subtree, ClusterOptions(stop_rule=stop)) == \
+            reference_greedy_bisect(pm, subtree, stop)
+    assert exhaustive_bisect(pm, subtree) == \
+        reference_exhaustive_bisect(pm, subtree)
+
+
+@given(st.lists(st.integers(0, 12), min_size=1, max_size=30),
+       st.integers(-1, 12))
+@settings(max_examples=300, deadline=None)
+def test_first_best_is_the_sequential_tie_rule(steps, floor_step):
+    # Scores on a grid of 0.4 * STRICT_TOL: many gaps fall either side of
+    # the tolerance.
+    scores = np.array(steps) * 0.4 * STRICT_TOL
+    floor = -np.inf if floor_step < 0 else floor_step * 0.4 * STRICT_TOL
+    best = None
+    for i, s in enumerate(scores):
+        if s > (floor if best is None else scores[best] + STRICT_TOL):
+            best = i
+    assert _first_best(scores, floor)[0] == best

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,3 +144,25 @@ def test_singleton_grouping_h0():
         pm.row_marginal[i] * entropy_bits(pm.joint[i] / pm.row_marginal[i])
         for i in range(3))
     assert rep.h0 == pytest.approx(rep.h_n - row_term, abs=1e-12)
+
+
+def test_inconsistent_model_raises_even_under_python_O():
+    # The column marginal claims two columns where the joint has one, so
+    # H0 = 1 bit exceeds H(m) = 0: a bug, reported even when asserts are off.
+    code = """
+import numpy as np
+from infodiv import Grouping, decompose
+from infodiv.matrix import ProbabilityModel
+pm = ProbabilityModel(joint=np.array([[.5, 0], [.5, 0]]),
+                      row_marginal=np.array([.5, .5]),
+                      col_marginal=np.array([.5, .5]), grand_sum=1)
+try:
+    decompose(pm, Grouping((0, 0), 1))
+except AssertionError:
+    print("raised")
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={"PYTHONPATH": src})
+    assert out.stdout.strip() == "raised"

@@ -5,6 +5,7 @@ from infodiv import (
     DuplicateLabelError,
     EmptyMatrixError,
     NegativeValueError,
+    NonFiniteValueError,
     ZeroRowError,
     build_matrix,
     build_matrix_report,
@@ -24,6 +25,12 @@ def test_build_valid():
 def test_negative_value_rejected():
     with pytest.raises(NegativeValueError):
         build_matrix(["a"], ["x", "y"], [[1, -1]])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_value_rejected(bad):
+    with pytest.raises(NonFiniteValueError, match="row 'b', column 'y'"):
+        build_matrix(["a", "b"], ["x", "y"], [[1, 2], [3, bad]])
 
 
 def test_duplicate_labels_rejected():

@@ -16,7 +16,8 @@ from infodiv import (
     Grouping,
 )
 
-from conftest import brute_decompose, random_matrix
+from conftest import brute_decompose, random_matrix, \
+    reference_exhaustive_bisect
 
 BLOCK = [[4, 4, 0, 0], [4, 4, 0, 0], [0, 0, 4, 4], [0, 0, 4, 4]]
 
@@ -65,6 +66,17 @@ def test_exhaustive_bisect_two_rows_forced():
                                         [[2, 0], [0, 2]]))
     ev = exhaustive_bisect(pm, (0, 1))
     assert sorted(ev.left) == [0] and sorted(ev.right) == [1]
+
+
+def test_exhaustive_bisect_ties_go_to_lexicographically_smallest_subset():
+    # {a, d, e} | {b, c} and {a, e} | {b, c, d} tie exactly. In
+    # lexicographic order (a, d, e) comes first; counting bitmasks up from
+    # zero would reach {a, e} first.
+    vals = [[0, 2, 1], [1, 0, 0], [3, 0, 2], [1, 1, 2], [0, 2, 1]]
+    pm = probability_model(build_matrix(list("abcde"), list("xyz"), vals))
+    ev = exhaustive_bisect(pm, (0, 1, 2, 3, 4))
+    assert ev.left == (0, 3, 4)
+    assert ev == reference_exhaustive_bisect(pm, (0, 1, 2, 3, 4))
 
 
 def test_size_guards_are_hard_errors():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infodiv import (
@@ -72,6 +72,7 @@ def test_pearson_is_cosine_of_centered(x, y):
 
 
 @given(vec, vec, st.floats(0.1, 10.0))
+@example([0.0, 1.88e-162], [0.0, 1.0], 2.0)
 @settings(max_examples=200, deadline=None)
 def test_symmetry_and_scale_invariance(x, y, c):
     n = min(len(x), len(y))
@@ -84,6 +85,16 @@ def test_symmetry_and_scale_invariance(x, y, c):
     dx, dy = x - x.mean(), y - y.mean()
     if (dx * dx).sum() > 0 and (dy * dy).sum() > 0:
         assert pearson(x, y) == pytest.approx(pearson(y, x), abs=1e-15)
+
+
+def test_tiny_and_huge_vectors_do_not_underflow_or_overflow():
+    assert cosine([0, 1.88e-162], [0, 1]) == 1.0
+    assert cosine([1e200, 1e200], [1, 1]) == pytest.approx(1.0, abs=1e-15)
+    assert cosine([1e154, 1e154], [1, 0]) == pytest.approx(2 ** -0.5)
+    assert pearson([1e-162, 3e-162, 2e-162], [1, 3, 2]) == \
+        pytest.approx(1.0, abs=1e-15)
+    assert pearson([1e200, -1e200, 0], [1, -1, 0]) == \
+        pytest.approx(1.0, abs=1e-15)
 
 
 def test_log_transform_values():
