@@ -27,6 +27,7 @@ from .errors import (
     DuplicateLabelError,
     EmptyMatrixError,
     InfodivError,
+    InvalidInputError,
     NegativeValueError,
     NonFiniteValueError,
     ParseError,

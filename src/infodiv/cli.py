@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error. Results go
-to stdout or --out; diagnostics go to stderr. INFODIV_THREADS caps the
-worker count; computation is deterministic regardless of its value.
+to stdout or --out; diagnostics go to stderr. INFODIV_THREADS is validated
+and reserved: a value that is not an integer exits 2, and nothing reads
+the number, so results never depend on it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def thread_cap() -> int:
-    """Worker cap from INFODIV_THREADS; 1 (sequential) when unset."""
+    """INFODIV_THREADS as a positive int, 1 when unset. The value is
+    validated and reserved; nothing uses it yet."""
     raw = os.environ.get("INFODIV_THREADS", "")
     if not raw:
         return 1
@@ -114,6 +116,10 @@ def _cmd_entropy(args) -> str:
     matrix = div_io.parse_csv(args.matrix)
     with open(args.groups, encoding="utf-8") as fh:
         mapping = json.load(fh)
+    if not isinstance(mapping, dict) or \
+            not all(isinstance(name, str) for name in mapping.values()):
+        raise InfodivError("grouping file must map row labels to group "
+                           "names (strings)")
     missing = [lab for lab in matrix.row_labels if lab not in mapping]
     if missing:
         raise InfodivError(f"grouping file misses rows: {missing}")
@@ -133,7 +139,7 @@ def _cmd_entropy(args) -> str:
 
 def _cmd_oracle(args) -> str:
     matrix = div_io.parse_csv(args.matrix)
-    max_groups = args.max_groups or matrix.n_rows
+    max_groups = matrix.n_rows if args.max_groups is None else args.max_groups
     model = probability_model(matrix)
     part = exhaustive_partition(model, max_groups)
     bisect = verify_greedy(matrix)

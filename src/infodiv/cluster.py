@@ -40,7 +40,7 @@ from .matrix import (
 
 STRICT_TOL = 1e-12  # strict ">" / "<" comparisons in bits
 MAX_BISECT_ROWS = 24
-_CHUNK = 1 << 14  # exhaustive candidates scored per kernel call
+_CELLS = 1 << 18  # matrix cells pooled per exhaustive kernel call
 
 
 @dataclass(frozen=True)
@@ -172,6 +172,17 @@ def _first_best(scores: np.ndarray, floor: float) -> tuple[int | None, float]:
     return best, floor
 
 
+def _pooled_subsets(rows: np.ndarray, masks: np.ndarray
+                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """`masks` in chunks of at most _CELLS // columns, each with the sums of
+    the `rows` its masks select (bit i selects row i)."""
+    step = max(1, _CELLS // rows.shape[1])
+    bits = np.arange(len(rows))
+    for start in range(0, len(masks), step):
+        chunk = masks[start:start + step]
+        yield chunk, (chunk[:, None] >> bits & 1).astype(float) @ rows
+
+
 def greedy_bisect(model: ProbabilityModel, subtree: RowSubset,
                   options: ClusterOptions = ClusterOptions(),
                   ) -> SplitEvaluation | None:
@@ -242,10 +253,8 @@ def exhaustive_bisect(model: ProbabilityModel,
     rows = model.joint[list(subtree)]
     total = rows.sum(axis=0)
     best, floor = None, -np.inf
-    for start in range(0, len(masks), _CHUNK):
-        chunk = masks[start:start + _CHUNK]
-        members = (chunk[:, None] >> np.arange(n - 1) & 1).astype(float)
-        scores, _ = _split_scores(total, rows[0] + members @ rows[1:])
+    for chunk, sums in _pooled_subsets(rows[1:], masks):
+        scores, _ = _split_scores(total, rows[0] + sums)
         if scores.max() > floor:  # else the chunk cannot change the winner
             k, floor = _first_best(scores, floor)
             best = int(chunk[k])

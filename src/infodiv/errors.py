@@ -41,5 +41,9 @@ class UndefinedCosine(InfodivError):
     """Cosine requested for an all-zero vector."""
 
 
+class InvalidInputError(InfodivError, ValueError):
+    """An input or option value is outside what the operation accepts."""
+
+
 class SizeLimitError(InfodivError):
     """An exhaustive-search input exceeds the hard size guard."""

@@ -13,6 +13,8 @@ import csv
 import decimal
 import io as _io
 import json
+import math
+import re
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from .matrix import LabeledMatrix, build_matrix
 from .similarity import SimilarityMatrix
 
 _CTX = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_UP)
+_NEWICK_PLAIN = re.compile(r"[^\s()\[\]':;,_]*")
 
 
 def format_number(x: float) -> str:
@@ -32,8 +35,7 @@ def format_number(x: float) -> str:
     return format(d.normalize(_CTX), "f")
 
 
-def parse_csv(text_or_path, zero_row_policy: str = "reject",
-              sort_labels: bool = True) -> LabeledMatrix:
+def parse_csv(text_or_path) -> LabeledMatrix:
     """Read a labeled matrix from CSV.
 
     First row: column labels (the corner cell is ignored). First column:
@@ -74,14 +76,11 @@ def parse_csv(text_or_path, zero_row_policy: str = "reject",
     if not values:
         raise ParseError("CSV contains no data rows")
 
-    arr = np.asarray(values)
-    if sort_labels:
-        r_order = sorted(range(len(row_labels)), key=lambda i: row_labels[i])
-        c_order = sorted(range(len(col_labels)), key=lambda j: col_labels[j])
-        row_labels = [row_labels[i] for i in r_order]
-        col_labels = [col_labels[j] for j in c_order]
-        arr = arr[np.ix_(r_order, c_order)]
-    return build_matrix(row_labels, col_labels, arr, zero_row_policy)
+    r_order = sorted(range(len(row_labels)), key=lambda i: row_labels[i])
+    c_order = sorted(range(len(col_labels)), key=lambda j: col_labels[j])
+    return build_matrix([row_labels[i] for i in r_order],
+                        [col_labels[j] for j in c_order],
+                        np.asarray(values)[np.ix_(r_order, c_order)])
 
 
 def _csv(row_labels, col_labels, values) -> str:
@@ -154,41 +153,74 @@ def export_dendrogram(dendrogram: Dendrogram, fmt: str = "json") -> str:
 
 
 def dendrogram_from_json(text: str) -> Dendrogram:
-    """Rebuild a Dendrogram from the canonical JSON export."""
+    """Rebuild a Dendrogram from the canonical JSON export. A document of
+    another shape raises ParseError naming the first bad field."""
     doc = json.loads(text)
-    labels = tuple(doc["labels"])
+    labels = _field(doc, "labels", "document", list)
+    if not all(isinstance(lab, str) for lab in labels):
+        raise ParseError("document.labels: every label must be a string")
     index = {lab: i for i, lab in enumerate(labels)}
 
-    def build(d) -> DendrogramNode:
-        members = tuple(sorted(index[lab] for lab in d["members"]))
+    def build(d, path: str) -> DendrogramNode:
+        members = []
+        for lab in _field(d, "members", path, list):
+            if not isinstance(lab, str) or lab not in index:
+                raise ParseError(f"{path}.members: unknown label {lab!r}")
+            members.append(index[lab])
+        members = tuple(sorted(members))
+        height = _field(d, "height", path, float)
         if "children" not in d:
-            return DendrogramNode(members=members, height=d["height"])
-        s = d["split"]
-        kids = tuple(build(c) for c in d["children"])
+            return DendrogramNode(members=members, height=height)
+        children = _field(d, "children", path, list)
+        if len(children) != 2:
+            raise ParseError(f"{path}.children: expected 2 nodes, "
+                             f"got {len(children)}")
+        s = _field(d, "split", path, dict)
+        kids = tuple(build(c, f"{path}.children[{k}]")
+                     for k, c in enumerate(children))
         split = SplitEvaluation(
             left=kids[0].members, right=kids[1].members,
-            h_aggregate=s["h_aggregate"], h_left=s["h_left"],
-            h_right=s["h_right"], local_h0=s["local_h0"],
-            global_delta=s["global_delta"], divisive=s["divisive"])
-        return DendrogramNode(members=members, height=d["height"],
+            **{key: _field(s, key, f"{path}.split", float)
+               for key in ("h_aggregate", "h_left", "h_right", "local_h0",
+                           "global_delta")},
+            divisive=_field(s, "divisive", f"{path}.split", bool))
+        return DendrogramNode(members=members, height=height,
                               split=split, children=kids)
 
-    return Dendrogram(root=build(doc["tree"]), row_labels=labels)
+    return Dendrogram(root=build(_field(doc, "tree", "document", dict),
+                                 "tree"),
+                      row_labels=tuple(labels))
+
+
+def _field(obj, key: str, path: str, kind: type):
+    """obj[key], checked to be a JSON value of `kind`; a float must be
+    finite and >= 0, as every number in an export is."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: expected an object")
+    if key not in obj:
+        raise ParseError(f"{path}: missing field {key!r}")
+    value = obj[key]
+    if kind is float and isinstance(value, (int, float)) and \
+            not isinstance(value, bool):
+        try:
+            if math.isfinite(value) and value >= 0:
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    elif kind is not float and isinstance(value, kind):
+        return value
+    expected = "a finite number >= 0" if kind is float else \
+        {list: "a list", dict: "an object", bool: "true or false"}[kind]
+    raise ParseError(f"{path}.{key}: expected {expected}")
 
 
 def _newick(dendrogram: Dendrogram) -> str:
     labels = dendrogram.row_labels
 
-    def esc(lab: str) -> str:
-        return lab.replace(" ", "_").replace(",", "_").replace("(", "_") \
-                  .replace(")", "_").replace(":", "_").replace(";", "_")
-
     def walk(node: DendrogramNode, branch: float) -> str:
         if node.is_leaf:
-            if len(node.members) == 1:
-                name = esc(labels[node.members[0]])
-            else:
-                name = esc("+".join(sorted(labels[i] for i in node.members)))
+            name = _newick_name("+".join(sorted(labels[i]
+                                                for i in node.members)))
             return f"{name}:{format_number(branch)}"
         delta = node.split.global_delta
         kids = ",".join(walk(c, delta) for c in node.children)
@@ -199,6 +231,15 @@ def _newick(dendrogram: Dendrogram) -> str:
         return f"({walk(root, 0.0)});\n"
     kids = ",".join(walk(c, root.split.global_delta) for c in root.children)
     return f"({kids});\n"
+
+
+def _newick_name(name: str) -> str:
+    """`name` as a Newick label: as is when it holds no blank, punctuation
+    or underscore (which readers turn into a blank), else single-quoted
+    with each quote doubled."""
+    if _NEWICK_PLAIN.fullmatch(name):
+        return name
+    return "'" + name.replace("'", "''") + "'"
 
 
 def _dot(dendrogram: Dendrogram) -> str:
@@ -212,6 +253,7 @@ def _dot(dendrogram: Dendrogram) -> str:
         counter[0] += 1
         if node.is_leaf:
             text = ", ".join(sorted(labels[i] for i in node.members))
+            text = text.replace("\\", "\\\\").replace('"', '\\"')
         else:
             text = f"{len(node.members)} rows @ {format_number(node.height)} bits"
         lines.append(f'  {name} [label="{text}"];')

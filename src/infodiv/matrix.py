@@ -44,9 +44,6 @@ class LabeledMatrix:
     def grand_sum(self) -> float:
         return float(self.values.sum())
 
-    def row_index(self, label: str) -> int:
-        return self.row_labels.index(label)
-
 
 @dataclass(frozen=True)
 class ProbabilityModel:

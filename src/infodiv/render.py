@@ -8,8 +8,15 @@ SVG, light dashes in text).
 
 from __future__ import annotations
 
+import re
+
 from .cluster import Dendrogram, DendrogramNode
 from .io import format_number
+
+_WIDTH = 60  # columns of the text drawing's plot area
+# Characters XML 1.0 cannot carry, even as character references.
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd"
+                      "\U00010000-\U0010ffff]")
 
 
 def divisive_cut_height(dendrogram: Dendrogram) -> float:
@@ -20,10 +27,9 @@ def divisive_cut_height(dendrogram: Dendrogram) -> float:
                        if not node.is_leaf and node.split.divisive)])
 
 
-def render_dendrogram(dendrogram: Dendrogram, fmt: str = "text",
-                      width: int = 60) -> str:
+def render_dendrogram(dendrogram: Dendrogram, fmt: str = "text") -> str:
     if fmt == "text":
-        return _render_text(dendrogram, width)
+        return _render_text(dendrogram)
     if fmt == "svg":
         return _render_svg(dendrogram)
     raise ValueError(f"unknown render format: {fmt!r}")
@@ -34,10 +40,10 @@ def _leaf_label(dendrogram: Dendrogram, node: DendrogramNode) -> str:
     return "+".join(sorted(labels[i] for i in node.members))
 
 
-def _render_text(dendrogram: Dendrogram, width: int = 60) -> str:
+def _render_text(dendrogram: Dendrogram) -> str:
     root = dendrogram.root
     max_h = dendrogram.max_height()
-    scale = (width - 1) / max_h if max_h > 0 else 0.0
+    scale = (_WIDTH - 1) / max_h if max_h > 0 else 0.0
 
     def x_of(h: float) -> int:
         return int(round(h * scale))
@@ -45,7 +51,7 @@ def _render_text(dendrogram: Dendrogram, width: int = 60) -> str:
     leaves: list[DendrogramNode] = dendrogram.leaves()
     rows = {id(leaf): 2 * k for k, leaf in enumerate(leaves)}
     n_lines = 2 * len(leaves) - 1 if leaves else 1
-    grid = [[" "] * (width + 2) for _ in range(n_lines)]
+    grid = [[" "] * (_WIDTH + 2) for _ in range(n_lines)]
 
     def hline(r: int, x0: int, x1: int, ch: str):
         for x in range(min(x0, x1), max(x0, x1) + 1):
@@ -62,7 +68,7 @@ def _render_text(dendrogram: Dendrogram, width: int = 60) -> str:
         """Draws the subtree, returns its center row."""
         if node.is_leaf:
             r = rows[id(node)]
-            hline(r, from_x, width - 1, "─")
+            hline(r, from_x, _WIDTH - 1, "─")
             return r
         ch = "─" if node.split.divisive else "╌"
         split_x = x_of(node.height + node.split.global_delta)
@@ -85,15 +91,22 @@ def _render_text(dendrogram: Dendrogram, width: int = 60) -> str:
     # Append leaf labels at the right edge of their rows.
     for k, leaf in enumerate(leaves):
         r = rows[id(leaf)]
-        lines[r] = lines[r].ljust(width + 1) + " " + \
+        lines[r] = lines[r].ljust(_WIDTH + 1) + " " + \
             _leaf_label(dendrogram, leaf)
 
-    axis = "0" + " " * (width - len(format_number(max_h)) - 1) + \
+    axis = "0" + " " * (_WIDTH - len(format_number(max_h)) - 1) + \
         format_number(max_h) if max_h > 0 else "0"
-    lines.append("─" * width + " bits")
+    lines.append("─" * _WIDTH + " bits")
     lines.append(axis)
     lines.append(f"cut line (┊) at {format_number(divisive_cut_height(dendrogram))} bits")
     return "\n".join(lines) + "\n"
+
+
+def _xml_text(text: str) -> str:
+    """`text` as XML character data: &, < and > escaped, and characters
+    XML cannot carry replaced by U+FFFD."""
+    text = _NOT_XML.sub("\ufffd", text).replace("&", "&amp;")
+    return text.replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _render_svg(dendrogram: Dendrogram) -> str:
@@ -121,7 +134,8 @@ def _render_svg(dendrogram: Dendrogram) -> str:
             line(from_x, y, pad + plot_w, y)
             parts.append(
                 f'<text x="{pad + plot_w + 6:.2f}" y="{y + 4:.2f}" '
-                f'font-size="12">{_leaf_label(dendrogram, node)}</text>')
+                f'font-size="12">{_xml_text(_leaf_label(dendrogram, node))}'
+                '</text>')
             return y
         dashed = not node.split.divisive
         sx = x_of(node.height + node.split.global_delta)

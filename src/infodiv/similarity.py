@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedCorrelation, UndefinedCosine
+from .errors import InvalidInputError, UndefinedCorrelation, UndefinedCosine
 from .matrix import LabeledMatrix, build_matrix
 
-TOL = 1e-12
 # A sum of squares in this range has lost no small terms to underflow and
 # has not overflowed; products of two such vectors cannot overflow either.
 _SQ_LO, _SQ_HI = 2.0 ** -960, 2.0 ** 960
@@ -112,8 +111,8 @@ def similarity_matrix(matrix: LabeledMatrix, measure: str = "pearson",
     if transform not in ("none", "log1p"):
         raise ValueError(f"unknown transform: {transform!r}")
     if matrix.row_labels != matrix.col_labels:
-        raise ValueError("similarity needs a square matrix with matching "
-                         "row and column labels")
+        raise InvalidInputError("similarity needs a square matrix with "
+                                "matching row and column labels")
 
     if transform == "log1p":
         matrix = log_transform(matrix)

@@ -1,6 +1,7 @@
 """Shared helpers: seeded random matrices, pure-Python brute-force
 entropy computations kept independent of the library's numpy code paths,
-and reference bisection searches that score every candidate separately."""
+and reference exhaustive and greedy searches that score every candidate
+separately."""
 
 import itertools
 import math
@@ -8,8 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from infodiv import build_matrix, evaluate_bipartition
+from infodiv import Grouping, build_matrix, decompose, evaluate_bipartition
 from infodiv.cluster import STRICT_TOL
+from infodiv.oracle import OracleReport, restricted_growth_strings
 
 
 def entropy_bits(probs):
@@ -114,6 +116,26 @@ def reference_exhaustive_bisect(model, subtree):
         if best is None or ev.local_h0 > best.local_h0 + STRICT_TOL:
             best = ev
     return best
+
+
+def reference_exhaustive_partition(model, max_groups):
+    """One validated Grouping and decompose per restricted growth string;
+    ties to fewer groups, then to the first string."""
+    n = model.n_rows
+    best_grouping = None
+    best_h0 = -1.0
+    best_m = n + 1
+    count = 0
+    for rgs in restricted_growth_strings(n, max_groups):
+        count += 1
+        m = max(rgs) + 1
+        grouping = Grouping(rgs, m)
+        h0 = decompose(model, grouping).h0
+        if h0 > best_h0 + STRICT_TOL or \
+                (abs(h0 - best_h0) <= STRICT_TOL and m < best_m):
+            best_grouping, best_h0, best_m = grouping, h0, m
+    return OracleReport(best_grouping=best_grouping, best_h0=best_h0,
+                        candidates_examined=count)
 
 
 @pytest.fixture

@@ -101,6 +101,20 @@ def test_entropy_command_missing_row_exits_2(block_csv, tmp_path, capsys):
     assert run_cli(["entropy", block_csv, "--groups", str(groups)]) == 2
 
 
+@pytest.mark.parametrize("groups", [
+    '{"a": ["left"], "b": "left", "c": "right", "d": "right"}',
+    '{"a": 1, "b": "left", "c": "right", "d": "right"}',
+    '["a", "b", "c", "d"]',
+])
+def test_entropy_command_malformed_grouping_exits_2(block_csv, tmp_path,
+                                                    capsys, groups):
+    path = tmp_path / "groups.json"
+    path.write_text(groups)
+    assert run_cli(["entropy", block_csv, "--groups", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "group names" in captured.err
+
+
 def test_oracle_command(block_csv, capsys):
     assert run_cli(["oracle", block_csv, "--max-groups", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -143,3 +157,34 @@ def test_row_order_invariance(tmp_path, capsys):
     out_a = capsys.readouterr().out
     assert run_cli(["cluster", str(b)]) == 0
     assert capsys.readouterr().out == out_a
+
+
+@pytest.mark.parametrize("max_groups", ["0", "-1", "5"])
+def test_oracle_max_groups_out_of_range_exits_2(tmp_path, capsys,
+                                                max_groups):
+    p = tmp_path / "m.csv"
+    p.write_text("x,a,b\nr1,1,2\nr2,2,1\nr3,3,3\n")
+    assert run_cli(["oracle", str(p), "--max-groups", max_groups]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max_groups must be in 1..3" in captured.err
+
+
+def test_similarity_non_square_exits_2(block_csv, capsys):
+    assert run_cli(["similarity", block_csv, "--measure", "cosine"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "square" in captured.err
+
+
+@pytest.mark.parametrize("doc, field", [
+    ('{"labels":["a"],"tree":{}}', "tree: missing field 'members'"),
+    ("[1,2]", "document: expected an object"),
+    ('{"labels":["a"],"tree":{"members":["b"],"height":0.0}}',
+     "tree.members: unknown label 'b'"),
+])
+def test_render_malformed_dendrogram_exits_2(tmp_path, capsys, doc, field):
+    p = tmp_path / "dend.json"
+    p.write_text(doc)
+    assert run_cli(["render", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and field in captured.err

@@ -1,8 +1,9 @@
-"""Byte-exact dendrogram outputs on seeded matrices.
+"""Byte-exact dendrogram and oracle outputs on seeded matrices.
 
 Every export format (JSON, Newick, DOT) and render format (text, SVG) is
 compared, under both stop rules and both search modes, against the bytes in
-`golden.json`. Those bytes are a fixed reference: a change in any of them is
+`golden.json`, as is what `infodiv oracle` prints at `--max-groups` 2, 3
+and the row count. Those bytes are a fixed reference: a change in any of them is
 a behaviour change. Regenerate them only for a deliberate output change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -10,6 +11,7 @@ a behaviour change. Regenerate them only for a deliberate output change:
 
 import functools
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,9 @@ from infodiv import (
     divisive_cluster,
     export_dendrogram,
     render_dendrogram,
+    write_csv,
 )
+from infodiv.cli import run_cli
 
 GOLDEN = Path(__file__).with_name("golden.json")
 FORMATS = ("json", "newick", "dot", "text", "svg")
@@ -63,7 +67,19 @@ def dendrogram(name, stop, mode):
                             method=mode)
 
 
+def oracle_output(name, max_groups):
+    with tempfile.TemporaryDirectory() as tmp:
+        csv, out = Path(tmp, "m.csv"), Path(tmp, "out.json")
+        csv.write_text(write_csv(matrices()[name]), encoding="utf-8")
+        assert run_cli(["oracle", str(csv), "--max-groups", max_groups,
+                        "--out", str(out)]) == 0
+        return out.read_text(encoding="utf-8")
+
+
 def output(key):
+    if key.split("/")[1] == "oracle":
+        name, _, max_groups = key.split("/")
+        return oracle_output(name, max_groups)
     name, stop, mode, fmt = key.split("/")
     dend = dendrogram(name, stop, mode)
     if fmt in ("json", "newick", "dot"):
@@ -74,7 +90,9 @@ def output(key):
 def keys():
     return [f"{name}/{stop}/{mode}/{fmt}" for name in matrices()
             for stop in ("divisive", "full")
-            for mode in ("greedy", "exhaustive") for fmt in FORMATS]
+            for mode in ("greedy", "exhaustive") for fmt in FORMATS] + \
+        [f"{name}/oracle/{k}" for name, m in matrices().items()
+         for k in ("2", "3", str(m.n_rows))]
 
 
 def test_golden_covers_every_case():

@@ -1,6 +1,10 @@
 import io
+import re
+import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infodiv import (
     ClusterOptions,
@@ -211,3 +215,91 @@ def test_similarity_csv_layout():
     lines = text.strip().split("\n")
     assert lines[0] == ",a,b"
     assert lines[1] == "a,1.0,0.0"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('{"tree":{"members":[],"height":0.0}}',
+     "document: missing field 'labels'"),
+    ('{"labels":["a",1],"tree":{}}',
+     "document.labels: every label must be a string"),
+    ('{"labels":["a"],"tree":{"members":["a"],"height":"0"}}',
+     "tree.height: expected a finite number >= 0"),
+    ('{"labels":["a"],"tree":{"members":["a"],"height":NaN}}',
+     "tree.height: expected a finite number >= 0"),
+    ('{"labels":["a"],"tree":{"members":["a"],"height":1' + "0" * 400 + '}}',
+     "tree.height: expected a finite number >= 0"),
+    ('{"labels":["a","b"],"tree":{"members":["a","b"],"height":0.0,'
+     '"children":[{"members":["a"],"height":0.0}]}}',
+     "tree.children: expected 2 nodes, got 1"),
+    ('{"labels":["a","b"],"tree":{"members":["a","b"],"height":0.0,'
+     '"children":[{"members":["a"],"height":0.0},'
+     '{"members":["b"],"height":0.0}]}}',
+     "tree: missing field 'split'"),
+    ('{"labels":["a","b"],"tree":{"members":["a","b"],"height":0.0,'
+     '"split":{"h_aggregate":1,"h_left":0,"h_right":0,"local_h0":1,'
+     '"global_delta":1,"divisive":1},'
+     '"children":[{"members":["a"],"height":1.0},'
+     '{"members":["b"],"height":1.0}]}}',
+     "tree.split.divisive: expected true or false"),
+    ('{"labels":["a","b"],"tree":{"members":["a","b"],"height":0.0,'
+     '"split":{},"children":[{"members":["a"],"height":1.0},[]]}}',
+     "tree.children[1]: expected an object"),
+], ids=["no-labels", "label-type", "height-string", "height-nan",
+        "height-huge-int", "one-child", "no-split", "divisive-type",
+        "child-type"])
+def test_dendrogram_from_json_names_the_bad_field(doc, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        dendrogram_from_json(doc)
+
+
+# Labels that exercise every escaping rule, mixed with arbitrary text.
+LABEL = st.text(st.one_of(st.sampled_from(list(" _'\"\\<&>(),:;[]+\n\t\x00")),
+                          st.characters()), max_size=6)
+
+
+def _xml_char(c):
+    o = ord(c)
+    return c in "\t\n" or 0x20 <= o <= 0xD7FF or 0xE000 <= o <= 0xFFFD or \
+        o >= 0x10000
+
+
+def _newick_leaves(text):
+    leaves = re.finditer(r"[(,]('(?:[^']|'')*'|[^\s()\[\]':;,]*):", text)
+    return [m[1][1:-1].replace("''", "'") if m[1].startswith("'") else m[1]
+            for m in leaves]
+
+
+@given(st.lists(LABEL, min_size=1, max_size=5, unique=True))
+@settings(max_examples=200, deadline=None)
+def test_exports_are_valid_for_any_label(labels):
+    m = build_matrix(labels, ["x", "y"],
+                     [[i + 1, 1] for i in range(len(labels))])
+    d = divisive_cluster(m, ClusterOptions(stop_rule="full"))
+
+    svg = ET.fromstring(render_dendrogram(d, "svg"))
+    texts = [t.text or ""
+             for t in svg.iter("{http://www.w3.org/2000/svg}text")]
+    for lab in labels:
+        if all(map(_xml_char, lab)):
+            assert lab in texts
+
+    dot = export_dendrogram(d, "dot")
+    names = [re.sub(r"\\(.)", r"\1", t, flags=re.S) for t in re.findall(
+        r'\n  n\d+ \[label="((?:[^"\\]|\\.)*)"\];', dot, flags=re.S)]
+    assert len(names) == 2 * len(labels) - 1
+    assert set(labels) <= set(names)
+
+    assert sorted(_newick_leaves(export_dendrogram(d, "newick"))) == \
+        sorted(labels)
+
+    text = export_dendrogram(d, "json")
+    assert export_dendrogram(dendrogram_from_json(text), "json") == text
+
+
+def test_newick_quotes_labels_that_need_it():
+    m = build_matrix(["a b", "a_b", "o'k", "plain"], ["x", "y"],
+                     [[1, 1], [1, 2], [1, 3], [1, 4]])
+    text = export_dendrogram(divisive_cluster(m, ClusterOptions(
+        stop_rule="full")), "newick")
+    assert "'a b':" in text and "'a_b':" in text and "'o''k':" in text
+    assert "plain:" in text

@@ -1,8 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from infodiv import cluster
 from infodiv import (
     SizeLimitError,
     build_matrix,
@@ -17,7 +22,7 @@ from infodiv import (
 )
 
 from conftest import brute_decompose, random_matrix, \
-    reference_exhaustive_bisect
+    reference_exhaustive_bisect, reference_exhaustive_partition
 
 BLOCK = [[4, 4, 0, 0], [4, 4, 0, 0], [0, 0, 4, 4], [0, 0, 4, 4]]
 
@@ -162,3 +167,71 @@ def test_verify_greedy_random_suite(rng):
             equal += 1
     # No target frequency asserted; the bound is the contract.
     assert 0 <= equal <= 20
+
+
+@st.composite
+def tied_count_matrices(draw):
+    """Up to 6 rows with many zero cells; some rows repeat or scale an
+    earlier row, so distinct partitions tie exactly in H0."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 4))
+    cell = st.sampled_from([0, 0, 0, 1, 2, 5])
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["fresh", "copy", "scaled"])) \
+            if rows else "fresh"
+        if kind == "fresh":
+            row = draw(st.lists(cell, min_size=k, max_size=k))
+            if sum(row) == 0:
+                row[draw(st.integers(0, k - 1))] = 1
+        else:
+            factor = 1 if kind == "copy" else draw(st.sampled_from([2, 3]))
+            row = [factor * v for v in draw(st.sampled_from(rows))]
+        rows.append(row)
+    return build_matrix([f"r{i}" for i in range(n)],
+                        [f"c{j}" for j in range(k)], rows)
+
+
+@given(tied_count_matrices())
+@settings(max_examples=150, deadline=None)
+def test_exhaustive_partition_matches_per_candidate_reference(m):
+    pm = probability_model(m)
+    for max_groups in range(1, m.n_rows + 1):
+        assert exhaustive_partition(pm, max_groups) == \
+            reference_exhaustive_partition(pm, max_groups)
+
+
+def test_exhaustive_searches_agree_across_subset_chunks(rng, monkeypatch):
+    # A cell budget of a few rows of columns splits every subset table
+    # and every mask list into many kernel calls.
+    for _ in range(10):
+        m = random_matrix(rng, max_rows=7, min_rows=5, max_cols=5)
+        pm = probability_model(m)
+        rows = tuple(range(m.n_rows))
+        monkeypatch.setattr(cluster, "_CELLS", 3 * m.n_cols)
+        chunked = (exhaustive_bisect(pm, rows), exhaustive_partition(pm, 3),
+                   exhaustive_partition(pm, m.n_rows))
+        monkeypatch.undo()
+        assert chunked == (reference_exhaustive_bisect(pm, rows),
+                           reference_exhaustive_partition(pm, 3),
+                           reference_exhaustive_partition(pm, m.n_rows))
+
+
+@pytest.mark.parametrize("search", [
+    lambda pm: exhaustive_bisect(pm, tuple(range(pm.n_rows))),
+    lambda pm: exhaustive_partition(pm, 3),
+], ids=["bisect", "partition"])
+def test_exhaustive_memory_is_bounded_for_wide_matrices(search):
+    # 12 x 4000: pooling every subset at once would take hundreds of MB.
+    vals = np.random.default_rng(7).poisson(2.0, size=(12, 4000))
+    vals[vals.sum(axis=1) == 0, 0] = 1
+    pm = probability_model(build_matrix(
+        [f"r{i:02d}" for i in range(12)], [f"c{j:04d}" for j in range(4000)],
+        vals))
+    tracemalloc.start()
+    try:
+        search(pm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
