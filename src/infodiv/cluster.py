@@ -47,7 +47,7 @@ _CELLS = 1 << 18  # matrix cells pooled per exhaustive kernel call
 class ClusterOptions:
     """Knobs for the divisive clustering run.
 
-    stop_rule: "divisive" stops recursion where no strictly divisive split
+    stop_rule: "divisive" stops splitting where no strictly divisive split
     exists; "full" keeps splitting down to singletons, flagging each split.
     Tie-breaking is always by lowest row index and is not configurable.
     """
@@ -266,7 +266,7 @@ def exhaustive_bisect(model: ProbabilityModel,
 def divisive_cluster(matrix: LabeledMatrix,
                      options: ClusterOptions = ClusterOptions(),
                      method: str = "greedy") -> Dendrogram:
-    """Recursive divisive clustering of the matrix rows.
+    """Divisive clustering of the matrix rows, splitting each group in turn.
 
     method: "greedy" uses greedy_bisect; "exhaustive" uses exhaustive_bisect
     at every node (small matrices only).
@@ -283,20 +283,23 @@ def divisive_cluster(matrix: LabeledMatrix,
             return None
         return ev
 
-    def build(subtree: RowSubset, height: float) -> DendrogramNode:
-        if len(subtree) < 2:
-            return DendrogramNode(members=subtree, height=height)
-        split = bisect(subtree)
-        if split is None:
-            return DendrogramNode(members=subtree, height=height)
-        child_h = height + split.global_delta
-        left = build(split.left, child_h)
-        right = build(split.right, child_h)
-        return DendrogramNode(members=subtree, height=height, split=split,
-                              children=(left, right))
-
-    root = build(tuple(range(matrix.n_rows)), 0.0)
-    return Dendrogram(root=root, row_labels=matrix.row_labels)
+    # Split the groups in pre-order, left child first, then build the
+    # nodes from the last one back, so that no level costs a stack frame.
+    groups = []
+    todo = [(tuple(range(matrix.n_rows)), 0.0)]
+    while todo:
+        subtree, height = todo.pop()
+        split = bisect(subtree) if len(subtree) >= 2 else None
+        groups.append((subtree, height, split))
+        if split is not None:
+            child_h = height + split.global_delta
+            todo += [(split.right, child_h), (split.left, child_h)]
+    built: list[DendrogramNode] = []
+    for subtree, height, split in reversed(groups):
+        children = None if split is None else (built.pop(), built.pop())
+        built.append(DendrogramNode(members=subtree, height=height,
+                                    split=split, children=children))
+    return Dendrogram(root=built.pop(), row_labels=matrix.row_labels)
 
 
 def extract_clusters(dendrogram: Dendrogram, rule: str = "nondivisive",

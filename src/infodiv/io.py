@@ -12,9 +12,11 @@ from __future__ import annotations
 import csv
 import decimal
 import io as _io
+import itertools
 import json
 import math
 import re
+from typing import Iterator
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .similarity import SimilarityMatrix
 
 _CTX = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_UP)
 _NEWICK_PLAIN = re.compile(r"[^\s()\[\]':;,_]*")
+_JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
 
 
 def format_number(x: float) -> str:
@@ -83,12 +86,23 @@ def parse_csv(text_or_path) -> LabeledMatrix:
                         np.asarray(values)[np.ix_(r_order, c_order)])
 
 
+class _Formatted(dict):
+    """format_number of each float looked up, computed once per float."""
+
+    def __missing__(self, x: float) -> str:
+        text = self[x] = format_number(x)
+        return text
+
+
 def _csv(row_labels, col_labels, values) -> str:
+    # A similarity matrix holds each off-diagonal value twice and 1.0 down
+    # the diagonal; count matrices repeat small integers.
+    text = _Formatted()
     out = _io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(["", *col_labels])
-    for label, row in zip(row_labels, values):
-        w.writerow([label, *[format_number(v) for v in row]])
+    for label, row in zip(row_labels, values.tolist()):
+        w.writerow([label, *map(text.__getitem__, row)])
     return out.getvalue()
 
 
@@ -120,14 +134,31 @@ def canonical_json(obj) -> str:
     return json.dumps(obj)
 
 
-def _node_dict(node: DendrogramNode, labels) -> dict:
-    d = {
-        "members": sorted(labels[i] for i in node.members),
-        "height": node.height,
-    }
-    if not node.is_leaf:
+def _unfold(items: list, expand) -> Iterator[str]:
+    """The text `items` stand for, depth first and without recursion, so
+    that a deep tree costs no stack: a str stands for itself, anything else
+    for the items `expand(item)` lists, in order."""
+    todo = items[::-1]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            yield item
+        else:
+            todo += reversed(expand(item))
+
+
+def _tree_json(dendrogram: Dendrogram) -> str:
+    """canonical_json of the export's "tree" object, each node's own
+    fields through canonical_json and the nesting without recursion."""
+    labels = dendrogram.row_labels
+
+    def pieces(node: DendrogramNode) -> list:
+        fields = {"members": sorted(labels[i] for i in node.members),
+                  "height": node.height}
+        if node.is_leaf:
+            return [canonical_json(fields)]
         s = node.split
-        d["split"] = {
+        fields["split"] = {
             "h_aggregate": s.h_aggregate,
             "h_left": s.h_left,
             "h_right": s.h_right,
@@ -135,16 +166,18 @@ def _node_dict(node: DendrogramNode, labels) -> dict:
             "global_delta": s.global_delta,
             "divisive": s.divisive,
         }
-        d["children"] = [_node_dict(c, labels) for c in node.children]
-    return d
+        # "children" sorts before the other keys, so it opens the object.
+        return ['{"children":[', node.children[0], ",", node.children[1],
+                "]," + canonical_json(fields)[1:]]
+
+    return "".join(_unfold([dendrogram.root], pieces))
 
 
 def export_dendrogram(dendrogram: Dendrogram, fmt: str = "json") -> str:
     """Serialize a dendrogram as canonical JSON, Newick, or Graphviz DOT."""
-    if fmt == "json":
-        doc = {"labels": list(dendrogram.row_labels),
-               "tree": _node_dict(dendrogram.root, dendrogram.row_labels)}
-        return canonical_json(doc) + "\n"
+    if fmt == "json":  # canonical_json of {"labels": ..., "tree": ...}
+        return (f'{{"labels":{canonical_json(dendrogram.row_labels)},'
+                f'"tree":{_tree_json(dendrogram)}}}\n')
     if fmt == "newick":
         return _newick(dendrogram)
     if fmt == "dot":
@@ -154,14 +187,41 @@ def export_dendrogram(dendrogram: Dendrogram, fmt: str = "json") -> str:
 
 def dendrogram_from_json(text: str) -> Dendrogram:
     """Rebuild a Dendrogram from the canonical JSON export. A document of
-    another shape raises ParseError naming the first bad field."""
-    doc = json.loads(text)
+    another shape raises ParseError naming the first bad field, and one
+    nested deeper than the JSON parser reaches names its depth."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        depth = max(itertools.accumulate(
+            1 if c in "[{" else -1 for c in _JSON_STRING.sub("", text)
+            if c in "[]{}"))
+        raise ParseError(f"document: nested {depth} levels deep, beyond "
+                         "what the JSON parser reads") from None
     labels = _field(doc, "labels", "document", list)
     if not all(isinstance(lab, str) for lab in labels):
         raise ParseError("document.labels: every label must be a string")
     index = {lab: i for i, lab in enumerate(labels)}
 
-    def build(d, path: str) -> DendrogramNode:
+    # Depth first without recursion: an object's own fields are checked on
+    # the way down, its split's numbers on the way back up, once both
+    # children are built (the top two of `built`).
+    built: list[DendrogramNode] = []
+    todo = [(_field(doc, "tree", "document", dict), "tree", None)]
+    while todo:
+        d, path, inner = todo.pop()
+        if inner is not None:
+            members, height, s = inner
+            kids = (built[-2], built[-1])
+            del built[-2:]
+            split = SplitEvaluation(
+                left=kids[0].members, right=kids[1].members,
+                **{key: _field(s, key, f"{path}.split", float)
+                   for key in ("h_aggregate", "h_left", "h_right",
+                               "local_h0", "global_delta")},
+                divisive=_field(s, "divisive", f"{path}.split", bool))
+            built.append(DendrogramNode(members=members, height=height,
+                                        split=split, children=kids))
+            continue
         members = []
         for lab in _field(d, "members", path, list):
             if not isinstance(lab, str) or lab not in index:
@@ -170,26 +230,17 @@ def dendrogram_from_json(text: str) -> Dendrogram:
         members = tuple(sorted(members))
         height = _field(d, "height", path, float)
         if "children" not in d:
-            return DendrogramNode(members=members, height=height)
+            built.append(DendrogramNode(members=members, height=height))
+            continue
         children = _field(d, "children", path, list)
         if len(children) != 2:
             raise ParseError(f"{path}.children: expected 2 nodes, "
                              f"got {len(children)}")
         s = _field(d, "split", path, dict)
-        kids = tuple(build(c, f"{path}.children[{k}]")
-                     for k, c in enumerate(children))
-        split = SplitEvaluation(
-            left=kids[0].members, right=kids[1].members,
-            **{key: _field(s, key, f"{path}.split", float)
-               for key in ("h_aggregate", "h_left", "h_right", "local_h0",
-                           "global_delta")},
-            divisive=_field(s, "divisive", f"{path}.split", bool))
-        return DendrogramNode(members=members, height=height,
-                              split=split, children=kids)
-
-    return Dendrogram(root=build(_field(doc, "tree", "document", dict),
-                                 "tree"),
-                      row_labels=tuple(labels))
+        todo += [(d, path, (members, height, s)),
+                 (children[1], f"{path}.children[1]", None),
+                 (children[0], f"{path}.children[0]", None)]
+    return Dendrogram(root=built.pop(), row_labels=tuple(labels))
 
 
 def _field(obj, key: str, path: str, kind: type):
@@ -217,20 +268,21 @@ def _field(obj, key: str, path: str, kind: type):
 def _newick(dendrogram: Dendrogram) -> str:
     labels = dendrogram.row_labels
 
-    def walk(node: DendrogramNode, branch: float) -> str:
+    def pieces(item) -> list:
+        node, branch = item
         if node.is_leaf:
             name = _newick_name("+".join(sorted(labels[i]
                                                 for i in node.members)))
-            return f"{name}:{format_number(branch)}"
+            return [f"{name}:{format_number(branch)}"]
         delta = node.split.global_delta
-        kids = ",".join(walk(c, delta) for c in node.children)
-        return f"({kids}):{format_number(branch)}"
+        return ["(", (node.children[0], delta), ",", (node.children[1], delta),
+                f"):{format_number(branch)}"]
 
     root = dendrogram.root
-    if root.is_leaf:
-        return f"({walk(root, 0.0)});\n"
-    kids = ",".join(walk(c, root.split.global_delta) for c in root.children)
-    return f"({kids});\n"
+    top = [(root, 0.0)] if root.is_leaf else \
+        [(root.children[0], root.split.global_delta), ",",
+         (root.children[1], root.split.global_delta)]
+    return "".join(_unfold(["(", *top, ");\n"], pieces))
 
 
 def _newick_name(name: str) -> str:
@@ -244,29 +296,28 @@ def _newick_name(name: str) -> str:
 
 def _dot(dendrogram: Dendrogram) -> str:
     labels = dendrogram.row_labels
-    lines = ["digraph dendrogram {", "  rankdir=LR;",
-             '  node [shape=box, fontname="Helvetica"];']
-    counter = [0]
+    counter = itertools.count()
 
-    def walk(node: DendrogramNode) -> str:
-        name = f"n{counter[0]}"
-        counter[0] += 1
+    def lines(item) -> list:
+        """A node's line, its children's, then the edge from its parent
+        (given as the text around this node's name)."""
+        node, edge = item
+        name = f"n{next(counter)}"
         if node.is_leaf:
             text = ", ".join(sorted(labels[i] for i in node.members))
             text = text.replace("\\", "\\\\").replace('"', '\\"')
         else:
             text = f"{len(node.members)} rows @ {format_number(node.height)} bits"
-        lines.append(f'  {name} [label="{text}"];')
+        out = [f'  {name} [label="{text}"];']
         if not node.is_leaf:
             style = "" if node.split.divisive else ", style=dashed"
-            for child in node.children:
-                cname = walk(child)
-                lines.append(
-                    f'  {name} -> {cname} '
-                    f'[label="{format_number(node.split.global_delta)}"'
-                    f'{style}];')
-        return name
+            label = format_number(node.split.global_delta)
+            out += [(child, (f"  {name} -> ", f' [label="{label}"{style}];'))
+                    for child in node.children]
+        if edge:
+            out.append(name.join(edge))
+        return out
 
-    walk(dendrogram.root)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(["digraph dendrogram {", "  rankdir=LR;",
+                      '  node [shape=box, fontname="Helvetica"];',
+                      *_unfold([(dendrogram.root, None)], lines), "}"]) + "\n"

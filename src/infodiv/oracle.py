@@ -39,21 +39,28 @@ def restricted_growth_strings(n: int, max_groups: int) -> Iterator[tuple[int, ..
     """All set partitions of n items with at most max_groups blocks.
 
     Yields restricted growth strings a with a[0] = 0 and
-    a[i] <= max(a[:i]) + 1, in lexicographic order.
+    a[i] <= max(a[:i]) + 1, in lexicographic order, without recursion
+    (Knuth, TAOCP 4A, 7.2.1.5, Algorithm H, with values capped at
+    max_groups - 1).
     """
-    if n == 0:
+    if n == 0 or n > 1 and max_groups < 1:
         return
+    top = max_groups - 1
     a = [0] * n
-
-    def rec(i: int, top: int):
-        if i == n:
-            yield tuple(a)
+    # b[i]: the largest value a[i] may take after a[:i], max(a[:i]) + 1
+    # capped at top.
+    b = [min(1, top)] * n
+    while True:
+        yield tuple(a)
+        i = n - 1
+        while i and a[i] == b[i]:
+            i -= 1
+        if i == 0:
             return
-        for v in range(min(top + 1, max_groups - 1) + 1):
-            a[i] = v
-            yield from rec(i + 1, max(top, v))
-
-    yield from rec(1, 0)
+        a[i] += 1
+        if i < n - 1:
+            a[i + 1:] = [0] * (n - 1 - i)
+            b[i + 1:] = [min(b[i] + (a[i] == b[i]), top)] * (n - 1 - i)
 
 
 def exhaustive_partition(model: ProbabilityModel,

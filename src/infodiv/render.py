@@ -27,6 +27,23 @@ def divisive_cut_height(dendrogram: Dendrogram) -> float:
                        if not node.is_leaf and node.split.divisive)])
 
 
+def _post_order(dendrogram: Dendrogram, x_of) -> list:
+    """(node, x of its parent's split, or x_of(0.0) at the root, x of its
+    own split or None at a leaf), each node after its children, left
+    subtree first: the reverse of a pre-order that visits the right
+    subtree first, which needs no recursion."""
+    order = []
+    todo = [(dendrogram.root, x_of(0.0))]
+    while todo:
+        node, from_x = todo.pop()
+        split_x = None if node.is_leaf else \
+            x_of(node.height + node.split.global_delta)
+        order.append((node, from_x, split_x))
+        if split_x is not None:
+            todo += [(node.children[0], split_x), (node.children[1], split_x)]
+    return order[::-1]
+
+
 def render_dendrogram(dendrogram: Dendrogram, fmt: str = "text") -> str:
     if fmt == "text":
         return _render_text(dendrogram)
@@ -41,7 +58,6 @@ def _leaf_label(dendrogram: Dendrogram, node: DendrogramNode) -> str:
 
 
 def _render_text(dendrogram: Dendrogram) -> str:
-    root = dendrogram.root
     max_h = dendrogram.max_height()
     scale = (_WIDTH - 1) / max_h if max_h > 0 else 0.0
 
@@ -49,6 +65,7 @@ def _render_text(dendrogram: Dendrogram) -> str:
         return int(round(h * scale))
 
     leaves: list[DendrogramNode] = dendrogram.leaves()
+    # Row of each leaf; the center row of each inner node is added below.
     rows = {id(leaf): 2 * k for k, leaf in enumerate(leaves)}
     n_lines = 2 * len(leaves) - 1 if leaves else 1
     grid = [[" "] * (_WIDTH + 2) for _ in range(n_lines)]
@@ -64,22 +81,16 @@ def _render_text(dendrogram: Dendrogram) -> str:
         grid[min(r0, r1)][x] = "┬" if grid[min(r0, r1)][x] == "─" else "┌"
         grid[max(r0, r1)][x] = "└"
 
-    def draw(node: DendrogramNode, from_x: int) -> int:
-        """Draws the subtree, returns its center row."""
+    # Post-order, as each connector joins its children's center rows.
+    for node, from_x, split_x in _post_order(dendrogram, x_of):
         if node.is_leaf:
-            r = rows[id(node)]
-            hline(r, from_x, _WIDTH - 1, "─")
-            return r
+            hline(rows[id(node)], from_x, _WIDTH - 1, "─")
+            continue
         ch = "─" if node.split.divisive else "╌"
-        split_x = x_of(node.height + node.split.global_delta)
-        r0 = draw(node.children[0], split_x)
-        r1 = draw(node.children[1], split_x)
-        center = (r0 + r1) // 2
+        r0, r1 = rows[id(node.children[0])], rows[id(node.children[1])]
+        center = rows[id(node)] = (r0 + r1) // 2
         vline(split_x, r0, r1)
         hline(center, from_x, split_x - 1 if split_x > from_x else from_x, ch)
-        return center
-
-    draw(root, 0)
 
     # Cut line between divisive and non-divisive territory.
     cut_x = x_of(divisive_cut_height(dendrogram))
@@ -119,6 +130,7 @@ def _render_svg(dendrogram: Dendrogram) -> str:
     def x_of(h: float) -> float:
         return pad + h * scale
 
+    # y of each leaf; that of each inner node's center is added below.
     rows = {id(leaf): pad + row_step * k for k, leaf in enumerate(leaves)}
     parts: list[str] = []
 
@@ -128,7 +140,7 @@ def _render_svg(dendrogram: Dendrogram) -> str:
             f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
             f'stroke="black"{dash}/>')
 
-    def draw(node: DendrogramNode, from_x: float) -> float:
+    for node, from_x, sx in _post_order(dendrogram, x_of):
         if node.is_leaf:
             y = rows[id(node)]
             line(from_x, y, pad + plot_w, y)
@@ -136,17 +148,12 @@ def _render_svg(dendrogram: Dendrogram) -> str:
                 f'<text x="{pad + plot_w + 6:.2f}" y="{y + 4:.2f}" '
                 f'font-size="12">{_xml_text(_leaf_label(dendrogram, node))}'
                 '</text>')
-            return y
+            continue
         dashed = not node.split.divisive
-        sx = x_of(node.height + node.split.global_delta)
-        y0 = draw(node.children[0], sx)
-        y1 = draw(node.children[1], sx)
+        y0, y1 = rows[id(node.children[0])], rows[id(node.children[1])]
         line(sx, y0, sx, y1, dashed)
-        cy = (y0 + y1) / 2
+        cy = rows[id(node)] = (y0 + y1) / 2
         line(from_x, cy, sx, cy, dashed)
-        return cy
-
-    draw(dendrogram.root, x_of(0.0))
 
     # Divisive cut line and axis.
     cut_x = x_of(divisive_cut_height(dendrogram))

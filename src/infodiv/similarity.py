@@ -20,6 +20,13 @@ from .matrix import LabeledMatrix, build_matrix
 # A sum of squares in this range has lost no small terms to underflow and
 # has not overflowed; products of two such vectors cannot overflow either.
 _SQ_LO, _SQ_HI = 2.0 ** -960, 2.0 ** 960
+# What pearson and cosine raise, and with which message, for a constant or
+# all-zero vector.
+_UNDEFINED = {
+    "pearson": (UndefinedCorrelation,
+                "correlation undefined for a constant vector"),
+    "cosine": (UndefinedCosine, "cosine undefined for an all-zero vector"),
+}
 
 
 @dataclass(frozen=True)
@@ -88,6 +95,21 @@ def _scaled(v: np.ndarray) -> tuple[np.ndarray, float]:
     return v, math.fsum((v * v).tolist())
 
 
+def _scaled_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_scaled` applied to each row of the fresh 2-D array `rows` (which
+    it may overwrite): the rows and their sums of squares. Only rows whose
+    sum of squares leaves [_SQ_LO, _SQ_HI], or overflows, go through
+    `_scaled` itself."""
+    try:
+        ss = list(map(math.fsum, (rows * rows).tolist()))
+    except OverflowError:  # some row's squares sum past the float range
+        ss = [math.inf] * len(rows)
+    for k, s in enumerate(ss):
+        if not _SQ_LO <= s <= _SQ_HI:
+            rows[k], ss[k] = _scaled(rows[k])
+    return rows, np.array(ss)
+
+
 def log_transform(matrix: LabeledMatrix) -> LabeledMatrix:
     """Cell-wise x -> log2(1 + x); monotone and zero-preserving."""
     return build_matrix(matrix.row_labels, matrix.col_labels,
@@ -116,23 +138,57 @@ def similarity_matrix(matrix: LabeledMatrix, measure: str = "pearson",
 
     if transform == "log1p":
         matrix = log_transform(matrix)
-    fn = pearson if measure == "pearson" else cosine
     n = matrix.n_rows
+    width = n if diagonal_mode == "include" else n - 2
+    min_width = 2 if measure == "pearson" else 1
+    if n > 1 and width < min_width:
+        raise ValueError(f"{measure} needs two equal-length vectors, "
+                         f"length >= {min_width}")
+    # Row i against every row j > i at once: the same rounded products,
+    # exactly rounded sums and correctly rounded sqrt and divide as
+    # pearson(x, y) or cosine(x, y) on each pair.
+    values = matrix.values
     vals = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            x, y = matrix.values[i], matrix.values[j]
-            if diagonal_mode == "missing":
-                keep = np.ones(n, dtype=bool)
-                keep[[i, j]] = False
-                x, y = x[keep], y[keep]
-            try:
-                vals[i, j] = vals[j, i] = fn(x, y)
-            except (UndefinedCorrelation, UndefinedCosine) as exc:
-                raise type(exc)(
-                    f"{exc} (pair {matrix.row_labels[i]!r}, "
-                    f"{matrix.row_labels[j]!r})") from exc
+    with np.errstate(over="ignore", under="ignore"):
+        if diagonal_mode == "include":
+            rows, ss = _scaled_rows(_centered(values) if measure == "pearson"
+                                    else values.copy())
+        for i in range(n - 1):
+            if diagonal_mode == "include":
+                x, sxx, y, syy = rows[i], ss[i], rows[i + 1:], ss[i + 1:]
+            else:
+                x, sxx, y, syy = _missing_diagonal_pairs(values, i, measure)
+            undefined = np.flatnonzero((sxx == 0) | (syy == 0))
+            if len(undefined):
+                error, what = _UNDEFINED[measure]
+                j = i + 1 + int(undefined[0])
+                raise error(f"{what} (pair {matrix.row_labels[i]!r}, "
+                            f"{matrix.row_labels[j]!r})")
+            r = np.fromiter(map(math.fsum, (x * y).tolist()), float,
+                            n - 1 - i) / (np.sqrt(sxx) * np.sqrt(syy))
+            if measure == "pearson":
+                r = np.clip(r, -1.0, 1.0)
+            vals[i, i + 1:] = vals[i + 1:, i] = r
     vals.setflags(write=False)
     return SimilarityMatrix(labels=matrix.row_labels, values=vals,
                             measure=measure, diagonal_mode=diagonal_mode,
                             transform=transform)
+
+
+def _centered(rows: np.ndarray) -> np.ndarray:
+    return rows - rows.mean(axis=1, keepdims=True)
+
+
+def _missing_diagonal_pairs(values: np.ndarray, i: int, measure: str):
+    """Rows i and j, for each j > i, with positions i and j dropped from
+    both, centered for Pearson and scaled as `_scaled` does: row i's
+    vectors, their sums of squares, row j's vectors and theirs."""
+    n = len(values)
+    keep = np.ones((n - 1 - i, n), dtype=bool)
+    keep[:, i] = False
+    keep[np.arange(n - 1 - i), np.arange(i + 1, n)] = False
+    x = np.broadcast_to(values[i], keep.shape)[keep].reshape(-1, n - 2)
+    y = values[i + 1:][keep].reshape(-1, n - 2)
+    if measure == "pearson":
+        x, y = _centered(x), _centered(y)
+    return (*_scaled_rows(x), *_scaled_rows(y))

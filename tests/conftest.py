@@ -1,7 +1,8 @@
 """Shared helpers: seeded random matrices, pure-Python brute-force
 entropy computations kept independent of the library's numpy code paths,
-and reference exhaustive and greedy searches that score every candidate
-separately."""
+reference exhaustive and greedy searches that score every candidate
+separately, the recursive restricted growth string generator, and the
+similarity matrix computed one pair at a time."""
 
 import itertools
 import math
@@ -9,9 +10,19 @@ import math
 import numpy as np
 import pytest
 
-from infodiv import Grouping, build_matrix, decompose, evaluate_bipartition
+from infodiv import (
+    Grouping,
+    UndefinedCorrelation,
+    UndefinedCosine,
+    build_matrix,
+    cosine,
+    decompose,
+    evaluate_bipartition,
+    log_transform,
+    pearson,
+)
 from infodiv.cluster import STRICT_TOL
-from infodiv.oracle import OracleReport, restricted_growth_strings
+from infodiv.oracle import OracleReport
 
 
 def entropy_bits(probs):
@@ -126,7 +137,7 @@ def reference_exhaustive_partition(model, max_groups):
     best_h0 = -1.0
     best_m = n + 1
     count = 0
-    for rgs in restricted_growth_strings(n, max_groups):
+    for rgs in reference_restricted_growth_strings(n, max_groups):
         count += 1
         m = max(rgs) + 1
         grouping = Grouping(rgs, m)
@@ -136,6 +147,49 @@ def reference_exhaustive_partition(model, max_groups):
             best_grouping, best_h0, best_m = grouping, h0, m
     return OracleReport(best_grouping=best_grouping, best_h0=best_h0,
                         candidates_examined=count)
+
+
+def reference_restricted_growth_strings(n, max_groups):
+    """Restricted growth strings of length n with values below max_groups,
+    in lexicographic order, by recursion on the next position."""
+    if n == 0:
+        return
+    a = [0] * n
+
+    def rec(i, top):
+        if i == n:
+            yield tuple(a)
+            return
+        for v in range(min(top + 1, max_groups - 1) + 1):
+            a[i] = v
+            yield from rec(i + 1, max(top, v))
+
+    yield from rec(1, 0)
+
+
+def reference_similarity_matrix(matrix, measure="pearson",
+                                diagonal_mode="include", transform="none"):
+    """The values of similarity_matrix, one pearson or cosine call per pair
+    of rows; an undefined pair raises naming that pair."""
+    if transform == "log1p":
+        matrix = log_transform(matrix)
+    fn = pearson if measure == "pearson" else cosine
+    n = matrix.n_rows
+    vals = np.eye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            x, y = matrix.values[i], matrix.values[j]
+            if diagonal_mode == "missing":
+                keep = np.ones(n, dtype=bool)
+                keep[[i, j]] = False
+                x, y = x[keep], y[keep]
+            try:
+                vals[i, j] = vals[j, i] = fn(x, y)
+            except (UndefinedCorrelation, UndefinedCosine) as exc:
+                raise type(exc)(
+                    f"{exc} (pair {matrix.row_labels[i]!r}, "
+                    f"{matrix.row_labels[j]!r})") from exc
+    return vals
 
 
 @pytest.fixture

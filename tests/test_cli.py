@@ -1,7 +1,9 @@
+import itertools
 import json
 
 import pytest
 
+from infodiv import build_matrix, write_csv
 from infodiv.cli import run_cli
 
 BLOCK_CSV = "x,w,x1,y,z\na,4,4,0,0\nb,4,4,0,0\nc,0,0,4,4\nd,0,0,4,4\n"
@@ -188,3 +190,28 @@ def test_render_malformed_dendrogram_exits_2(tmp_path, capsys, doc, field):
     assert run_cli(["render", str(p)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and field in captured.err
+
+
+def test_tree_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # Each split peels off one row, so the tree is 1199 splits deep,
+    # deeper than the 1000 frames of Python's default recursion limit.
+    n = 1200
+    matrix = build_matrix([f"r{i:04d}" for i in range(n)], ["a", "b"],
+                          [[2 ** (i / 8), 1] for i in range(n)])
+    p = tmp_path / "chain.csv"
+    p.write_text(write_csv(matrix))
+    for fmt in ["json", "newick", "dot", "text", "svg"]:
+        out_file = tmp_path / f"out.{fmt}"
+        assert run_cli(["cluster", str(p), "--stop", "full", "--format", fmt,
+                        "--out", str(out_file)]) == 0
+    newick = (tmp_path / "out.newick").read_text()
+    assert max(itertools.accumulate(
+        1 if c == "(" else -1 for c in newick if c in "()")) == n - 1
+
+
+def test_render_too_deeply_nested_json_exits_2(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text('{"labels":["a"],"tree":' + '{"children":[' * 3000 +
+                 "]}" * 3000 + "}")
+    assert run_cli(["render", str(p)]) == 2
+    assert "nested 6001 levels deep" in capsys.readouterr().err

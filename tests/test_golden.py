@@ -1,10 +1,13 @@
-"""Byte-exact dendrogram and oracle outputs on seeded matrices.
+"""Byte-exact dendrogram, oracle and similarity outputs on seeded matrices.
 
 Every export format (JSON, Newick, DOT) and render format (text, SVG) is
 compared, under both stop rules and both search modes, against the bytes in
 `golden.json`, as is what `infodiv oracle` prints at `--max-groups` 2, 3
-and the row count. Those bytes are a fixed reference: a change in any of them is
-a behaviour change. Regenerate them only for a deliberate output change:
+and the row count, and what `infodiv similarity` prints for three square
+cocitation matrices under both measures, both `--diagonal` modes and with
+and without `--log`. Those bytes are a fixed reference: a change in any of
+them is a behaviour change. Regenerate them only for a deliberate output
+change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -62,24 +65,52 @@ def matrices():
 
 
 @functools.cache
+def cocitation_matrices():
+    """Three seeded symmetric author-by-author count matrices whose diagonal
+    exceeds each row's largest count. Every row has at least three distinct
+    off-diagonal counts, so every Pearson r and cosine is defined, also
+    with the diagonal treated as missing."""
+    rng = np.random.default_rng(20261018)
+    out = {}
+    for n in (5, 9, 16):
+        while True:
+            upper = np.triu(rng.poisson(2.0, size=(n, n)), 1)
+            counts = upper + upper.T
+            if all(len(set(np.delete(row, i).tolist())) >= 3
+                   for i, row in enumerate(counts)):
+                break
+        counts[np.arange(n), np.arange(n)] = counts.max(axis=1) + \
+            rng.integers(1, 10, size=n)
+        labels = [f"au{i}" for i in range(n)]
+        out[f"cocit{n}"] = build_matrix(labels, labels, counts.astype(float))
+    return out
+
+
+def cli_output(matrix, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        csv, out = Path(tmp, "m.csv"), Path(tmp, "out")
+        csv.write_text(write_csv(matrix), encoding="utf-8")
+        assert run_cli([argv[0], str(csv), *argv[1:], "--out", str(out)]) == 0
+        return out.read_text(encoding="utf-8")
+
+
+@functools.cache
 def dendrogram(name, stop, mode):
     return divisive_cluster(matrices()[name], ClusterOptions(stop_rule=stop),
                             method=mode)
 
 
-def oracle_output(name, max_groups):
-    with tempfile.TemporaryDirectory() as tmp:
-        csv, out = Path(tmp, "m.csv"), Path(tmp, "out.json")
-        csv.write_text(write_csv(matrices()[name]), encoding="utf-8")
-        assert run_cli(["oracle", str(csv), "--max-groups", max_groups,
-                        "--out", str(out)]) == 0
-        return out.read_text(encoding="utf-8")
-
-
 def output(key):
-    if key.split("/")[1] == "oracle":
+    kind = key.split("/")[1]
+    if kind == "oracle":
         name, _, max_groups = key.split("/")
-        return oracle_output(name, max_groups)
+        return cli_output(matrices()[name],
+                          ["oracle", "--max-groups", max_groups])
+    if kind == "similarity":
+        name, _, measure, diagonal, log = key.split("/")
+        return cli_output(cocitation_matrices()[name],
+                          ["similarity", "--measure", measure, "--diagonal",
+                           diagonal] + ["--log"] * (log == "log"))
     name, stop, mode, fmt = key.split("/")
     dend = dendrogram(name, stop, mode)
     if fmt in ("json", "newick", "dot"):
@@ -92,7 +123,11 @@ def keys():
             for stop in ("divisive", "full")
             for mode in ("greedy", "exhaustive") for fmt in FORMATS] + \
         [f"{name}/oracle/{k}" for name, m in matrices().items()
-         for k in ("2", "3", str(m.n_rows))]
+         for k in ("2", "3", str(m.n_rows))] + \
+        [f"{name}/similarity/{measure}/{diagonal}/{log}"
+         for name in cocitation_matrices()
+         for measure in ("pearson", "cosine")
+         for diagonal in ("include", "missing") for log in ("raw", "log")]
 
 
 def test_golden_covers_every_case():

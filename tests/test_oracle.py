@@ -22,7 +22,8 @@ from infodiv import (
 )
 
 from conftest import brute_decompose, random_matrix, \
-    reference_exhaustive_bisect, reference_exhaustive_partition
+    reference_exhaustive_bisect, reference_exhaustive_partition, \
+    reference_restricted_growth_strings
 
 BLOCK = [[4, 4, 0, 0], [4, 4, 0, 0], [0, 0, 4, 4], [0, 0, 4, 4]]
 
@@ -50,6 +51,13 @@ def test_rgs_respects_max_groups():
         assert max(rgs) + 1 <= 2
     # Partitions into at most 2 blocks: 2^(n-1).
     assert len(list(restricted_growth_strings(5, 2))) == 16
+
+
+def test_rgs_match_the_recursive_generator():
+    for n in range(10):
+        for max_groups in range(n + 2):
+            assert list(restricted_growth_strings(n, max_groups)) == \
+                list(reference_restricted_growth_strings(n, max_groups))
 
 
 def test_exhaustive_bisect_block():

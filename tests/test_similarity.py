@@ -3,7 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_similarity_matrix
 from infodiv import (
+    InfodivError,
     UndefinedCorrelation,
     UndefinedCosine,
     build_matrix,
@@ -157,3 +159,60 @@ def test_similarity_error_names_the_pair():
                      [[1, 1, 1], [1, 2, 3], [3, 2, 1]])
     with pytest.raises(UndefinedCorrelation, match="'a'"):
         similarity_matrix(m, measure="pearson")
+
+
+@st.composite
+def transformed_square_matrices(draw):
+    """A transform and a square matrix of up to 7 rows: small integers or
+    reals, each row scaled by 2^-700 (untransformed only, as the log of so
+    small a row is zero), 1 or 2^700; in half of them some rows are zero
+    off the diagonal and some constant."""
+    transform = draw(st.sampled_from(["none", "log1p"]))
+    n = draw(st.integers(1, 7))
+    cell = st.one_of(st.integers(0, 4).map(float),
+                     st.floats(0.0, 50.0, allow_subnormal=False))
+    values = np.array(draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                                    min_size=n, max_size=n)))
+    kinds = ["data", "data", "zero", "constant"] if draw(st.booleans()) \
+        else ["data"]
+    scales = [-700, 0, 0, 700] if transform == "none" else [0, 0, 700]
+    for i in range(n):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            values[i] = 0.0
+        elif kind == "constant":
+            values[i] = values[i, 0]
+        values[i, i] = max(values[i, i], 1.0)  # no all-zero row
+        values[i] = np.ldexp(values[i], draw(st.sampled_from(scales)))
+    labels = [f"a{i}" for i in range(n)]
+    return build_matrix(labels, labels, values), transform
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, InfodivError) as exc:
+        return type(exc), str(exc)
+
+
+@given(transformed_square_matrices(), st.sampled_from(["pearson", "cosine"]),
+       st.sampled_from(["include", "missing"]))
+@example((build_matrix(list("abc"), list("abc"),
+                       [[5, 2, 0], [2, 7, 1], [0, 1, 4]]), "none"),
+         "pearson", "missing")
+@example((build_matrix(list("abc"), list("abc"),
+                       [[1e154, 1e154, 1], [1, 1e154, 1e154],
+                        [3, 1, 1e154]]), "none"),
+         "cosine", "include")
+@settings(max_examples=400, deadline=None)
+def test_similarity_matrix_matches_the_per_pair_loop(matrix_transform,
+                                                      measure,
+                                                      diagonal_mode):
+    matrix, transform = matrix_transform
+    args = (matrix, measure, diagonal_mode, transform)
+    expected = _outcome(reference_similarity_matrix, *args)
+    got = _outcome(similarity_matrix, *args)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert got.values.tobytes() == expected.tobytes()
