@@ -14,7 +14,8 @@ class NegativeValueError(InfodivError):
 
 
 class NonFiniteValueError(InfodivError):
-    """A matrix cell is NaN or infinite."""
+    """A matrix cell is NaN or infinite, or a sum or mean of cells leaves
+    the float range."""
 
 
 class DuplicateLabelError(InfodivError):

@@ -42,48 +42,77 @@ def parse_csv(text_or_path) -> LabeledMatrix:
     """Read a labeled matrix from CSV.
 
     First row: column labels (the corner cell is ignored). First column:
-    row labels. Remaining cells: nonnegative numbers. Accepts either a path
-    or a file-like object.
+    row labels. Remaining cells: nonnegative numbers, as the built-in
+    `float` reads them. Blank rows are skipped. Accepts either a path (read
+    as UTF-8) or a file-like object.
     """
     if hasattr(text_or_path, "read"):
-        handle = text_or_path
-        rows = list(csv.reader(handle))
+        rows = _read_rows(text_or_path)
     else:
         with open(text_or_path, newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle))
-    rows = [r for r in rows if r]  # tolerate trailing blank lines
+            rows = _read_rows(handle)
     if not rows:
         raise ParseError("empty CSV input")
-    header = rows[0]
-    if len(header) < 2:
+    header, body = rows[0], rows[1:]
+    width = len(header)
+    if width < 2:
         raise ParseError("header must contain at least one column label")
     col_labels = [c.strip() for c in header[1:]]
-
-    row_labels: list[str] = []
-    values: list[list[float]] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ParseError(
-                f"line {lineno}: expected {len(header)} cells, got {len(row)}")
-        row_labels.append(row[0].strip())
-        parsed = []
-        for colno, cell in enumerate(row[1:], start=1):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"line {lineno}, column {col_labels[colno - 1]!r}: "
-                    f"malformed number {cell!r}") from None
-            parsed.append(v)
-        values.append(parsed)
-    if not values:
+    if not body:
         raise ParseError("CSV contains no data rows")
 
-    r_order = sorted(range(len(row_labels)), key=lambda i: row_labels[i])
-    c_order = sorted(range(len(col_labels)), key=lambda j: col_labels[j])
+    # All cells in one pass, in row-major order; only on failure are the
+    # rows walked again, to name the first bad row or cell.
+    n_rows, n_cols = len(body), width - 1
+    if any(len(row) != width for row in body):
+        _raise_first_error(body, width, col_labels)
+    try:
+        cells = np.fromiter(
+            map(float, itertools.chain.from_iterable(
+                itertools.islice(row, 1, None) for row in body)),
+            float, count=n_rows * n_cols)
+    except ValueError:
+        _raise_first_error(body, width, col_labels)
+        raise
+    row_labels = [row[0].strip() for row in body]
+    # Free the cell strings: from here on at most two copies of the values
+    # are alive, the sorted one and build_matrix's.
+    del rows, body
+
+    r_order = sorted(range(n_rows), key=row_labels.__getitem__)
+    c_order = sorted(range(n_cols), key=col_labels.__getitem__)
+    cells = cells.reshape(n_rows, n_cols)[np.ix_(r_order, c_order)]
     return build_matrix([row_labels[i] for i in r_order],
-                        [col_labels[j] for j in c_order],
-                        np.asarray(values)[np.ix_(r_order, c_order)])
+                        [col_labels[j] for j in c_order], cells)
+
+
+def _read_rows(handle) -> list[list[str]]:
+    """The non-blank rows that `csv.reader` reads from a text stream."""
+    reader = csv.reader(handle)
+    try:
+        return [row for row in reader if row]
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not {exc.encoding} text ({exc.reason}: "
+                         f"0x{exc.object[exc.start]:02x})") from None
+
+
+def _raise_first_error(body, width: int, col_labels) -> None:
+    """Raise the ParseError for the first row of the wrong width or the
+    first malformed cell of `body`, in row-major order; line numbers count
+    the header as line 1 and skip blank rows."""
+    for lineno, row in enumerate(body, start=2):
+        if len(row) != width:
+            raise ParseError(
+                f"line {lineno}: expected {width} cells, got {len(row)}")
+        for label, cell in zip(col_labels, row[1:]):
+            try:
+                float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"line {lineno}, column {label!r}: "
+                    f"malformed number {cell!r}") from None
 
 
 class _Formatted(dict):

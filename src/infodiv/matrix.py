@@ -8,6 +8,7 @@ model, never from the raw counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +43,9 @@ class LabeledMatrix:
 
     @property
     def grand_sum(self) -> float:
-        return float(self.values.sum())
+        """Sum of all cells; inf, without a warning, when it overflows."""
+        with np.errstate(over="ignore"):
+            return float(self.values.sum())
 
 
 @dataclass(frozen=True)
@@ -119,7 +122,9 @@ def build_matrix_report(row_labels, col_labels, values,
             f"negative value {arr[i, j]} at row {row_labels[i]!r}, "
             f"column {col_labels[j]!r}")
 
-    row_sums = arr.sum(axis=1)
+    with np.errstate(over="ignore"):  # a sum past the float range is inf
+        row_sums = arr.sum(axis=1)
+        grand_sum = arr.sum()
     dropped: tuple[str, ...] = ()
     if np.any(row_sums == 0):
         zero_idx = np.flatnonzero(row_sums == 0)
@@ -131,7 +136,7 @@ def build_matrix_report(row_labels, col_labels, values,
         row_labels = tuple(row_labels[i] for i in keep)
         arr = arr[keep]
 
-    if arr.size == 0 or arr.sum() <= 0:
+    if arr.size == 0 or not grand_sum > 0:
         raise EmptyMatrixError("matrix grand sum is zero")
 
     arr = arr.copy()
@@ -140,8 +145,14 @@ def build_matrix_report(row_labels, col_labels, values,
 
 
 def probability_model(matrix: LabeledMatrix) -> ProbabilityModel:
-    """Normalize the matrix by its grand sum into a joint distribution."""
+    """Normalize the matrix by its grand sum into a joint distribution.
+
+    Raises NonFiniteValueError when the grand sum overflows the float range.
+    """
     total = matrix.grand_sum
+    if not math.isfinite(total):
+        raise NonFiniteValueError("matrix grand sum overflows the float "
+                                  "range")
     joint = matrix.values / total
     row_marginal = joint.sum(axis=1)
     col_marginal = joint.sum(axis=0)

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, UndefinedCorrelation, UndefinedCosine
+from .errors import (
+    InvalidInputError,
+    NonFiniteValueError,
+    UndefinedCorrelation,
+    UndefinedCosine,
+)
 from .matrix import LabeledMatrix, build_matrix
 
 # A sum of squares in this range has lost no small terms to underflow and
@@ -27,6 +32,10 @@ _UNDEFINED = {
                 "correlation undefined for a constant vector"),
     "cosine": (UndefinedCosine, "cosine undefined for an all-zero vector"),
 }
+# What pearson raises, and with which message, when a mean or a centered
+# value leaves the float range.
+_OVERFLOW = (NonFiniteValueError,
+             "correlation undefined: centering leaves the float range")
 
 
 @dataclass(frozen=True)
@@ -46,7 +55,12 @@ def pearson(x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
         raise ValueError("pearson needs two equal-length vectors, length >= 2")
-    r = _cosine(x - x.mean(), y - y.mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = x - x.mean(), y - y.mean()
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        error, what = _OVERFLOW
+        raise error(what)
+    r = _cosine(x, y)
     if r is None:
         raise UndefinedCorrelation("correlation undefined for a constant vector")
     return min(1.0, max(-1.0, r))
@@ -158,12 +172,15 @@ def similarity_matrix(matrix: LabeledMatrix, measure: str = "pearson",
                 x, sxx, y, syy = rows[i], ss[i], rows[i + 1:], ss[i + 1:]
             else:
                 x, sxx, y, syy = _missing_diagonal_pairs(values, i, measure)
-            undefined = np.flatnonzero((sxx == 0) | (syy == 0))
-            if len(undefined):
-                error, what = _UNDEFINED[measure]
-                j = i + 1 + int(undefined[0])
+            # Centered values past the float range leave a sum of squares
+            # that is not finite, even after `_scaled`.
+            finite = np.isfinite(sxx) & np.isfinite(syy)
+            bad = np.flatnonzero(~finite | (sxx == 0) | (syy == 0))
+            if len(bad):
+                k = int(bad[0])
+                error, what = _UNDEFINED[measure] if finite[k] else _OVERFLOW
                 raise error(f"{what} (pair {matrix.row_labels[i]!r}, "
-                            f"{matrix.row_labels[j]!r})")
+                            f"{matrix.row_labels[i + 1 + k]!r})")
             r = np.fromiter(map(math.fsum, (x * y).tolist()), float,
                             n - 1 - i) / (np.sqrt(sxx) * np.sqrt(syy))
             if measure == "pearson":

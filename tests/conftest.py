@@ -1,9 +1,11 @@
 """Shared helpers: seeded random matrices, pure-Python brute-force
 entropy computations kept independent of the library's numpy code paths,
 reference exhaustive and greedy searches that score every candidate
-separately, the recursive restricted growth string generator, and the
-similarity matrix computed one pair at a time."""
+separately, the recursive restricted growth string generator, the
+similarity matrix computed one pair at a time, and the CSV reader that
+converts one cell at a time."""
 
+import csv
 import itertools
 import math
 
@@ -12,6 +14,8 @@ import pytest
 
 from infodiv import (
     Grouping,
+    NonFiniteValueError,
+    ParseError,
     UndefinedCorrelation,
     UndefinedCosine,
     build_matrix,
@@ -185,11 +189,55 @@ def reference_similarity_matrix(matrix, measure="pearson",
                 x, y = x[keep], y[keep]
             try:
                 vals[i, j] = vals[j, i] = fn(x, y)
-            except (UndefinedCorrelation, UndefinedCosine) as exc:
+            except (UndefinedCorrelation, UndefinedCosine,
+                    NonFiniteValueError) as exc:
                 raise type(exc)(
                     f"{exc} (pair {matrix.row_labels[i]!r}, "
                     f"{matrix.row_labels[j]!r})") from exc
     return vals
+
+
+def reference_parse_csv(text_or_path):
+    """parse_csv with a float() call, in a try, for each cell in turn."""
+    if hasattr(text_or_path, "read"):
+        handle = text_or_path
+        rows = list(csv.reader(handle))
+    else:
+        with open(text_or_path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+    rows = [r for r in rows if r]  # tolerate trailing blank lines
+    if not rows:
+        raise ParseError("empty CSV input")
+    header = rows[0]
+    if len(header) < 2:
+        raise ParseError("header must contain at least one column label")
+    col_labels = [c.strip() for c in header[1:]]
+
+    row_labels: list[str] = []
+    values: list[list[float]] = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ParseError(
+                f"line {lineno}: expected {len(header)} cells, got {len(row)}")
+        row_labels.append(row[0].strip())
+        parsed = []
+        for colno, cell in enumerate(row[1:], start=1):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"line {lineno}, column {col_labels[colno - 1]!r}: "
+                    f"malformed number {cell!r}") from None
+            parsed.append(v)
+        values.append(parsed)
+    if not values:
+        raise ParseError("CSV contains no data rows")
+
+    r_order = sorted(range(len(row_labels)), key=lambda i: row_labels[i])
+    c_order = sorted(range(len(col_labels)), key=lambda j: col_labels[j])
+    return build_matrix([row_labels[i] for i in r_order],
+                        [col_labels[j] for j in c_order],
+                        np.asarray(values)[np.ix_(r_order, c_order)])
 
 
 @pytest.fixture

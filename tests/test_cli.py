@@ -215,3 +215,66 @@ def test_render_too_deeply_nested_json_exits_2(tmp_path, capsys):
                  "]}" * 3000 + "}")
     assert run_cli(["render", str(p)]) == 2
     assert "nested 6001 levels deep" in capsys.readouterr().err
+
+
+def test_field_over_the_csv_size_limit_exits_2(tmp_path, capsys):
+    p = tmp_path / "long.csv"
+    p.write_text("x,a\nr1,1\nr2," + "1" * 140_000 + "\n")
+    assert run_cli(["cluster", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 3: field larger than field limit" in captured.err
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"x,a,b\nr\xff,1,2\nr2,2,1\n")
+    assert run_cli(["cluster", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not utf-8 text (invalid start byte: 0xff)" in captured.err
+
+
+# Column `a` sums past the largest float; every row sum stays finite.
+HUGE_COLUMN_CSV = "x,a,b,c,d\n" + "".join(
+    f"{r},1e308,{i + 1},{i + 2},{2 * i + 1}\n" for i, r in enumerate("abcd"))
+
+
+@pytest.mark.parametrize("command", ["cluster", "oracle", "entropy"])
+def test_grand_sum_past_the_float_range_exits_2(tmp_path, capsys, command):
+    p = tmp_path / "huge.csv"
+    p.write_text(HUGE_COLUMN_CSV)
+    argv = [command, str(p)]
+    if command == "entropy":
+        groups = tmp_path / "groups.json"
+        groups.write_text('{"a": "x", "b": "x", "c": "y", "d": "y"}')
+        argv += ["--groups", str(groups)]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: matrix grand sum overflows the float range\n"
+
+
+def test_similarity_accepts_a_grand_sum_past_the_float_range(tmp_path,
+                                                             capsys):
+    p = tmp_path / "huge.csv"
+    p.write_text(HUGE_COLUMN_CSV)
+    for measure in ["pearson", "cosine"]:
+        assert run_cli(["similarity", str(p), "--measure", measure]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("diagonal", ["include", "missing"])
+def test_pearson_centering_past_the_float_range_exits_2(tmp_path, capsys,
+                                                        diagonal):
+    p = tmp_path / "huge.csv"
+    p.write_text("x,a,b,c,d\na,1e308,1e308,1e308,1e308\nb,1,2,3,4\n"
+                 "c,2,1,1,5\nd,1,1,2,3\n")
+    argv = ["similarity", str(p), "--diagonal", diagonal]
+    assert run_cli(argv + ["--measure", "pearson"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: correlation undefined: centering leaves " \
+        "the float range (pair 'a', 'b')\n"
+    assert run_cli(argv + ["--measure", "cosine"]) == 0

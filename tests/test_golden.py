@@ -1,13 +1,15 @@
-"""Byte-exact dendrogram, oracle and similarity outputs on seeded matrices.
+"""Byte-exact dendrogram, oracle, entropy and similarity outputs on seeded
+matrices.
 
 Every export format (JSON, Newick, DOT) and render format (text, SVG) is
 compared, under both stop rules and both search modes, against the bytes in
 `golden.json`, as is what `infodiv oracle` prints at `--max-groups` 2, 3
-and the row count, and what `infodiv similarity` prints for three square
-cocitation matrices under both measures, both `--diagonal` modes and with
-and without `--log`. Those bytes are a fixed reference: a change in any of
-them is a behaviour change. Regenerate them only for a deliberate output
-change:
+and the row count, what `infodiv entropy --groups` prints for two seeded
+groupings of each matrix, and what `infodiv similarity` prints for three
+square cocitation matrices under both measures, both `--diagonal` modes and
+with and without `--log`. Those bytes are a fixed reference: a change in
+any of them is a behaviour change. Regenerate them only for a deliberate
+output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -86,10 +88,24 @@ def cocitation_matrices():
     return out
 
 
-def cli_output(matrix, argv):
+@functools.cache
+def groupings():
+    """Two seeded groupings of each matrix's rows into at most four named
+    groups, as `infodiv entropy --groups` reads them."""
+    rng = np.random.default_rng(20261019)
+    return {(name, k): {label: f"g{int(g)}" for label, g in zip(
+                m.row_labels, rng.integers(0, rng.integers(2, 5), m.n_rows))}
+            for name, m in matrices().items() for k in ("0", "1")}
+
+
+def cli_output(matrix, argv, groups=None):
     with tempfile.TemporaryDirectory() as tmp:
         csv, out = Path(tmp, "m.csv"), Path(tmp, "out")
         csv.write_text(write_csv(matrix), encoding="utf-8")
+        if groups is not None:
+            path = Path(tmp, "groups.json")
+            path.write_text(json.dumps(groups), encoding="utf-8")
+            argv = [*argv, "--groups", str(path)]
         assert run_cli([argv[0], str(csv), *argv[1:], "--out", str(out)]) == 0
         return out.read_text(encoding="utf-8")
 
@@ -106,6 +122,10 @@ def output(key):
         name, _, max_groups = key.split("/")
         return cli_output(matrices()[name],
                           ["oracle", "--max-groups", max_groups])
+    if kind == "entropy":
+        name, _, k = key.split("/")
+        return cli_output(matrices()[name], ["entropy"],
+                          groups=groupings()[name, k])
     if kind == "similarity":
         name, _, measure, diagonal, log = key.split("/")
         return cli_output(cocitation_matrices()[name],
@@ -124,6 +144,7 @@ def keys():
             for mode in ("greedy", "exhaustive") for fmt in FORMATS] + \
         [f"{name}/oracle/{k}" for name, m in matrices().items()
          for k in ("2", "3", str(m.n_rows))] + \
+        [f"{name}/entropy/{k}" for name, k in groupings()] + \
         [f"{name}/similarity/{measure}/{diagonal}/{log}"
          for name in cocitation_matrices()
          for measure in ("pearson", "cosine")

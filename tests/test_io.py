@@ -1,3 +1,4 @@
+import csv
 import io
 import re
 import xml.etree.ElementTree as ET
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from infodiv import (
     ClusterOptions,
+    InfodivError,
     ParseError,
     NegativeValueError,
     build_matrix,
@@ -22,7 +24,7 @@ from infodiv import (
     write_csv,
 )
 
-from conftest import random_matrix
+from conftest import random_matrix, reference_parse_csv
 
 BLOCK = [[4, 4, 0, 0], [4, 4, 0, 0], [0, 0, 4, 4], [0, 0, 4, 4]]
 
@@ -58,6 +60,75 @@ def test_parse_csv_malformed_number():
 def test_parse_csv_empty():
     with pytest.raises(ParseError):
         parse_csv(io.StringIO(""))
+
+
+# Cells in the spellings float() reads as nonnegative finite numbers
+# (integers, float reprs, underscores, non-ASCII digits, signs), and cells
+# the reader rejects: malformed, negative or not finite. Any of them may be
+# padded.
+NUMBER = st.one_of(
+    st.integers(0, 30).map(str),
+    st.floats(0.0, 1e300).map(repr),
+    st.sampled_from(["1_0", "\u0661\u0662", "\uff13.5", "\u0664e2", "-0",
+                     "+7", "1e3", ".5", "5.", "5e-324", "0"]))
+REJECTED = st.sampled_from(["1__0", "_1", "0x10", "one", "1e", "--1", "1,5",
+                            "", " ", "\u00bd", "-2.5", "nan", "NaN", "inf",
+                            "-Infinity"])
+PADDING = ["{}", " {}", "{}\t", "\n{} "]
+# Labels that need quoting, pad or repeat, and sort in a non-obvious order.
+CSV_LABEL = st.one_of(
+    st.sampled_from(["a", "b", " a", "a,b", "x\ny", 'q"t', "", "r1", "r10",
+                     "r2", "\r"]),
+    st.text(max_size=3))
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text with up to four column labels and up to six rows besides
+    blank lines. Half of the texts are faulty: they may hold rejected
+    cells, rows of one empty field, rows one cell short or long, no column
+    label, and repeated labels."""
+    faulty = draw(st.booleans())
+    cell = st.one_of(NUMBER, NUMBER, NUMBER, REJECTED) if faulty else NUMBER
+    cell = st.tuples(st.sampled_from(PADDING), cell).map(
+        lambda pad_cell: pad_cell[0].format(pad_cell[1]))
+    kinds = ["data"] * 4 + ["blank"] + ["empty", "short", "long"] * faulty
+    width = draw(st.integers(2 - faulty, 5))
+    n_rows = draw(st.integers(1 - faulty, 6))
+    labels = st.lists(CSV_LABEL, min_size=n_rows + width, unique=not faulty,
+                      max_size=n_rows + width)
+    labels = iter(draw(labels))
+    rows = [[next(labels) for _ in range(width)]]
+    while n_rows:
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            rows.append([])
+            continue
+        n_rows -= 1
+        if kind == "empty":
+            rows.append([""])
+        else:
+            n = max(width - 1 + {"data": 0, "short": -1, "long": 1}[kind], 0)
+            rows.append([next(labels)] +
+                        draw(st.lists(cell, min_size=n, max_size=n)))
+    out = io.StringIO()
+    csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))
+               ).writerows(rows)
+    return out.getvalue()
+
+
+def _parsed(parse, text):
+    try:
+        m = parse(io.StringIO(text, newline=""))
+    except InfodivError as exc:
+        return type(exc), str(exc)
+    return m.row_labels, m.col_labels, m.values.tobytes()
+
+
+@given(csv_texts())
+@settings(max_examples=500, deadline=None)
+def test_parse_csv_matches_the_per_cell_loop(text):
+    assert _parsed(parse_csv, text) == _parsed(reference_parse_csv, text)
 
 
 def test_csv_round_trip(rng):

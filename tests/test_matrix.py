@@ -77,6 +77,14 @@ def test_probability_model_hand_arithmetic():
     assert pm.grand_sum == 12
 
 
+def test_probability_model_rejects_a_grand_sum_past_the_float_range():
+    # Both rows and both cells of each are finite; their sum is not.
+    m = build_matrix(["a", "b"], ["x", "y"], [[1e308, 1e308], [1e308, 1]])
+    assert m.grand_sum == float("inf")
+    with pytest.raises(NonFiniteValueError, match="grand sum overflows"):
+        probability_model(m)
+
+
 def test_pooled_profile_cases():
     pm = probability_model(build_matrix(["a", "b"], ["x", "y"],
                                         [[2, 0], [0, 2]]))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import reference_similarity_matrix
 from infodiv import (
     InfodivError,
+    NonFiniteValueError,
     UndefinedCorrelation,
     UndefinedCosine,
     build_matrix,
@@ -97,6 +98,16 @@ def test_tiny_and_huge_vectors_do_not_underflow_or_overflow():
         pytest.approx(1.0, abs=1e-15)
     assert pearson([1e200, -1e200, 0], [1, -1, 0]) == \
         pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("x", [[1e308] * 4, [-1.7e308, 1.7e308, 1.7e308]],
+                         ids=["mean", "centered"])
+def test_pearson_centering_past_the_float_range_is_an_error(x):
+    y = list(range(len(x)))
+    for args in [(x, y), (y, x)]:
+        with pytest.raises(NonFiniteValueError, match="float range"):
+            pearson(*args)
+    assert cosine(x, y) == pytest.approx(cosine(np.sign(x), y), abs=1e-15)
 
 
 def test_log_transform_values():
@@ -204,6 +215,14 @@ def _outcome(fn, *args):
                        [[1e154, 1e154, 1], [1, 1e154, 1e154],
                         [3, 1, 1e154]]), "none"),
          "cosine", "include")
+@example((build_matrix(list("abcd"), list("abcd"),
+                       [[2, 2, 2, 2], [1e308, 1e308, 1, 1], [1, 2, 3, 4],
+                        [2, 1, 1, 5]]), "none"),
+         "pearson", "include")
+@example((build_matrix(list("abcd"), list("abcd"),
+                       [[1, 1e308, 1e308, 1], [1, 2, 3, 4], [2, 1, 1, 5],
+                        [1, 1, 2, 3]]), "none"),
+         "pearson", "missing")
 @settings(max_examples=400, deadline=None)
 def test_similarity_matrix_matches_the_per_pair_loop(matrix_transform,
                                                       measure,
