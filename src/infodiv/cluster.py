@@ -27,14 +27,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .entropy import shannon_entropy
+from .entropy import _entropy_bits
 from .errors import SizeLimitError
 from .matrix import (
     LabeledMatrix,
     ProbabilityModel,
     RowSubset,
+    _pool_rows,
     check_subset,
-    pooled_profile,
     probability_model,
 )
 
@@ -112,22 +112,21 @@ class Dendrogram:
 
 def evaluate_bipartition(model: ProbabilityModel, subtree: RowSubset,
                          left: RowSubset) -> SplitEvaluation:
-    """Score one bipartition of `subtree` into `left` and its complement."""
+    """Score one bipartition of `subtree` into `left` and its complement.
+
+    The arguments are validated once; the three entropies are then those of
+    `pooled_profile` and `shannon_entropy`, with the same arithmetic but
+    without validating each group again."""
     subtree = check_subset(model, subtree)
     left = check_subset(model, left)
-    sub_set = set(subtree)
     left_set = set(left)
-    if not left_set < sub_set:
+    if not left_set < set(subtree):
         raise ValueError("left must be a proper subset of subtree")
     right = tuple(i for i in subtree if i not in left_set)
 
-    w_sub, prof_sub = pooled_profile(model, subtree)
-    w_l, prof_l = pooled_profile(model, left)
-    w_r, prof_r = pooled_profile(model, right)
-
-    h_agg = shannon_entropy(prof_sub)
-    h_l = shannon_entropy(prof_l)
-    h_r = shannon_entropy(prof_r)
+    (w_sub, h_agg), (w_l, h_l), (w_r, h_r) = (
+        (w, _entropy_bits(profile)) for w, profile in
+        (_pool_rows(model, g) for g in (subtree, left, right)))
 
     # Within-subtree weights; the chain rule wants global_delta = w_sub * h0.
     local_h0 = h_agg - (w_l * h_l + w_r * h_r) / w_sub
@@ -139,23 +138,31 @@ def evaluate_bipartition(model: ProbabilityModel, subtree: RowSubset,
 
 
 def _entropies(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entropy in bits of each row of `sums` once normalized, and its total."""
+    """Entropy in bits of each row of `sums` once normalized, and its total.
+    A row of total 0 has entropy 0. Adding 1 where p is 0 leaves every
+    other p as it is, so each p log2 p has the bits of the masked form."""
     weights = sums.sum(axis=-1)
     p = np.divide(sums, weights[..., None], out=np.zeros_like(sums),
-                  where=sums > 0)
-    plogp = np.log2(p, out=np.zeros_like(p), where=p > 0) * p
+                  where=weights[..., None] > 0)
+    plogp = p + (p == 0)
+    np.log2(plogp, out=plogp)
+    plogp *= p
     return np.maximum(-plogp.sum(axis=-1), 0.0), weights
 
 
-def _split_scores(total: np.ndarray, left_sums: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def _split_scores(total: np.ndarray, whole: tuple[np.ndarray, np.ndarray],
+                  halves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """local_h0 and divisive flag of bipartitions of one group, as in
-    evaluate_bipartition but unvalidated: `total` sums the group's rows of
-    `model.joint`, each row of `left_sums` those of a proper left half."""
-    h_agg, w_sub = _entropies(total)
-    h_l, w_l = _entropies(left_sums)
+    evaluate_bipartition but unvalidated. `total` sums the group's rows of
+    `model.joint` and `whole` is `_entropies(total)`. Each row of
+    `halves[0]` sums the rows of a proper left half; `halves[1]` is
+    overwritten with the sums of the right halves, so that both are
+    scored in one `_entropies` call."""
+    h_agg, w_sub = whole
+    right = np.subtract(total, halves[0], out=halves[1])
     # Rounding can leave a right half's sum below zero where it is zero.
-    h_r, w_r = _entropies(np.maximum(total - left_sums, 0.0))
+    np.maximum(right, 0.0, out=right)
+    (h_l, h_r), (w_l, w_r) = _entropies(halves)
     local_h0 = np.maximum(h_agg - (w_l * h_l + w_r * h_r) / w_sub, 0.0)
     divisive = (h_l < h_agg - STRICT_TOL) & (h_r < h_agg - STRICT_TOL)
     return local_h0, divisive
@@ -196,22 +203,29 @@ def greedy_bisect(model: ProbabilityModel, subtree: RowSubset,
         raise ValueError("cannot bisect fewer than 2 rows")
     rows = model.joint[list(subtree)]
     total = rows.sum(axis=0)
+    whole = _entropies(total)
+    halves = np.empty((2, *rows.shape))
 
     # The first move picks the seed: the best admissible single row, ties
     # by lowest row index. Each later move adds the outside row that raises
     # the transmission most, while one raises it by more than STRICT_TOL.
+    # `left_sum` adds the rows of `left` in order, as rows[left].sum(axis=0)
+    # does.
     left: list[int] = []
+    left_sum = np.zeros_like(total)
     out = list(range(len(subtree)))
     floor = -np.inf
     while len(out) > 1:
-        candidates = rows[left].sum(axis=0) + rows[out]
-        scores, divisive = _split_scores(total, candidates)
+        moves = halves[:, :len(out)]
+        np.add(left_sum, rows[out], out=moves[0])
+        scores, divisive = _split_scores(total, whole, moves)
         if not left and options.stop_rule == "divisive":
             scores = np.where(divisive, scores, -np.inf)
         k, floor = _first_best(scores, floor)
         if k is None:
             break
         left.append(out.pop(k))
+        left_sum = left_sum + rows[left[-1]]
     if not left:
         return None
 
@@ -252,9 +266,12 @@ def exhaustive_bisect(model: ProbabilityModel,
         raise AssertionError(f"{len(masks)} candidates for {n} rows")
     rows = model.joint[list(subtree)]
     total = rows.sum(axis=0)
+    whole = _entropies(total)
     best, floor = None, -np.inf
     for chunk, sums in _pooled_subsets(rows[1:], masks):
-        scores, _ = _split_scores(total, rows[0] + sums)
+        halves = np.empty((2, *sums.shape))
+        np.add(rows[0], sums, out=halves[0])
+        scores, _ = _split_scores(total, whole, halves)
         if scores.max() > floor:  # else the chunk cannot change the winner
             k, floor = _first_best(scores, floor)
             best = int(chunk[k])

@@ -77,6 +77,12 @@ def shannon_entropy(dist) -> float:
     total = p.sum()
     if abs(total - 1.0) > IDENTITY_TOL:
         raise ValueError(f"probabilities sum to {total}, expected 1")
+    return _entropy_bits(p)
+
+
+def _entropy_bits(p: np.ndarray) -> float:
+    """shannon_entropy of a float array already known to be a
+    distribution."""
     nz = p[p > 0]
     return float(max(-(nz * np.log2(nz)).sum(), 0.0))
 

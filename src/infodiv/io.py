@@ -27,7 +27,9 @@ from .similarity import SimilarityMatrix
 
 _CTX = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_UP)
 _NEWICK_PLAIN = re.compile(r"[^\s()\[\]':;,_]*")
-_JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+_JSON_CONSTANTS = {"true": True, "false": False, "null": None,
+                   "NaN": math.nan, "Infinity": math.inf,
+                   "-Infinity": -math.inf}
 
 
 def format_number(x: float) -> str:
@@ -36,6 +38,20 @@ def format_number(x: float) -> str:
         return f"{int(x)}.0"
     d = _CTX.create_decimal(repr(float(x)))
     return format(d.normalize(_CTX), "f")
+
+
+def read_text(path) -> str:
+    """The contents of a UTF-8 text file; ParseError if it is not UTF-8."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise _not_text(exc) from None
+
+
+def _not_text(exc: UnicodeDecodeError) -> ParseError:
+    return ParseError(f"input is not {exc.encoding} text ({exc.reason}: "
+                      f"0x{exc.object[exc.start]:02x})")
 
 
 def parse_csv(text_or_path) -> LabeledMatrix:
@@ -94,8 +110,7 @@ def _read_rows(handle) -> list[list[str]]:
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise ParseError(f"line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise ParseError(f"input is not {exc.encoding} text ({exc.reason}: "
-                         f"0x{exc.object[exc.start]:02x})") from None
+        raise _not_text(exc) from None
 
 
 def _raise_first_error(body, width: int, col_labels) -> None:
@@ -215,17 +230,10 @@ def export_dendrogram(dendrogram: Dendrogram, fmt: str = "json") -> str:
 
 
 def dendrogram_from_json(text: str) -> Dendrogram:
-    """Rebuild a Dendrogram from the canonical JSON export. A document of
-    another shape raises ParseError naming the first bad field, and one
-    nested deeper than the JSON parser reaches names its depth."""
-    try:
-        doc = json.loads(text)
-    except RecursionError:
-        depth = max(itertools.accumulate(
-            1 if c in "[{" else -1 for c in _JSON_STRING.sub("", text)
-            if c in "[]{}"))
-        raise ParseError(f"document: nested {depth} levels deep, beyond "
-                         "what the JSON parser reads") from None
+    """Rebuild a Dendrogram from the canonical JSON export, however deeply
+    nested. Text that is not JSON raises json.JSONDecodeError; a document
+    of another shape raises ParseError naming the first bad field."""
+    doc = load_json(text)
     labels = _field(doc, "labels", "document", list)
     if not all(isinstance(lab, str) for lab in labels):
         raise ParseError("document.labels: every label must be a string")
@@ -270,6 +278,94 @@ def dendrogram_from_json(text: str) -> Dendrogram:
                  (children[1], f"{path}.children[1]", None),
                  (children[0], f"{path}.children[0]", None)]
     return Dendrogram(root=built.pop(), row_labels=tuple(labels))
+
+
+def load_json(text: str):
+    """The value of a JSON document of any nesting depth; JSONDecodeError
+    if it is not one. The C parser of `json.loads` reads most documents
+    more than ten times faster; what it does not read (nested too deep for
+    its stack, an integer past `int`'s digit limit, or not JSON) goes to
+    `_scan_json`."""
+    try:
+        return json.loads(text)
+    except (RecursionError, ValueError):
+        return _scan_json(text)
+
+
+def _scan_json(text: str):
+    """json.loads, without recursion: the arrays and objects still open
+    are kept on a list, so that nesting depth costs no stack."""
+    def fail(message: str, pos: int):
+        raise json.JSONDecodeError(message, text, pos)
+
+    # Compiled on first use, so that importing the module stays cheap.
+    space = re.compile(r"[ \t\n\r]*")
+    number = re.compile(r"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+
+    def skip(pos: int) -> int:
+        return space.match(text, pos).end()
+
+    def key(pos: int) -> tuple[str, int]:
+        """An object key at `pos`, and where its value starts."""
+        pos = skip(pos)
+        if not text.startswith('"', pos):
+            fail("Expecting property name enclosed in double quotes", pos)
+        name, pos = json.decoder.scanstring(text, pos + 1)
+        pos = skip(pos)
+        if not text.startswith(":", pos):
+            fail("Expecting ':' delimiter", pos)
+        return name, skip(pos + 1)
+
+    open_: list[list] = []  # [container, key of the value being read]
+    pos = skip(0)
+    while True:
+        # Read the value at `pos`; an opening bracket reads on inside it.
+        c = text[pos:pos + 1]
+        if c in ("{", "["):
+            pos = skip(pos + 1)
+            if text.startswith("}" if c == "{" else "]", pos):
+                value, pos = ({} if c == "{" else []), pos + 1
+            elif c == "{":
+                name, pos = key(pos)
+                open_.append([{}, name])
+                continue
+            else:
+                open_.append([[], None])
+                continue
+        elif c == '"':
+            value, pos = json.decoder.scanstring(text, pos + 1)
+        elif (m := number.match(text, pos)):
+            try:
+                value = float(m[0]) if m[1] or m[2] else int(m[0])
+            except ValueError:  # over int's limit on decimal digits
+                fail("Number too long", pos)
+            pos = m.end()
+        elif (word := next((w for w in _JSON_CONSTANTS
+                            if text.startswith(w, pos)), None)):
+            value, pos = _JSON_CONSTANTS[word], pos + len(word)
+        else:
+            fail("Expecting value", pos)
+        # Put it in the innermost open container; close those that end.
+        while True:
+            pos = skip(pos)
+            if not open_:
+                if pos != len(text):
+                    fail("Extra data", pos)
+                return value
+            container = open_[-1][0]
+            if isinstance(container, dict):
+                container[open_[-1][1]] = value
+            else:
+                container.append(value)
+            if text.startswith(",", pos):
+                pos = skip(pos + 1)
+                if isinstance(container, dict):
+                    open_[-1][1], pos = key(pos)
+                break
+            if not text.startswith("}" if isinstance(container, dict)
+                                   else "]", pos):
+                fail("Expecting ',' delimiter", pos)
+            value, pos = open_.pop()[0], pos + 1
 
 
 def _field(obj, key: str, path: str, kind: type):

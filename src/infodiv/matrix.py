@@ -163,7 +163,7 @@ def probability_model(matrix: LabeledMatrix) -> ProbabilityModel:
 
 def check_subset(model: ProbabilityModel, subset: RowSubset) -> RowSubset:
     """Validate a row subset: nonempty, distinct, in range."""
-    subset = tuple(int(i) for i in subset)
+    subset = tuple(map(int, subset))
     if not subset:
         raise ValueError("row subset must be nonempty")
     if len(set(subset)) != len(subset):
@@ -180,7 +180,12 @@ def pooled_profile(model: ProbabilityModel,
     Returns (weight, profile): weight is the total row-marginal probability
     of the subset, profile the column distribution conditional on the group.
     """
-    subset = check_subset(model, subset)
+    return _pool_rows(model, check_subset(model, subset))
+
+
+def _pool_rows(model: ProbabilityModel,
+               subset: RowSubset) -> tuple[float, np.ndarray]:
+    """pooled_profile of a subset already validated by check_subset."""
     idx = np.fromiter(subset, dtype=int)
     pooled = model.joint[idx].sum(axis=0)
     weight = float(pooled.sum())

@@ -1,9 +1,10 @@
 """Shared helpers: seeded random matrices, pure-Python brute-force
 entropy computations kept independent of the library's numpy code paths,
-reference exhaustive and greedy searches that score every candidate
-separately, the recursive restricted growth string generator, the
-similarity matrix computed one pair at a time, and the CSV reader that
-converts one cell at a time."""
+bipartition scoring through the public validated functions and the ranking
+kernel's masked entropy formula, reference exhaustive and greedy searches
+that score every candidate separately, the recursive restricted growth
+string generator, the similarity matrix computed one pair at a time, and
+the CSV reader that converts one cell at a time."""
 
 import csv
 import itertools
@@ -16,6 +17,7 @@ from infodiv import (
     Grouping,
     NonFiniteValueError,
     ParseError,
+    SplitEvaluation,
     UndefinedCorrelation,
     UndefinedCosine,
     build_matrix,
@@ -24,8 +26,11 @@ from infodiv import (
     evaluate_bipartition,
     log_transform,
     pearson,
+    pooled_profile,
+    shannon_entropy,
 )
 from infodiv.cluster import STRICT_TOL
+from infodiv.matrix import check_subset
 from infodiv.oracle import OracleReport
 
 
@@ -88,6 +93,45 @@ def random_grouping(rng, n_rows):
     for g, i in enumerate(rng.permutation(n_rows)[:m]):
         assignment[int(i)] = g
     return assignment
+
+
+def reference_evaluate_bipartition(model, subtree, left):
+    """evaluate_bipartition with each group pooled by pooled_profile and
+    its entropy taken by shannon_entropy, every call validating again."""
+    subtree = check_subset(model, subtree)
+    left = check_subset(model, left)
+    if not set(left) < set(subtree):
+        raise ValueError("left must be a proper subset of subtree")
+    right = tuple(i for i in subtree if i not in set(left))
+    (w_sub, h_agg), (w_l, h_l), (w_r, h_r) = (
+        (w, shannon_entropy(prof)) for w, prof in
+        (pooled_profile(model, g) for g in (subtree, left, right)))
+    local_h0 = max(h_agg - (w_l * h_l + w_r * h_r) / w_sub, 0.0)
+    return SplitEvaluation(
+        left=left, right=right, h_aggregate=h_agg, h_left=h_l, h_right=h_r,
+        local_h0=local_h0, global_delta=w_sub * local_h0,
+        divisive=h_l < h_agg - STRICT_TOL and h_r < h_agg - STRICT_TOL)
+
+
+def reference_entropies(sums):
+    """The ranking kernel's entropies with both divide and log masked to
+    the positive cells, as they were first written."""
+    weights = sums.sum(axis=-1)
+    p = np.divide(sums, weights[..., None], out=np.zeros_like(sums),
+                  where=sums > 0)
+    plogp = np.log2(p, out=np.zeros_like(p), where=p > 0) * p
+    return np.maximum(-plogp.sum(axis=-1), 0.0), weights
+
+
+def reference_split_scores(total, left_sums):
+    """local_h0 and divisive flags of bipartitions of one group, with the
+    group and each half scored by its own reference_entropies call."""
+    h_agg, w_sub = reference_entropies(total)
+    h_l, w_l = reference_entropies(left_sums)
+    h_r, w_r = reference_entropies(np.maximum(total - left_sums, 0.0))
+    local_h0 = np.maximum(h_agg - (w_l * h_l + w_r * h_r) / w_sub, 0.0)
+    divisive = (h_l < h_agg - STRICT_TOL) & (h_r < h_agg - STRICT_TOL)
+    return local_h0, divisive
 
 
 def reference_greedy_bisect(model, subtree, stop_rule="divisive"):

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from infodiv import build_matrix, write_csv
+from infodiv import cli
 from infodiv.cli import run_cli
 
 BLOCK_CSV = "x,w,x1,y,z\na,4,4,0,0\nb,4,4,0,0\nc,0,0,4,4\nd,0,0,4,4\n"
@@ -107,6 +108,7 @@ def test_entropy_command_missing_row_exits_2(block_csv, tmp_path, capsys):
     '{"a": ["left"], "b": "left", "c": "right", "d": "right"}',
     '{"a": 1, "b": "left", "c": "right", "d": "right"}',
     '["a", "b", "c", "d"]',
+    pytest.param("[" * 5000 + "]" * 5000, id="deeper-than-json.loads"),
 ])
 def test_entropy_command_malformed_grouping_exits_2(block_csv, tmp_path,
                                                     capsys, groups):
@@ -207,6 +209,12 @@ def test_tree_deeper_than_the_recursion_limit(tmp_path, capsys):
     newick = (tmp_path / "out.newick").read_text()
     assert max(itertools.accumulate(
         1 if c == "(" else -1 for c in newick if c in "()")) == n - 1
+    # The JSON export is 2401 levels deep; render reads it back.
+    for fmt in ["text", "svg"]:
+        drawn = tmp_path / f"render.{fmt}"
+        assert run_cli(["render", str(tmp_path / "out.json"), "--format", fmt,
+                        "--out", str(drawn)]) == 0
+        assert drawn.read_text() == (tmp_path / f"out.{fmt}").read_text()
 
 
 def test_render_too_deeply_nested_json_exits_2(tmp_path, capsys):
@@ -214,7 +222,7 @@ def test_render_too_deeply_nested_json_exits_2(tmp_path, capsys):
     p.write_text('{"labels":["a"],"tree":' + '{"children":[' * 3000 +
                  "]}" * 3000 + "}")
     assert run_cli(["render", str(p)]) == 2
-    assert "nested 6001 levels deep" in capsys.readouterr().err
+    assert "tree: missing field 'members'" in capsys.readouterr().err
 
 
 def test_field_over_the_csv_size_limit_exits_2(tmp_path, capsys):
@@ -233,6 +241,40 @@ def test_non_utf8_input_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not utf-8 text (invalid start byte: 0xff)" in captured.err
+
+
+@pytest.mark.parametrize("command", ["entropy", "render"])
+def test_non_utf8_json_input_exits_2(block_csv, tmp_path, capsys, command):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"r1":"a","r2":"\xff","r3":"b"}')
+    argv = ["entropy", block_csv, "--groups", str(p)] \
+        if command == "entropy" else ["render", str(p)]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: input is not utf-8 text (invalid start byte: 0xff)\n"
+
+
+def test_one_parser_serves_every_call(block_csv, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x,a,b\nr1,1,-1\n")
+    calls = [["cluster", block_csv, "--bogus"], ["cluster", block_csv],
+             ["cluster", str(bad)], ["oracle", block_csv, "--max-groups", "2"]]
+
+    def run(argv):
+        code = run_cli(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert [code for code, _, _ in fresh] == [1, 0, 2, 0]
+    cli._parser.cache_clear()
+    assert [run(argv) for argv in calls] == fresh
+    assert cli._parser.cache_info().misses == 1
 
 
 # Column `a` sums past the largest float; every row sum stays finite.

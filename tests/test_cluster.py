@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from infodiv import (
@@ -17,10 +17,12 @@ from infodiv import (
     transmission,
 )
 
-from infodiv.cluster import STRICT_TOL, _first_best, exhaustive_bisect
+from infodiv.cluster import STRICT_TOL, _entropies, _first_best, \
+    _split_scores, exhaustive_bisect
 
-from conftest import brute_local_h0, random_matrix, \
-    reference_exhaustive_bisect, reference_greedy_bisect
+from conftest import brute_local_h0, random_matrix, reference_entropies, \
+    reference_evaluate_bipartition, reference_exhaustive_bisect, \
+    reference_greedy_bisect, reference_split_scores
 
 BLOCK = [[4, 4, 0, 0], [4, 4, 0, 0], [0, 0, 4, 4], [0, 0, 4, 4]]
 
@@ -198,11 +200,11 @@ def test_identical_profile_rows_merge_equivalence():
 
 
 @st.composite
-def sparse_count_matrices(draw):
+def sparse_count_matrices(draw, max_cols=5):
     """Small count matrices with many zero cells and some exactly repeated
     rows, whose candidate splits tie exactly."""
     n = draw(st.integers(2, 10))
-    k = draw(st.integers(1, 5))
+    k = draw(st.integers(1, max_cols))
     cell = st.sampled_from([0, 0, 0, 1, 2, 5])
     rows = []
     for _ in range(n):
@@ -243,3 +245,59 @@ def test_first_best_is_the_sequential_tie_rule(steps, floor_step):
         if s > (floor if best is None else scores[best] + STRICT_TOL):
             best = i
     assert _first_best(scores, floor)[0] == best
+
+
+def _float_bits(ev):
+    """Each float field of a SplitEvaluation, bit for bit."""
+    return [getattr(ev, f).hex() for f in ("h_aggregate", "h_left",
+                                           "h_right", "local_h0",
+                                           "global_delta")]
+
+
+# Past 8 columns numpy sums in blocks, so whether zero cells are summed
+# changes the bits.
+@given(sparse_count_matrices(max_cols=30), st.data())
+@settings(max_examples=200, deadline=None)
+def test_evaluate_bipartition_is_the_public_route_bit_for_bit(m, data):
+    pm = probability_model(m)
+    order = data.draw(st.permutations(range(m.n_rows)))
+    subtree = tuple(order[:data.draw(st.integers(2, m.n_rows))])
+    left = tuple(data.draw(st.permutations(subtree))
+                 [:data.draw(st.integers(1, len(subtree) - 1))])
+    ev = evaluate_bipartition(pm, subtree, left)
+    ref = reference_evaluate_bipartition(pm, subtree, left)
+    assert ev == ref
+    assert _float_bits(ev) == _float_bits(ref)
+
+
+# Probabilities as the kernel sees them: mostly zero, some subnormal.
+CELL = st.sampled_from([0.0, 0.0, 0.0, 5e-324, 3e-310, 1e-300, 0.125, 0.3,
+                        1.0])
+
+
+@given(st.integers(1, 6), st.integers(1, 7), st.data())
+@settings(max_examples=300, deadline=None)
+def test_entropies_equal_the_masked_formula_bit_for_bit(m, c, data):
+    halves = np.array(data.draw(st.lists(CELL, min_size=2 * m * c,
+                                         max_size=2 * m * c))
+                      ).reshape(2, m, c)
+    for sums in (halves, halves[0], halves[0, 0]):
+        for got, want in zip(_entropies(sums), reference_entropies(sums)):
+            assert got.tobytes() == want.tobytes()
+    # The fused left-and-right call against one call per half, on a group
+    # of positive weight.
+    total = halves[0].sum(axis=0) + halves[1].sum(axis=0)
+    assume(total.sum() > 0)
+    left_sums = np.minimum(halves[0], total)
+    halves[0] = left_sums
+    got = _split_scores(total, _entropies(total), halves)
+    want = reference_split_scores(total, left_sums)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_entropies_of_zero_columns_and_rows():
+    sums = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.25, 0.0, 0.25],
+                     [5e-324, 0.0, 5e-324]])
+    h, w = _entropies(sums)  # no RuntimeWarning for the row of weight 0
+    assert h.tolist() == [0.0, 0.0, 1.0, 1.0]
+    assert w.tolist() == [0.0, 0.5, 0.5, 1e-323]

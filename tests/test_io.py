@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import re
 import xml.etree.ElementTree as ET
 
@@ -23,6 +24,8 @@ from infodiv import (
     similarity_matrix,
     write_csv,
 )
+
+from infodiv.io import _scan_json
 
 from conftest import random_matrix, reference_parse_csv
 
@@ -321,6 +324,40 @@ def test_similarity_csv_layout():
 def test_dendrogram_from_json_names_the_bad_field(doc, message):
     with pytest.raises(ParseError, match=re.escape(message)):
         dendrogram_from_json(doc)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) |
+    st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20)
+
+
+@given(JSON_VALUES, st.sampled_from([None, 0, 2]), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_scan_json_reads_what_json_loads_reads(value, indent, ascii_only):
+    text = json.dumps(value, indent=indent, ensure_ascii=ascii_only)
+    assert repr(_scan_json(text)) == repr(json.loads(text))
+
+
+@pytest.mark.parametrize("text", ["", "[1,]", '{"a"}', '{"a":1,}', "[1 2]",
+                                  "{1:2}", "01", '"abc', "[-]", '{"a":1]',
+                                  "tru", "1" * 5000])
+def test_scan_json_rejects_what_json_loads_rejects(text):
+    with pytest.raises(ValueError) as want:
+        json.loads(text)
+    with pytest.raises(ValueError) as got:
+        _scan_json(text)
+    if isinstance(want.value, json.JSONDecodeError):
+        assert str(got.value) == str(want.value)
+
+
+def test_scan_json_reads_any_depth():
+    text = "[" * 5000 + '{"a":[]}' + "]" * 5000
+    value = _scan_json(text)
+    for _ in range(5000):
+        (value,) = value
+    assert value == {"a": []}
 
 
 # Labels that exercise every escaping rule, mixed with arbitrary text.
