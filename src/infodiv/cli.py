@@ -15,12 +15,13 @@ import os
 import sys
 
 from . import io as div_io
-from .cluster import ClusterOptions, divisive_cluster, extract_clusters
+from .cluster import ClusterOptions, divisive_cluster
 from .entropy import Grouping, decompose
 from .errors import InfodivError
 from .matrix import probability_model
 from .oracle import exhaustive_partition, verify_greedy
 from .render import render_dendrogram
+from .similarity import similarity_matrix
 
 
 class _UsageError(Exception):
@@ -109,7 +110,6 @@ def _cmd_cluster(args) -> str:
 
 
 def _cmd_similarity(args) -> str:
-    from .similarity import similarity_matrix
     matrix = div_io.parse_csv(args.matrix)
     sim = similarity_matrix(matrix, measure=args.measure,
                             diagonal_mode=args.diagonal,

@@ -30,14 +30,19 @@ _NEWICK_PLAIN = re.compile(r"[^\s()\[\]':;,_]*")
 _JSON_CONSTANTS = {"true": True, "false": False, "null": None,
                    "NaN": math.nan, "Infinity": math.inf,
                    "-Infinity": -math.inf}
+# The fields of an export's "split" object and their kinds for `_field`,
+# in the order `dendrogram_from_json` checks them.
+_SPLIT_FIELDS = {"h_aggregate": float, "h_left": float, "h_right": float,
+                 "local_h0": float, "global_delta": float, "divisive": bool}
 
 
 def format_number(x: float) -> str:
-    """Decimal rendering at 12 significant digits, half away from zero."""
-    if x == int(x) and abs(x) < 1e15:
-        return f"{int(x)}.0"
-    d = _CTX.create_decimal(repr(float(x)))
-    return format(d.normalize(_CTX), "f")
+    """Decimal rendering at 12 significant digits, half away from zero, in
+    fixed-point notation; an integer that rounds to below 1e15 keeps ".0"."""
+    d = _CTX.create_decimal(repr(float(x))).normalize(_CTX)
+    if x == int(x) and abs(d) < 10 ** 15:
+        return f"{int(d)}.0"
+    return format(d, "f")
 
 
 def read_text(path) -> str:
@@ -201,15 +206,8 @@ def _tree_json(dendrogram: Dendrogram) -> str:
                   "height": node.height}
         if node.is_leaf:
             return [canonical_json(fields)]
-        s = node.split
-        fields["split"] = {
-            "h_aggregate": s.h_aggregate,
-            "h_left": s.h_left,
-            "h_right": s.h_right,
-            "local_h0": s.local_h0,
-            "global_delta": s.global_delta,
-            "divisive": s.divisive,
-        }
+        fields["split"] = {key: getattr(node.split, key)
+                           for key in _SPLIT_FIELDS}
         # "children" sorts before the other keys, so it opens the object.
         return ['{"children":[', node.children[0], ",", node.children[1],
                 "]," + canonical_json(fields)[1:]]
@@ -252,10 +250,8 @@ def dendrogram_from_json(text: str) -> Dendrogram:
             del built[-2:]
             split = SplitEvaluation(
                 left=kids[0].members, right=kids[1].members,
-                **{key: _field(s, key, f"{path}.split", float)
-                   for key in ("h_aggregate", "h_left", "h_right",
-                               "local_h0", "global_delta")},
-                divisive=_field(s, "divisive", f"{path}.split", bool))
+                **{key: _field(s, key, f"{path}.split", kind)
+                   for key, kind in _SPLIT_FIELDS.items()})
             built.append(DendrogramNode(members=members, height=height,
                                         split=split, children=kids))
             continue
@@ -396,8 +392,7 @@ def _newick(dendrogram: Dendrogram) -> str:
     def pieces(item) -> list:
         node, branch = item
         if node.is_leaf:
-            name = _newick_name("+".join(sorted(labels[i]
-                                                for i in node.members)))
+            name = _newick_name(_leaf_name(labels, node))
             return [f"{name}:{format_number(branch)}"]
         delta = node.split.global_delta
         return ["(", (node.children[0], delta), ",", (node.children[1], delta),
@@ -408,6 +403,11 @@ def _newick(dendrogram: Dendrogram) -> str:
         [(root.children[0], root.split.global_delta), ",",
          (root.children[1], root.split.global_delta)]
     return "".join(_unfold(["(", *top, ");\n"], pieces))
+
+
+def _leaf_name(labels, node: DendrogramNode) -> str:
+    """A leaf's name: its members' labels, sorted and joined by "+"."""
+    return "+".join(sorted(labels[i] for i in node.members))
 
 
 def _newick_name(name: str) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 from .cluster import Dendrogram, DendrogramNode
-from .io import format_number
+from .io import _leaf_name, format_number
 
 _WIDTH = 60  # columns of the text drawing's plot area
 # Characters XML 1.0 cannot carry, even as character references.
@@ -52,11 +52,6 @@ def render_dendrogram(dendrogram: Dendrogram, fmt: str = "text") -> str:
     raise ValueError(f"unknown render format: {fmt!r}")
 
 
-def _leaf_label(dendrogram: Dendrogram, node: DendrogramNode) -> str:
-    labels = dendrogram.row_labels
-    return "+".join(sorted(labels[i] for i in node.members))
-
-
 def _render_text(dendrogram: Dendrogram) -> str:
     max_h = dendrogram.max_height()
     scale = (_WIDTH - 1) / max_h if max_h > 0 else 0.0
@@ -93,23 +88,24 @@ def _render_text(dendrogram: Dendrogram) -> str:
         hline(center, from_x, split_x - 1 if split_x > from_x else from_x, ch)
 
     # Cut line between divisive and non-divisive territory.
-    cut_x = x_of(divisive_cut_height(dendrogram))
+    cut_h = divisive_cut_height(dendrogram)
+    cut_x = x_of(cut_h)
     for r in range(n_lines):
         if grid[r][cut_x] == " ":
             grid[r][cut_x] = "┊"
 
     lines = ["".join(row).rstrip() for row in grid]
     # Append leaf labels at the right edge of their rows.
-    for k, leaf in enumerate(leaves):
+    for leaf in leaves:
         r = rows[id(leaf)]
         lines[r] = lines[r].ljust(_WIDTH + 1) + " " + \
-            _leaf_label(dendrogram, leaf)
+            _leaf_name(dendrogram.row_labels, leaf)
 
     axis = "0" + " " * (_WIDTH - len(format_number(max_h)) - 1) + \
         format_number(max_h) if max_h > 0 else "0"
     lines.append("─" * _WIDTH + " bits")
     lines.append(axis)
-    lines.append(f"cut line (┊) at {format_number(divisive_cut_height(dendrogram))} bits")
+    lines.append(f"cut line (┊) at {format_number(cut_h)} bits")
     return "\n".join(lines) + "\n"
 
 
@@ -144,10 +140,10 @@ def _render_svg(dendrogram: Dendrogram) -> str:
         if node.is_leaf:
             y = rows[id(node)]
             line(from_x, y, pad + plot_w, y)
+            name = _xml_text(_leaf_name(dendrogram.row_labels, node))
             parts.append(
                 f'<text x="{pad + plot_w + 6:.2f}" y="{y + 4:.2f}" '
-                f'font-size="12">{_xml_text(_leaf_label(dendrogram, node))}'
-                '</text>')
+                f'font-size="12">{name}</text>')
             continue
         dashed = not node.split.divisive
         y0, y1 = rows[id(node.children[0])], rows[id(node.children[1])]

@@ -51,76 +51,65 @@ class SimilarityMatrix:
 
 def pearson(x, y) -> float:
     """Product-moment correlation of two equal-length vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
-        raise ValueError("pearson needs two equal-length vectors, length >= 2")
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, y = x - x.mean(), y - y.mean()
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        error, what = _OVERFLOW
-        raise error(what)
-    r = _cosine(x, y)
-    if r is None:
-        raise UndefinedCorrelation("correlation undefined for a constant vector")
-    return min(1.0, max(-1.0, r))
+    return _pair("pearson", x, y)
 
 
 def cosine(x, y) -> float:
     """Salton's cosine: sum(xy) / sqrt(sum(x^2) * sum(y^2))."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or len(x) < 1:
-        raise ValueError("cosine needs two equal-length vectors, length >= 1")
-    r = _cosine(x, y)
-    if r is None:
-        raise UndefinedCosine("cosine undefined for an all-zero vector")
-    return r
+    return _pair("cosine", x, y)
 
 
-def _cosine(x: np.ndarray, y: np.ndarray) -> float | None:
-    """sum(xy) / sqrt(sum(x^2) * sum(y^2)), or None if x or y is all zero.
+def _pair(measure: str, x, y) -> float:
+    """`measure` of the vectors x and y: sum(xy) / sqrt(sum(x^2) * sum(y^2)),
+    of the centered vectors for Pearson, whose result is clipped to
+    [-1, 1].
 
     Exactly-rounded sums make the result invariant under appending
     coordinates that are zero in both vectors; `math.fsum` reads a list of
-    Python floats about twice as fast as a numpy array. Pearson r is this
-    ratio for the centered vectors.
+    Python floats about twice as fast as a numpy array.
     """
-    with np.errstate(over="ignore", under="ignore"):
-        x, sxx = _scaled(x)
-        y, syy = _scaled(y)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    min_width = 2 if measure == "pearson" else 1
+    if x.shape != y.shape or x.ndim != 1 or len(x) < min_width:
+        raise ValueError(f"{measure} needs two equal-length vectors, "
+                         f"length >= {min_width}")
+    pair = np.stack([x, y])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        if measure == "pearson":
+            pair = _centered(pair)
+            if not np.isfinite(pair).all():
+                error, what = _OVERFLOW
+                raise error(what)
+        (x, y), (sxx, syy) = _scaled_rows(pair)
         if sxx == 0 or syy == 0:
-            return None
-        return math.fsum((x * y).tolist()) / (math.sqrt(sxx) * math.sqrt(syy))
-
-
-def _scaled(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """`v` and its exactly rounded sum of squares. Only when that sum lies
-    outside [_SQ_LO, _SQ_HI] is `v` first scaled by an exact power of two,
-    to a largest magnitude in [0.5, 1); the ratio in `_cosine` does not
-    change under such a scaling."""
-    try:
-        ss = math.fsum((v * v).tolist())
-    except OverflowError:  # finite squares whose sum overflows
-        ss = math.inf
-    if _SQ_LO <= ss <= _SQ_HI:
-        return v, ss
-    v = np.ldexp(v, -math.frexp(float(np.max(np.abs(v))))[1])
-    return v, math.fsum((v * v).tolist())
+            error, what = _UNDEFINED[measure]
+            raise error(what)
+        r = math.fsum((x * y).tolist()) / (math.sqrt(sxx) * math.sqrt(syy))
+    return min(1.0, max(-1.0, r)) if measure == "pearson" else r
 
 
 def _scaled_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_scaled` applied to each row of the fresh 2-D array `rows` (which
-    it may overwrite): the rows and their sums of squares. Only rows whose
-    sum of squares leaves [_SQ_LO, _SQ_HI], or overflows, go through
-    `_scaled` itself."""
+    """The rows of the fresh 2-D array `rows` (which it may overwrite) and
+    their exactly rounded sums of squares. Only a row whose sum lies
+    outside [_SQ_LO, _SQ_HI], or overflows, is first scaled by an exact
+    power of two, to a largest magnitude in [0.5, 1); the ratio of
+    `_pair` does not change under such a scaling."""
+    squares = (rows * rows).tolist()
     try:
-        ss = list(map(math.fsum, (rows * rows).tolist()))
+        ss = list(map(math.fsum, squares))
     except OverflowError:  # some row's squares sum past the float range
-        ss = [math.inf] * len(rows)
+        ss = []
+        for row in squares:
+            try:
+                ss.append(math.fsum(row))
+            except OverflowError:
+                ss.append(math.inf)
     for k, s in enumerate(ss):
         if not _SQ_LO <= s <= _SQ_HI:
-            rows[k], ss[k] = _scaled(rows[k])
+            rows[k] = np.ldexp(rows[k],
+                               -math.frexp(float(np.max(np.abs(rows[k]))))[1])
+            ss[k] = math.fsum((rows[k] * rows[k]).tolist())
     return rows, np.array(ss)
 
 
@@ -173,7 +162,7 @@ def similarity_matrix(matrix: LabeledMatrix, measure: str = "pearson",
             else:
                 x, sxx, y, syy = _missing_diagonal_pairs(values, i, measure)
             # Centered values past the float range leave a sum of squares
-            # that is not finite, even after `_scaled`.
+            # that is not finite, even after scaling.
             finite = np.isfinite(sxx) & np.isfinite(syy)
             bad = np.flatnonzero(~finite | (sxx == 0) | (syy == 0))
             if len(bad):
@@ -198,7 +187,7 @@ def _centered(rows: np.ndarray) -> np.ndarray:
 
 def _missing_diagonal_pairs(values: np.ndarray, i: int, measure: str):
     """Rows i and j, for each j > i, with positions i and j dropped from
-    both, centered for Pearson and scaled as `_scaled` does: row i's
+    both, centered for Pearson and scaled by `_scaled_rows`: row i's
     vectors, their sums of squares, row j's vectors and theirs."""
     n = len(values)
     keep = np.ones((n - 1 - i, n), dtype=bool)

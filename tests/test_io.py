@@ -148,6 +148,20 @@ def test_format_number():
     assert format_number(-0.0) == "0.0"
     assert format_number(0.5) == "0.5"
     assert len(format_number(1 / 3).replace("0.", "")) == 12
+    # Integers are rounded to 12 significant digits like any other value;
+    # ".0" marks an integer that rounds to below 1e15.
+    assert format_number(5000000000000.0) == "5000000000000.0"
+    assert format_number(123456789012345.0) == "123456789012000.0"
+    assert format_number(-123456789012345.0) == "-123456789012000.0"
+    assert format_number(999999999999999.0) == "1000000000000000"
+    assert format_number(1e15) == "1000000000000000"
+
+
+def test_format_number_writes_tiny_values_in_fixed_point():
+    # Part of the number contract: no exponent notation, whatever the
+    # magnitude, so a tiny value carries all its leading zeros.
+    assert format_number(1e-300) == "0." + "0" * 299 + "1"
+    assert format_number(-2.5e-300) == "-0." + "0" * 299 + "25"
 
 
 def test_export_json_block():
@@ -318,9 +332,16 @@ def test_similarity_csv_layout():
     ('{"labels":["a","b"],"tree":{"members":["a","b"],"height":0.0,'
      '"split":{},"children":[{"members":["a"],"height":1.0},[]]}}',
      "tree.children[1]: expected an object"),
+    # A descendant's fields are checked before its parent's split numbers.
+    ('{"labels":["a","b"],"tree":{"members":["a","b"],"height":0.0,'
+     '"split":{"h_aggregate":1,"h_left":-1,"h_right":0,"local_h0":1,'
+     '"global_delta":1,"divisive":true},'
+     '"children":[{"members":["a"],"height":1.0},'
+     '{"members":["zz"],"height":1.0}]}}',
+     "tree.children[1].members: unknown label 'zz'"),
 ], ids=["no-labels", "label-type", "height-string", "height-nan",
         "height-huge-int", "one-child", "no-split", "divisive-type",
-        "child-type"])
+        "child-type", "child-before-split"])
 def test_dendrogram_from_json_names_the_bad_field(doc, message):
     with pytest.raises(ParseError, match=re.escape(message)):
         dendrogram_from_json(doc)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +26,8 @@ def test_pearson_basics():
 
 
 def test_pearson_constant_vector_is_an_error():
-    with pytest.raises(UndefinedCorrelation):
+    with pytest.raises(UndefinedCorrelation, match=re.escape(
+            "correlation undefined for a constant vector")):
         pearson([3, 3, 3], [1, 2, 3])
 
 
@@ -36,8 +39,33 @@ def test_cosine_basics():
 
 
 def test_cosine_zero_vector_is_an_error():
-    with pytest.raises(UndefinedCosine):
+    with pytest.raises(UndefinedCosine, match=re.escape(
+            "cosine undefined for an all-zero vector")):
         cosine([0, 0], [1, 2])
+
+
+@pytest.mark.parametrize("measure, x, y", [
+    (pearson, [1], [2]), (pearson, [1, 2], [1, 2, 3]),
+    (pearson, [[1, 2]], [[1, 2]]),
+    (cosine, [], []), (cosine, [1, 2], [1, 2, 3]),
+    (cosine, [[1, 2]], [[1, 2]]),
+], ids=["pearson-short", "pearson-unequal", "pearson-not-1d",
+        "cosine-empty", "cosine-unequal", "cosine-not-1d"])
+def test_vector_shapes_are_checked(measure, x, y):
+    length = 2 if measure is pearson else 1
+    with pytest.raises(ValueError, match=re.escape(
+            f"{measure.__name__} needs two equal-length vectors, "
+            f"length >= {length}")):
+        measure(x, y)
+
+
+def test_scaling_one_vector_leaves_the_other():
+    # x's squares are finite but sum past the float range, so x is scaled;
+    # y's sum of squares is in range, so y is not. Scaling y as well (to a
+    # largest magnitude below 1) would round its 2**-604 to zero, and the
+    # cosine, the smallest subnormal, with it.
+    x, y = [0.0, 1.2e154, 1.2e154], [2.0 ** 470, 2.0 ** -604, 0.0]
+    assert cosine(x, y) == cosine(y, x) == 2.0 ** -1074
 
 
 def test_zero_sensitivity_witness():
