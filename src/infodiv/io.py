@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .cluster import Dendrogram, DendrogramNode, SplitEvaluation
-from .errors import ParseError
+from .errors import NonFiniteValueError, ParseError
 from .matrix import LabeledMatrix, build_matrix
 from .similarity import SimilarityMatrix
 
@@ -38,7 +38,11 @@ _SPLIT_FIELDS = {"h_aggregate": float, "h_left": float, "h_right": float,
 
 def format_number(x: float) -> str:
     """Decimal rendering at 12 significant digits, half away from zero, in
-    fixed-point notation; an integer that rounds to below 1e15 keeps ".0"."""
+    fixed-point notation; an integer that rounds to below 1e15 keeps ".0".
+    NaN and infinities have no such rendering: NonFiniteValueError."""
+    if not math.isfinite(x):
+        raise NonFiniteValueError(f"cannot write the non-finite number "
+                                  f"{float(x)!r}")
     d = _CTX.create_decimal(repr(float(x))).normalize(_CTX)
     if x == int(x) and abs(d) < 10 ** 15:
         return f"{int(d)}.0"

@@ -4,7 +4,15 @@ The cosine ignores coordinates that are zero in both vectors; Pearson r
 does not, because shared zeros shift both means. That difference is the
 whole controversy these measures are compared for, so both are implemented
 exactly and zero handling is never silent: undefined cases (constant or
-all-zero vectors) raise instead of producing NaN.
+all-zero vectors, NaN or infinite coordinates) raise instead of producing
+NaN.
+
+Every sum of squares or products is rounded once, from its exact value, by
+`_exact_sums`: a vectorised error-free summation whose result is certified
+a posteriori, with `math.fsum` only for the rows the certificate does not
+cover. So `similarity_matrix` gives, bit for bit, what `pearson` or
+`cosine` give on each pair, while it scores all pairs at once, in chunks
+of at most `_CHUNK_CELLS` matrix cells.
 """
 
 from __future__ import annotations
@@ -36,6 +44,12 @@ _UNDEFINED = {
 # value leaves the float range.
 _OVERFLOW = (NonFiniteValueError,
              "correlation undefined: centering leaves the float range")
+# similarity_matrix scores pairs, and _exact_sums sums rows, in chunks of at
+# most this many cells (rows times width), so that their temporaries stay
+# near 1 MB at any size.
+_CHUNK_CELLS = 2 ** 14
+# _exact_sums certifies a row only if its sum is at most this in magnitude.
+_CERT_MAX = 2.0 ** 1000
 
 
 @dataclass(frozen=True)
@@ -64,9 +78,8 @@ def _pair(measure: str, x, y) -> float:
     of the centered vectors for Pearson, whose result is clipped to
     [-1, 1].
 
-    Exactly-rounded sums make the result invariant under appending
-    coordinates that are zero in both vectors; `math.fsum` reads a list of
-    Python floats about twice as fast as a numpy array.
+    Exactly rounded sums make the result invariant under appending
+    coordinates that are zero in both vectors.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -75,6 +88,9 @@ def _pair(measure: str, x, y) -> float:
         raise ValueError(f"{measure} needs two equal-length vectors, "
                          f"length >= {min_width}")
     pair = np.stack([x, y])
+    if not np.isfinite(pair).all():
+        raise NonFiniteValueError(f"{measure} undefined for a vector with "
+                                  "NaN or infinite coordinates")
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         if measure == "pearson":
             pair = _centered(pair)
@@ -85,7 +101,8 @@ def _pair(measure: str, x, y) -> float:
         if sxx == 0 or syy == 0:
             error, what = _UNDEFINED[measure]
             raise error(what)
-        r = math.fsum((x * y).tolist()) / (math.sqrt(sxx) * math.sqrt(syy))
+        r = float(_exact_sums((x * y)[None])[0]) / \
+            (math.sqrt(sxx) * math.sqrt(syy))
     return min(1.0, max(-1.0, r)) if measure == "pearson" else r
 
 
@@ -95,22 +112,116 @@ def _scaled_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     outside [_SQ_LO, _SQ_HI], or overflows, is first scaled by an exact
     power of two, to a largest magnitude in [0.5, 1); the ratio of
     `_pair` does not change under such a scaling."""
-    squares = (rows * rows).tolist()
-    try:
-        ss = list(map(math.fsum, squares))
-    except OverflowError:  # some row's squares sum past the float range
-        ss = []
-        for row in squares:
-            try:
-                ss.append(math.fsum(row))
-            except OverflowError:
-                ss.append(math.inf)
-    for k, s in enumerate(ss):
-        if not _SQ_LO <= s <= _SQ_HI:
-            rows[k] = np.ldexp(rows[k],
-                               -math.frexp(float(np.max(np.abs(rows[k]))))[1])
-            ss[k] = math.fsum((rows[k] * rows[k]).tolist())
-    return rows, np.array(ss)
+    ss = _exact_sums(rows * rows)
+    out = np.flatnonzero(~((ss >= _SQ_LO) & (ss <= _SQ_HI)))
+    if len(out):
+        _, exponent = np.frexp(np.max(np.abs(rows[out]), axis=1))
+        scaled = np.ldexp(rows[out], -exponent[:, None])
+        rows[out] = scaled
+        ss[out] = _exact_sums(scaled * scaled)
+    return rows, ss
+
+
+def _exact_sums(terms: np.ndarray) -> np.ndarray:
+    """The sum of each row of the 2-D float array `terms`, rounded once to
+    nearest: what `math.fsum` returns for the row, or inf where fsum
+    overflows. Rows of non-negative terms are covered, and so is any row
+    whose absolute terms sum to at most _CERT_MAX.
+
+    Reduce: the columns are added in a pairwise tree, each addition by
+    Knuth's TwoSum, s + e = a + b exactly. TwoSum is exact for any finite
+    operands, subnormal ones included (a sum of floats that lands in the
+    subnormal range is exact), as long as nothing overflows. So the row
+    sum S is exactly hi + sum(E), with hi the tree's root and E the w - 1
+    rounding errors of a row of width w.
+    Bound: lo = fl(sum(E)) is summed by numpy in an order we do not rely
+    on: in any order, |lo - sum(E)| <= g * sum(|E|) with g = (w-2)u/(1 -
+    (w-2)u), u = 2^-53 (Higham, Accuracy and Stability, eq. 4.4), and the
+    same bound makes fl(sum(|E|)) at least (1 - g) * sum(|E|). So
+    4wu * fl(sum(|E|)) is at least twice |lo - sum(E)|, the factor of two
+    absorbing the rounding of that product, and the added smallest
+    subnormal covers the product underflowing: bound = 4wu * fl(sum(|E|))
+    + 2^-1074.
+    Round: c = fl(hi + lo), and TwoSum gives d with hi + lo = c + d
+    exactly, so |S - c| <= |d| + bound.
+    Certify: c is S rounded to nearest if S lies strictly inside c's
+    rounding interval, which reaches half the gap to the next float on
+    either side. Below a power of two that gap is half the one above, so
+    the test takes the smaller of the two gaps, and (|d| + bound) is
+    scaled by 2(1 + 2^-50) to cover its own two roundings. The inequality
+    is strict: S is never at a tie, so the round-half-even rule, as fsum
+    applies it, cannot pick the other neighbour.
+    Fall back: a row whose c is zero (fsum's sign of a zero sum follows
+    its own rule), near a tie, above _CERT_MAX, inf or NaN (an overflow
+    anywhere in the tree or in TwoSum reaches c or the bound) goes to
+    `math.fsum`, with inf for its OverflowError.
+    Overflow: fsum raises where a partial sum it forms leaves the float
+    range, and it forms no value much above the sum of the absolute terms
+    it has read. Squares are non-negative, so for them that sum is S
+    itself, at most (1 + 2^-50) * _CERT_MAX when c is certified; for the
+    products of two rows scaled by `_scaled_rows` it is at most
+    sqrt(sxx * syy) <= 2^960 by Cauchy-Schwarz. Neither fsum nor the tree
+    then comes near overflow where a certified c is returned.
+    """
+    terms = np.asarray(terms, dtype=float)
+    n_rows, width = terms.shape
+    if width == 0:
+        return np.zeros(n_rows)
+    block = max(1, _CHUNK_CELLS // width)
+    if n_rows > block:  # bound the temporaries below
+        return np.concatenate([_exact_sums(terms[k:k + block])
+                               for k in range(0, n_rows, block)])
+    # One row per term, so that every level adds contiguous blocks.
+    hi = np.ascontiguousarray(terms.T)
+    errors = np.empty((max(width - 1, 1), n_rows))
+    errors[0] = 0.0
+    done = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(hi) > 1:
+            # Term k + j is added to term j; an odd middle term is carried
+            # to the next level as it is.
+            w = len(hi)
+            k = w // 2
+            a, b = hi[:k], hi[w - k:]
+            nxt = np.empty((w - k, n_rows))
+            s = nxt[:k]
+            np.add(a, b, out=s)
+            if w % 2:
+                nxt[k] = hi[k]
+            _two_sum_error(a, b, s, errors[done:done + k])
+            done += k
+            hi = nxt
+        hi = hi[0]
+        lo = errors.sum(axis=0)
+        bound = np.abs(errors, out=errors).sum(axis=0)
+        bound *= 4.0 * width * 2.0 ** -53
+        bound += 2.0 ** -1074
+        c = hi + lo
+        d = np.empty_like(c)
+        _two_sum_error(hi, lo, c, d)
+        size = np.abs(c)
+        gap = np.minimum(size - np.nextafter(size, 0.0),
+                         np.nextafter(size, np.inf) - size)
+        np.abs(d, out=d)
+        d += bound
+        d *= 2.0 + 2.0 ** -49
+        certified = (d < gap) & (size <= _CERT_MAX)
+    for k in np.flatnonzero(~certified).tolist():
+        try:
+            c[k] = math.fsum(terms[k].tolist())
+        except OverflowError:  # a partial sum passes the float range
+            c[k] = math.inf
+    return c
+
+
+def _two_sum_error(a, b, s, out) -> None:
+    """Write to `out` the error of s = fl(a + b): a + b == s + out exactly
+    (Knuth's TwoSum), for finite a, b and s."""
+    bb = s - a
+    t = s - bb
+    np.subtract(a, t, out=t)
+    np.subtract(b, bb, out=bb)
+    np.add(t, bb, out=out)
 
 
 def log_transform(matrix: LabeledMatrix) -> LabeledMatrix:
@@ -147,20 +258,24 @@ def similarity_matrix(matrix: LabeledMatrix, measure: str = "pearson",
     if n > 1 and width < min_width:
         raise ValueError(f"{measure} needs two equal-length vectors, "
                          f"length >= {min_width}")
-    # Row i against every row j > i at once: the same rounded products,
-    # exactly rounded sums and correctly rounded sqrt and divide as
-    # pearson(x, y) or cosine(x, y) on each pair.
+    # All pairs i < j in row-major order, a chunk at a time: the same
+    # rounded products, exactly rounded sums and correctly rounded sqrt and
+    # divide as pearson(x, y) or cosine(x, y) on each pair.
     values = matrix.values
     vals = np.eye(n)
-    with np.errstate(over="ignore", under="ignore"):
+    first, second = np.triu_indices(n, 1)
+    chunk = max(1, _CHUNK_CELLS // n)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         if diagonal_mode == "include":
             rows, ss = _scaled_rows(_centered(values) if measure == "pearson"
                                     else values.copy())
-        for i in range(n - 1):
+        for start in range(0, len(first), chunk):
+            i, j = first[start:start + chunk], second[start:start + chunk]
             if diagonal_mode == "include":
-                x, sxx, y, syy = rows[i], ss[i], rows[i + 1:], ss[i + 1:]
+                x, sxx, y, syy = rows[i], ss[i], rows[j], ss[j]
             else:
-                x, sxx, y, syy = _missing_diagonal_pairs(values, i, measure)
+                x, sxx, y, syy = _missing_diagonal_pairs(values, i, j,
+                                                         measure)
             # Centered values past the float range leave a sum of squares
             # that is not finite, even after scaling.
             finite = np.isfinite(sxx) & np.isfinite(syy)
@@ -168,13 +283,12 @@ def similarity_matrix(matrix: LabeledMatrix, measure: str = "pearson",
             if len(bad):
                 k = int(bad[0])
                 error, what = _UNDEFINED[measure] if finite[k] else _OVERFLOW
-                raise error(f"{what} (pair {matrix.row_labels[i]!r}, "
-                            f"{matrix.row_labels[i + 1 + k]!r})")
-            r = np.fromiter(map(math.fsum, (x * y).tolist()), float,
-                            n - 1 - i) / (np.sqrt(sxx) * np.sqrt(syy))
+                raise error(f"{what} (pair {matrix.row_labels[i[k]]!r}, "
+                            f"{matrix.row_labels[j[k]]!r})")
+            r = _exact_sums(x * y) / (np.sqrt(sxx) * np.sqrt(syy))
             if measure == "pearson":
                 r = np.clip(r, -1.0, 1.0)
-            vals[i, i + 1:] = vals[i + 1:, i] = r
+            vals[i, j] = vals[j, i] = r
     vals.setflags(write=False)
     return SimilarityMatrix(labels=matrix.row_labels, values=vals,
                             measure=measure, diagonal_mode=diagonal_mode,
@@ -185,16 +299,19 @@ def _centered(rows: np.ndarray) -> np.ndarray:
     return rows - rows.mean(axis=1, keepdims=True)
 
 
-def _missing_diagonal_pairs(values: np.ndarray, i: int, measure: str):
-    """Rows i and j, for each j > i, with positions i and j dropped from
-    both, centered for Pearson and scaled by `_scaled_rows`: row i's
-    vectors, their sums of squares, row j's vectors and theirs."""
-    n = len(values)
-    keep = np.ones((n - 1 - i, n), dtype=bool)
-    keep[:, i] = False
-    keep[np.arange(n - 1 - i), np.arange(i + 1, n)] = False
-    x = np.broadcast_to(values[i], keep.shape)[keep].reshape(-1, n - 2)
-    y = values[i + 1:][keep].reshape(-1, n - 2)
+def _missing_diagonal_pairs(values: np.ndarray, i: np.ndarray,
+                            j: np.ndarray, measure: str):
+    """Rows i[k] and j[k], for each pair k, with positions i[k] and j[k]
+    dropped from both, centered for Pearson and scaled by `_scaled_rows`:
+    the first rows' vectors, their sums of squares, the second rows'
+    vectors and theirs."""
+    n = values.shape[1]
+    keep = np.ones((len(i), n), dtype=bool)
+    pairs = np.arange(len(i))
+    keep[pairs, i] = False
+    keep[pairs, j] = False
+    x = values[i][keep].reshape(-1, n - 2)
+    y = values[j][keep].reshape(-1, n - 2)
     if measure == "pearson":
         x, y = _centered(x), _centered(y)
     return (*_scaled_rows(x), *_scaled_rows(y))

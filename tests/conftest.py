@@ -3,8 +3,12 @@ entropy computations kept independent of the library's numpy code paths,
 bipartition scoring through the public validated functions and the ranking
 kernel's masked entropy formula, reference exhaustive and greedy searches
 that score every candidate separately, the recursive restricted growth
-string generator, the similarity matrix computed one pair at a time, and
-the CSV reader that converts one cell at a time."""
+string generator, the similarity matrix computed one pair at a time with
+`math.fsum` sums, and the CSV reader that converts one cell at a time.
+
+Registers the hypothesis profile "thorough" (`--hypothesis-profile
+thorough`), under which the properties that size their runs with
+`examples` draw 3000 examples each."""
 
 import csv
 import itertools
@@ -12,6 +16,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from infodiv import (
     Grouping,
@@ -21,17 +26,24 @@ from infodiv import (
     UndefinedCorrelation,
     UndefinedCosine,
     build_matrix,
-    cosine,
     decompose,
     evaluate_bipartition,
     log_transform,
-    pearson,
     pooled_profile,
     shannon_entropy,
 )
 from infodiv.cluster import STRICT_TOL
 from infodiv.matrix import check_subset
 from infodiv.oracle import OracleReport
+from infodiv.similarity import _OVERFLOW, _SQ_HI, _SQ_LO, _UNDEFINED
+
+settings.register_profile("thorough", max_examples=3000)
+
+
+def examples(n):
+    """max_examples for a property: n, or the loaded profile's count if
+    that is larger (3000 under "thorough")."""
+    return max(n, settings.default.max_examples)
 
 
 def entropy_bits(probs):
@@ -215,13 +227,63 @@ def reference_restricted_growth_strings(n, max_groups):
     yield from rec(1, 0)
 
 
+def reference_pair(measure, x, y):
+    """pearson or cosine of x and y with every sum a `math.fsum` of a list
+    of Python floats, as the library computed them before its vectorised
+    exact sums."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    min_width = 2 if measure == "pearson" else 1
+    if x.shape != y.shape or x.ndim != 1 or len(x) < min_width:
+        raise ValueError(f"{measure} needs two equal-length vectors, "
+                         f"length >= {min_width}")
+    pair = np.stack([x, y])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        if measure == "pearson":
+            pair = reference_centered(pair)
+            if not np.isfinite(pair).all():
+                error, what = _OVERFLOW
+                raise error(what)
+        (x, y), (sxx, syy) = reference_scaled_rows(pair)
+        if sxx == 0 or syy == 0:
+            error, what = _UNDEFINED[measure]
+            raise error(what)
+        r = math.fsum((x * y).tolist()) / (math.sqrt(sxx) * math.sqrt(syy))
+    return min(1.0, max(-1.0, r)) if measure == "pearson" else r
+
+
+def reference_scaled_rows(rows):
+    """The rows of `rows` and their sums of squares, each a `math.fsum`;
+    a row whose sum lies outside [2^-960, 2^960], or overflows, is first
+    scaled by an exact power of two to a largest magnitude in [0.5, 1)."""
+    squares = (rows * rows).tolist()
+    try:
+        ss = list(map(math.fsum, squares))
+    except OverflowError:  # some row's squares sum past the float range
+        ss = []
+        for row in squares:
+            try:
+                ss.append(math.fsum(row))
+            except OverflowError:
+                ss.append(math.inf)
+    for k, s in enumerate(ss):
+        if not _SQ_LO <= s <= _SQ_HI:
+            rows[k] = np.ldexp(rows[k],
+                               -math.frexp(float(np.max(np.abs(rows[k]))))[1])
+            ss[k] = math.fsum((rows[k] * rows[k]).tolist())
+    return rows, np.array(ss)
+
+
+def reference_centered(rows):
+    return rows - rows.mean(axis=1, keepdims=True)
+
+
 def reference_similarity_matrix(matrix, measure="pearson",
                                 diagonal_mode="include", transform="none"):
-    """The values of similarity_matrix, one pearson or cosine call per pair
+    """The values of similarity_matrix, one reference_pair call per pair
     of rows; an undefined pair raises naming that pair."""
     if transform == "log1p":
         matrix = log_transform(matrix)
-    fn = pearson if measure == "pearson" else cosine
     n = matrix.n_rows
     vals = np.eye(n)
     for i in range(n):
@@ -232,7 +294,7 @@ def reference_similarity_matrix(matrix, measure="pearson",
                 keep[[i, j]] = False
                 x, y = x[keep], y[keep]
             try:
-                vals[i, j] = vals[j, i] = fn(x, y)
+                vals[i, j] = vals[j, i] = reference_pair(measure, x, y)
             except (UndefinedCorrelation, UndefinedCosine,
                     NonFiniteValueError) as exc:
                 raise type(exc)(

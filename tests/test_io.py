@@ -13,6 +13,7 @@ from infodiv import (
     InfodivError,
     ParseError,
     NegativeValueError,
+    NonFiniteValueError,
     build_matrix,
     dendrogram_from_json,
     divisive_cluster,
@@ -25,7 +26,7 @@ from infodiv import (
     write_csv,
 )
 
-from infodiv.io import _scan_json
+from infodiv.io import _scan_json, canonical_json
 
 from conftest import random_matrix, reference_parse_csv
 
@@ -162,6 +163,15 @@ def test_format_number_writes_tiny_values_in_fixed_point():
     # magnitude, so a tiny value carries all its leading zeros.
     assert format_number(1e-300) == "0." + "0" * 299 + "1"
     assert format_number(-2.5e-300) == "-0." + "0" * 299 + "25"
+
+
+@pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
+def test_format_number_rejects_non_finite(x):
+    with pytest.raises(NonFiniteValueError, match=re.escape(
+            f"cannot write the non-finite number {x!r}")):
+        format_number(x)
+    with pytest.raises(NonFiniteValueError):
+        canonical_json({"h0": [1.0, x]})
 
 
 def test_export_json_block():

@@ -1,11 +1,14 @@
+import itertools
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_similarity_matrix
+from conftest import examples, reference_pair, reference_similarity_matrix
 from infodiv import (
     InfodivError,
     NonFiniteValueError,
@@ -17,6 +20,8 @@ from infodiv import (
     pearson,
     similarity_matrix,
 )
+from infodiv import similarity
+from infodiv.similarity import _exact_sums
 
 
 def test_pearson_basics():
@@ -251,7 +256,7 @@ def _outcome(fn, *args):
                        [[1, 1e308, 1e308, 1], [1, 2, 3, 4], [2, 1, 1, 5],
                         [1, 1, 2, 3]]), "none"),
          "pearson", "missing")
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=examples(400), deadline=None)
 def test_similarity_matrix_matches_the_per_pair_loop(matrix_transform,
                                                       measure,
                                                       diagonal_mode):
@@ -263,3 +268,167 @@ def test_similarity_matrix_matches_the_per_pair_loop(matrix_transform,
         assert got == expected
     else:
         assert got.values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("measure", [pearson, cosine])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_coordinates_are_an_error(measure, bad):
+    x, y = [bad, 1.0, 2.0], [1.0, 1.0, 3.0]
+    for args in [(x, y), (y, x)]:
+        with pytest.raises(NonFiniteValueError, match=re.escape(
+                f"{measure.__name__} undefined for a vector with NaN or "
+                "infinite coordinates")):
+            measure(*args)
+
+
+def _fsum_or_inf(row):
+    try:
+        return math.fsum(row)
+    except OverflowError:
+        return math.inf
+
+
+def _assert_exact_sums(rows):
+    got = [float(v).hex() for v in _exact_sums(np.array(rows, dtype=float))]
+    assert got == [_fsum_or_inf(row).hex() for row in rows]
+
+
+# Rows the certificate must get right or hand to math.fsum, each summed
+# forwards and backwards as an explicit example of test_exact_sums_are_fsum.
+_HARD_ROWS = {
+    "tie": [1.0, 2.0 ** -53],
+    "past-tie": [1.0, 2.0 ** -53, 2.0 ** -105],
+    "tie-below-power-of-two": [1.0, -(2.0 ** -54)],
+    "past-tie-below-power-of-two": [1.0, -(2.0 ** -54), -(2.0 ** -110)],
+    "tie-to-odd-neighbour": [1.0 + 2.0 ** -52, 2.0 ** -53],
+    "negative-zeros": [-0.0, -0.0],
+    "signed-zeros": [0.0, -0.0],
+    "cancel-to-zero": [1e300, 3.0, -1e300, -3.0],
+    "cancel-to-subnormal": [1.0, 2.0 ** -1074, -1.0],
+    "subnormals": [2.0 ** -1074, 3 * 2.0 ** -1074, 2.0 ** -1023],
+    "smallest-normal": [2.0 ** -1022, 2.0 ** -1074, -(2.0 ** -1074)],
+    "heavy-cancellation": [2.0 ** 900, 1.0, -(2.0 ** 900), 2.0 ** -60],
+    # Rounding the float sum of the TwoSum errors loses a small term.
+    "error-sum-rounds": [2.0 ** 44, -(2.0 ** 44), 2.0 ** -60, 2.0 ** -105,
+                         -(2.0 ** -30), 1.25 * 2.0 ** -86,
+                         2.0 ** -30 - 2.0 ** -86],
+    "overflow": [1.7e308, 1.7e308],
+    "intermediate-overflow": [1.7e308, 1.7e308, 1.0],
+    "largest-finite": [1.7976931348623157e308, 0.0],
+    "single": [0.1],
+}
+
+
+def test_exact_sums_of_no_columns():
+    assert _exact_sums(np.empty((3, 0))).tolist() == [0.0, 0.0, 0.0]
+
+
+@st.composite
+def rows_to_sum(draw):
+    """1-4 rows of one width. A row is non-negative, with terms up to the
+    largest float so that its sum may overflow, or of mixed signs with its
+    absolute terms summing to at most 2^990 (the two kinds `_exact_sums`
+    covers). Its terms are reals, powers of two, subnormals and signed
+    zeros, or short multiples of powers of two within 2^-180 of each other,
+    which puts sums at and near ties and powers of two; a mixed row may end
+    in a term that cancels the rest."""
+    width = draw(st.integers(1, 40))
+    nonneg = draw(st.booleans())
+    top = 1023 if nonneg else 990 - width.bit_length()
+    if draw(st.booleans()):
+        term = st.one_of(
+            st.floats(-(2.0 ** top), 2.0 ** top, allow_subnormal=False),
+            st.builds(math.ldexp, st.sampled_from([1.0, -1.0, 1.5, -0.75]),
+                      st.integers(-1074, top - 1)),
+            st.integers(-(2 ** 52), 2 ** 52).map(lambda k: k * 2.0 ** -1074),
+            st.sampled_from([0.0, -0.0]),
+            st.integers(-5, 5).map(float))
+    else:
+        scale = draw(st.integers(-880, 880))
+        term = st.builds(math.ldexp,
+                         st.sampled_from([1.0, -1.0, 1.25, -1.5, 1.75]),
+                         st.integers(scale - 180, scale))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = [draw(term) for _ in range(width)]
+        if nonneg:
+            row = [abs(v) for v in row]
+        elif width > 1 and draw(st.booleans()):
+            # The rounded sum of the other terms, negated: what is left
+            # is their rounding error.
+            row[-1] = -float(np.sum(row[:-1]))
+        rows.append(row)
+    return rows
+
+
+@given(rows_to_sum())
+@settings(max_examples=examples(300), deadline=None)
+def test_exact_sums_are_fsum(rows):
+    _assert_exact_sums(rows)
+
+
+for _row in _HARD_ROWS.values():
+    test_exact_sums_are_fsum = example([_row, _row[::-1]])(
+        test_exact_sums_are_fsum)
+
+
+def _cocitation(rng, n):
+    """Symmetric Poisson counts in four author groups, positive diagonal."""
+    member = rng.integers(0, 4, size=n)
+    rate = np.where(member[:, None] == member[None, :], 6.0, 1.5)
+    upper = np.triu(rng.poisson(rate), 1)
+    counts = (upper + upper.T).astype(float)
+    counts[np.arange(n), np.arange(n)] = counts.max(axis=1) + 1
+    labels = [f"au{i:02d}" for i in range(n)]
+    return build_matrix(labels, labels, counts)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_small_chunks_match_the_per_pair_loop(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    matrix = _cocitation(rng, int(rng.integers(20, 41)))
+    # A chunk of three rows of cells splits most rows' pairs across chunks.
+    monkeypatch.setattr(similarity, "_CHUNK_CELLS", 3 * matrix.n_rows)
+    for measure, diagonal_mode, transform in itertools.product(
+            ["pearson", "cosine"], ["include", "missing"], ["none", "log1p"]):
+        args = (matrix, measure, diagonal_mode, transform)
+        got = similarity_matrix(*args).values
+        assert got.tobytes() == reference_similarity_matrix(*args).tobytes()
+
+
+@pytest.mark.parametrize("diagonal_mode", ["include", "missing"])
+def test_similarity_matrix_memory_is_bounded(diagonal_mode):
+    # The result, the row-major pair index and, for include, the scaled
+    # rows and their squares are O(n^2), about 2.7 MB at n = 300; every
+    # other temporary is bounded by the chunk size (3.2 MB in all was
+    # measured for include, 2.4 MB for missing).
+    matrix = _cocitation(np.random.default_rng(4), 300)
+    tracemalloc.start()
+    try:
+        similarity_matrix(matrix, "pearson", diagonal_mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+vector_pairs = st.integers(1, 12).flatmap(lambda n: st.tuples(*[
+    st.lists(st.one_of(
+        st.floats(-50.0, 50.0),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-1074, 1023).map(lambda e: 2.0 ** e),
+        st.integers(0, 4).map(float)), min_size=n, max_size=n)] * 2))
+
+
+@given(vector_pairs, st.sampled_from(["pearson", "cosine"]))
+@example(([1.0, 2.0 ** -53, 0.0], [1.0, 1.0, 0.0]), "cosine")
+@example(([1.2e154, 1.2e154, 0.0], [2.0 ** 470, 2.0 ** -604, 0.0]), "cosine")
+@settings(max_examples=examples(400), deadline=None)
+def test_similarity_pair_matches_the_fsum_reference(xy, measure):
+    fn = pearson if measure == "pearson" else cosine
+    got = _outcome(fn, *xy)
+    expected = _outcome(reference_pair, measure, *xy)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert type(got) is float and got.hex() == expected.hex()
