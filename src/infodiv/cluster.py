@@ -28,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from .entropy import _entropy_bits
-from .errors import SizeLimitError
+from .errors import InvalidInputError, SizeLimitError
 from .matrix import (
     LabeledMatrix,
     ProbabilityModel,
@@ -200,7 +200,7 @@ def greedy_bisect(model: ProbabilityModel, subtree: RowSubset,
     """
     subtree = check_subset(model, subtree)
     if len(subtree) < 2:
-        raise ValueError("cannot bisect fewer than 2 rows")
+        raise InvalidInputError("cannot bisect fewer than 2 rows")
     rows = model.joint[list(subtree)]
     total = rows.sum(axis=0)
     whole = _entropies(total)
@@ -248,7 +248,7 @@ def exhaustive_bisect(model: ProbabilityModel,
     subtree = tuple(sorted(check_subset(model, subtree)))
     n = len(subtree)
     if n < 2:
-        raise ValueError("cannot bisect fewer than 2 rows")
+        raise InvalidInputError("cannot bisect fewer than 2 rows")
     if n > MAX_BISECT_ROWS:
         raise SizeLimitError(
             f"{n} rows exceeds the exhaustive bisect limit of "

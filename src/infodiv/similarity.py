@@ -10,9 +10,10 @@ NaN.
 Every sum of squares or products is rounded once, from its exact value, by
 `_exact_sums`: a vectorised error-free summation whose result is certified
 a posteriori, with `math.fsum` only for the rows the certificate does not
-cover. So `similarity_matrix` gives, bit for bit, what `pearson` or
-`cosine` give on each pair, while it scores all pairs at once, in chunks
-of at most `_CHUNK_CELLS` matrix cells.
+cover. `pearson` and `cosine` are the one-pair case of the body that
+`similarity_matrix` runs on each chunk of at most `_CHUNK_CELLS` matrix
+cells, so the matrix gives, bit for bit, what they give on each pair by
+construction.
 """
 
 from __future__ import annotations
@@ -74,36 +75,56 @@ def cosine(x, y) -> float:
 
 
 def _pair(measure: str, x, y) -> float:
-    """`measure` of the vectors x and y: sum(xy) / sqrt(sum(x^2) * sum(y^2)),
-    of the centered vectors for Pearson, whose result is clipped to
-    [-1, 1].
+    """`measure` of the vectors x and y: the one-pair case of `_scores`.
 
     Exactly rounded sums make the result invariant under appending
     coordinates that are zero in both vectors.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    min_width = 2 if measure == "pearson" else 1
-    if x.shape != y.shape or x.ndim != 1 or len(x) < min_width:
-        raise ValueError(f"{measure} needs two equal-length vectors, "
-                         f"length >= {min_width}")
+    _check_vectors(measure, x.shape, y.shape)
     pair = np.stack([x, y])
     if not np.isfinite(pair).all():
         raise NonFiniteValueError(f"{measure} undefined for a vector with "
                                   "NaN or infinite coordinates")
+    rows, ss = _prepared(measure, pair)
+    return float(_scores(measure, rows[:1], ss[:1], rows[1:], ss[1:])[0])
+
+
+def _check_vectors(measure: str, x_shape: tuple, y_shape: tuple) -> None:
+    """Raise unless `measure` can compare vectors of these shapes."""
+    min_width = 2 if measure == "pearson" else 1
+    if x_shape != y_shape or len(x_shape) != 1 or x_shape[0] < min_width:
+        raise InvalidInputError(f"{measure} needs two equal-length vectors, "
+                                f"length >= {min_width}")
+
+
+def _prepared(measure: str, rows: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the fresh 2-D array `rows`, centered in place for
+    Pearson, as `_scaled_rows` returns them with their sums of squares."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         if measure == "pearson":
-            pair = _centered(pair)
-            if not np.isfinite(pair).all():
-                error, what = _OVERFLOW
-                raise error(what)
-        (x, y), (sxx, syy) = _scaled_rows(pair)
-        if sxx == 0 or syy == 0:
-            error, what = _UNDEFINED[measure]
-            raise error(what)
-        r = float(_exact_sums((x * y)[None])[0]) / \
-            (math.sqrt(sxx) * math.sqrt(syy))
-    return min(1.0, max(-1.0, r)) if measure == "pearson" else r
+            rows -= rows.mean(axis=1, keepdims=True)
+        return _scaled_rows(rows)
+
+
+def _scores(measure: str, x: np.ndarray, sxx: np.ndarray, y: np.ndarray,
+            syy: np.ndarray, name=None) -> np.ndarray:
+    """`measure` of each pair k of rows x[k] and y[k] from `_prepared`,
+    whose sums of squares are sxx[k] and syy[k]: sum(xy) / sqrt(sum(x^2) *
+    sum(y^2)), clipped to [-1, 1] for Pearson. The first undefined pair
+    raises, its message followed by name(k) when `name` is given."""
+    # Centered values past the float range leave a sum of squares that is
+    # not finite, even after scaling.
+    finite = np.isfinite(sxx) & np.isfinite(syy)
+    bad = np.flatnonzero(~finite | (sxx == 0) | (syy == 0))
+    if len(bad):
+        k = int(bad[0])
+        error, what = _UNDEFINED[measure] if finite[k] else _OVERFLOW
+        raise error(what if name is None else f"{what} {name(k)}")
+    r = _exact_sums(x * y) / (np.sqrt(sxx) * np.sqrt(syy))
+    return np.clip(r, -1.0, 1.0) if measure == "pearson" else r
 
 
 def _scaled_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,7 +132,7 @@ def _scaled_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     their exactly rounded sums of squares. Only a row whose sum lies
     outside [_SQ_LO, _SQ_HI], or overflows, is first scaled by an exact
     power of two, to a largest magnitude in [0.5, 1); the ratio of
-    `_pair` does not change under such a scaling."""
+    `_scores` does not change under such a scaling."""
     ss = _exact_sums(rows * rows)
     out = np.flatnonzero(~((ss >= _SQ_LO) & (ss <= _SQ_HI)))
     if len(out):
@@ -253,65 +274,35 @@ def similarity_matrix(matrix: LabeledMatrix, measure: str = "pearson",
     if transform == "log1p":
         matrix = log_transform(matrix)
     n = matrix.n_rows
+    labels, values = matrix.row_labels, matrix.values
     width = n if diagonal_mode == "include" else n - 2
-    min_width = 2 if measure == "pearson" else 1
-    if n > 1 and width < min_width:
-        raise ValueError(f"{measure} needs two equal-length vectors, "
-                         f"length >= {min_width}")
-    # All pairs i < j in row-major order, a chunk at a time: the same
-    # rounded products, exactly rounded sums and correctly rounded sqrt and
-    # divide as pearson(x, y) or cosine(x, y) on each pair.
-    values = matrix.values
+    if n > 1:
+        _check_vectors(measure, (width,), (width,))
+    # All pairs i < j in row-major order, a chunk at a time, each scored by
+    # the body that scores pearson(x, y) or cosine(x, y).
     vals = np.eye(n)
     first, second = np.triu_indices(n, 1)
     chunk = max(1, _CHUNK_CELLS // n)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+    if diagonal_mode == "include":  # the vectors do not depend on the pair
+        rows, ss = _prepared(measure, values.copy())
+    for start in range(0, len(first), chunk):
+        i, j = first[start:start + chunk], second[start:start + chunk]
         if diagonal_mode == "include":
-            rows, ss = _scaled_rows(_centered(values) if measure == "pearson"
-                                    else values.copy())
-        for start in range(0, len(first), chunk):
-            i, j = first[start:start + chunk], second[start:start + chunk]
-            if diagonal_mode == "include":
-                x, sxx, y, syy = rows[i], ss[i], rows[j], ss[j]
-            else:
-                x, sxx, y, syy = _missing_diagonal_pairs(values, i, j,
-                                                         measure)
-            # Centered values past the float range leave a sum of squares
-            # that is not finite, even after scaling.
-            finite = np.isfinite(sxx) & np.isfinite(syy)
-            bad = np.flatnonzero(~finite | (sxx == 0) | (syy == 0))
-            if len(bad):
-                k = int(bad[0])
-                error, what = _UNDEFINED[measure] if finite[k] else _OVERFLOW
-                raise error(f"{what} (pair {matrix.row_labels[i[k]]!r}, "
-                            f"{matrix.row_labels[j[k]]!r})")
-            r = _exact_sums(x * y) / (np.sqrt(sxx) * np.sqrt(syy))
-            if measure == "pearson":
-                r = np.clip(r, -1.0, 1.0)
-            vals[i, j] = vals[j, i] = r
+            x, sxx, y, syy = rows[i], ss[i], rows[j], ss[j]
+        else:
+            # Pair k compares rows i[k] and j[k], both without positions
+            # i[k] and j[k].
+            pairs = np.arange(len(i))
+            keep = np.ones((len(i), n), dtype=bool)
+            keep[pairs, i] = False
+            keep[pairs, j] = False
+            x = values[i][keep].reshape(-1, width)
+            y = values[j][keep].reshape(-1, width)
+            (x, sxx), (y, syy) = _prepared(measure, x), _prepared(measure, y)
+        vals[i, j] = vals[j, i] = _scores(
+            measure, x, sxx, y, syy,
+            lambda k: f"(pair {labels[i[k]]!r}, {labels[j[k]]!r})")
     vals.setflags(write=False)
-    return SimilarityMatrix(labels=matrix.row_labels, values=vals,
+    return SimilarityMatrix(labels=labels, values=vals,
                             measure=measure, diagonal_mode=diagonal_mode,
                             transform=transform)
-
-
-def _centered(rows: np.ndarray) -> np.ndarray:
-    return rows - rows.mean(axis=1, keepdims=True)
-
-
-def _missing_diagonal_pairs(values: np.ndarray, i: np.ndarray,
-                            j: np.ndarray, measure: str):
-    """Rows i[k] and j[k], for each pair k, with positions i[k] and j[k]
-    dropped from both, centered for Pearson and scaled by `_scaled_rows`:
-    the first rows' vectors, their sums of squares, the second rows'
-    vectors and theirs."""
-    n = values.shape[1]
-    keep = np.ones((len(i), n), dtype=bool)
-    pairs = np.arange(len(i))
-    keep[pairs, i] = False
-    keep[pairs, j] = False
-    x = values[i][keep].reshape(-1, n - 2)
-    y = values[j][keep].reshape(-1, n - 2)
-    if measure == "pearson":
-        x, y = _centered(x), _centered(y)
-    return (*_scaled_rows(x), *_scaled_rows(y))

@@ -20,6 +20,7 @@ from hypothesis import settings
 
 from infodiv import (
     Grouping,
+    InvalidInputError,
     NonFiniteValueError,
     ParseError,
     SplitEvaluation,
@@ -235,8 +236,8 @@ def reference_pair(measure, x, y):
     y = np.asarray(y, dtype=float)
     min_width = 2 if measure == "pearson" else 1
     if x.shape != y.shape or x.ndim != 1 or len(x) < min_width:
-        raise ValueError(f"{measure} needs two equal-length vectors, "
-                         f"length >= {min_width}")
+        raise InvalidInputError(f"{measure} needs two equal-length "
+                                f"vectors, length >= {min_width}")
     pair = np.stack([x, y])
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         if measure == "pearson":

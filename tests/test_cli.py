@@ -320,3 +320,75 @@ def test_pearson_centering_past_the_float_range_exits_2(tmp_path, capsys,
     assert captured.err == "error: correlation undefined: centering leaves " \
         "the float range (pair 'a', 'b')\n"
     assert run_cli(argv + ["--measure", "cosine"]) == 0
+
+
+# One row or column, two, three, tied rows and constant rows.
+TINY_CSVS = {
+    "1x1": "x,a\na,1\n",
+    "1x2": "x,a,b\na,1,2\n",
+    "2x1": "x,a\na,1\nb,2\n",
+    "2x2": "x,a,b\na,1,2\nb,2,1\n",
+    "2x2-constant": "x,a,b\na,1,1\nb,4,4\n",
+    "3x3": "x,a,b,c\na,5,2,0\nb,2,7,1\nc,0,1,4\n",
+    "3x3-tied": "x,a,b,c\na,1,2,3\nb,1,2,3\nc,1,2,3\n",
+    "3x3-constant": "x,a,b,c\na,2,2,2\nb,3,3,3\nc,1,1,1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TINY_CSVS))
+def test_every_command_on_a_tiny_matrix_exits_0_or_2(tmp_path, capsys,
+                                                     name):
+    csv_text = TINY_CSVS[name]
+    matrix = tmp_path / "m.csv"
+    matrix.write_text(csv_text)
+    rows = [line.split(",")[0] for line in csv_text.splitlines()[1:]]
+    groups = tmp_path / "groups.json"
+    groups.write_text(json.dumps({r: f"g{k % 2}" for k, r in enumerate(rows)}))
+    dend = tmp_path / "dend.json"
+    m = str(matrix)
+    argvs = [["cluster", m, "--mode", mode, "--stop", stop, "--format", fmt]
+             for mode, stop, fmt in itertools.product(
+                 ["greedy", "exhaustive"], ["divisive", "full"],
+                 ["json", "newick", "dot", "text", "svg"])]
+    argvs += [["similarity", m, "--measure", measure, "--diagonal", diagonal,
+               *log] for measure, log, diagonal in itertools.product(
+                   ["pearson", "cosine"], [[], ["--log"]],
+                   ["include", "missing"])]
+    argvs += [["oracle", m, *max_groups] for max_groups in
+              [[], ["--max-groups", "1"], ["--max-groups", "2"]]]
+    argvs += [["entropy", m, "--groups", str(groups)],
+              ["cluster", m, "--out", str(dend)],
+              ["render", str(dend)], ["render", str(dend), "--format", "svg"]]
+    wrong = {}
+    for argv in argvs:
+        try:
+            code = run_cli(argv)
+        except Exception as exc:  # reported below, with its argv
+            code = repr(exc)
+        err = capsys.readouterr().err
+        if code not in (0, 2) or code == 2 and (
+                not err.startswith("error: ") or err.count("\n") != 1):
+            wrong[" ".join(argv[:1] + argv[2:])] = (code, err)
+    assert wrong == {}
+
+
+MISSING = ["--diagonal", "missing"]
+
+
+@pytest.mark.parametrize("csv_text, argv, message", [
+    (TINY_CSVS["2x2"], ["similarity", "--measure", "cosine", *MISSING],
+     "cosine needs two equal-length vectors, length >= 1"),
+    (TINY_CSVS["2x2"], ["similarity", "--measure", "pearson", *MISSING],
+     "pearson needs two equal-length vectors, length >= 2"),
+    (TINY_CSVS["3x3"], ["similarity", "--measure", "pearson", *MISSING],
+     "pearson needs two equal-length vectors, length >= 2"),
+    (TINY_CSVS["1x2"], ["oracle"], "cannot bisect fewer than 2 rows"),
+], ids=["2x2-cosine-missing", "2x2-pearson-missing", "3x3-pearson-missing",
+        "1-row-oracle"])
+def test_too_small_a_matrix_exits_2(tmp_path, capsys, csv_text, argv,
+                                    message):
+    p = tmp_path / "m.csv"
+    p.write_text(csv_text)
+    assert run_cli([argv[0], str(p), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"

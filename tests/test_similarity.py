@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import examples, reference_pair, reference_similarity_matrix
 from infodiv import (
     InfodivError,
+    InvalidInputError,
     NonFiniteValueError,
     UndefinedCorrelation,
     UndefinedCosine,
@@ -58,7 +59,7 @@ def test_cosine_zero_vector_is_an_error():
         "cosine-empty", "cosine-unequal", "cosine-not-1d"])
 def test_vector_shapes_are_checked(measure, x, y):
     length = 2 if measure is pearson else 1
-    with pytest.raises(ValueError, match=re.escape(
+    with pytest.raises(InvalidInputError, match=re.escape(
             f"{measure.__name__} needs two equal-length vectors, "
             f"length >= {length}")):
         measure(x, y)
@@ -383,12 +384,20 @@ def _cocitation(rng, n):
     return build_matrix(labels, labels, counts)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_small_chunks_match_the_per_pair_loop(monkeypatch, seed):
+# A chunk of three rows of cells splits most rows' pairs across chunks; one
+# of n - 1 cells holds a single pair, and `_exact_sums` then sums one row
+# per block.
+@pytest.mark.parametrize("seed, chunk_cells", [
+    *[pytest.param(seed, lambda n: 3 * n, id=f"{seed}") for seed in (1, 2, 3)],
+    *[pytest.param(seed, lambda n: n - 1, id=f"{seed}-one-pair")
+      for seed in (1, 2, 3)],
+])
+def test_small_chunks_match_the_per_pair_loop(monkeypatch, seed,
+                                              chunk_cells):
     rng = np.random.default_rng(seed)
     matrix = _cocitation(rng, int(rng.integers(20, 41)))
-    # A chunk of three rows of cells splits most rows' pairs across chunks.
-    monkeypatch.setattr(similarity, "_CHUNK_CELLS", 3 * matrix.n_rows)
+    monkeypatch.setattr(similarity, "_CHUNK_CELLS",
+                        chunk_cells(matrix.n_rows))
     for measure, diagonal_mode, transform in itertools.product(
             ["pearson", "cosine"], ["include", "missing"], ["none", "log1p"]):
         args = (matrix, measure, diagonal_mode, transform)
