@@ -48,7 +48,6 @@ from .matrix import (
     LabeledMatrix,
     ProbabilityModel,
     build_matrix,
-    build_matrix_report,
     pooled_profile,
     probability_model,
 )

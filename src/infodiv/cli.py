@@ -1,9 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error. Results go
-to stdout or --out; diagnostics go to stderr. INFODIV_THREADS is validated
-and reserved: a value that is not an integer exits 2, and nothing reads
-the number, so results never depend on it.
+to stdout or --out; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -11,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import io as div_io
@@ -31,19 +28,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def thread_cap() -> int:
-    """INFODIV_THREADS as a positive int, 1 when unset. The value is
-    validated and reserved; nothing uses it yet."""
-    raw = os.environ.get("INFODIV_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InfodivError(f"INFODIV_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 @functools.cache
@@ -188,7 +172,6 @@ def run_cli(argv) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        thread_cap()  # validate the env var before doing any work
         text = _COMMANDS[args.command](args)
     except (InfodivError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,14 +49,16 @@ class ClusterOptions:
 
     stop_rule: "divisive" stops splitting where no strictly divisive split
     exists; "full" keeps splitting down to singletons, flagging each split.
-    Tie-breaking is always by lowest row index and is not configurable.
+    Greedy ties go to the row first in the group's order, not configurable:
+    row-index order at the root, the order its rows joined (seed first) in
+    a left child, its parent's order in a right child.
     """
 
     stop_rule: str = "divisive"
 
     def __post_init__(self):
         if self.stop_rule not in ("divisive", "full"):
-            raise ValueError(f"unknown stop_rule: {self.stop_rule!r}")
+            raise InvalidInputError(f"unknown stop_rule: {self.stop_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -207,8 +209,8 @@ def greedy_bisect(model: ProbabilityModel, subtree: RowSubset,
     halves = np.empty((2, *rows.shape))
 
     # The first move picks the seed: the best admissible single row, ties
-    # by lowest row index. Each later move adds the outside row that raises
-    # the transmission most, while one raises it by more than STRICT_TOL.
+    # to the first in `subtree`. Each later move adds the outside row that
+    # raises the transmission most, while one raises it more than STRICT_TOL.
     # `left_sum` adds the rows of `left` in order, as rows[left].sum(axis=0)
     # does.
     left: list[int] = []
@@ -289,7 +291,7 @@ def divisive_cluster(matrix: LabeledMatrix,
     at every node (small matrices only).
     """
     if method not in ("greedy", "exhaustive"):
-        raise ValueError(f"unknown method: {method!r}")
+        raise InvalidInputError(f"unknown method: {method!r}")
     model = probability_model(matrix)
 
     def bisect(subtree: RowSubset) -> SplitEvaluation | None:
@@ -330,12 +332,12 @@ def extract_clusters(dendrogram: Dendrogram, rule: str = "nondivisive",
     above cumulative height `height`.
     """
     if rule not in ("nondivisive", "height"):
-        raise ValueError(f"unknown cut rule: {rule!r}")
+        raise InvalidInputError(f"unknown cut rule: {rule!r}")
     if rule == "height":
         if height is None:
-            raise ValueError("height cut requires a height")
+            raise InvalidInputError("height cut requires a height")
         if height < 0:
-            raise ValueError("cut height must be >= 0")
+            raise InvalidInputError("cut height must be >= 0")
 
     def descend(node: DendrogramNode) -> bool:
         if rule == "nondivisive":

@@ -23,7 +23,7 @@ class DuplicateLabelError(InfodivError):
 
 
 class ZeroRowError(InfodivError):
-    """A row sums to zero and the policy is to reject such rows."""
+    """A row sums to zero."""
 
 
 class EmptyMatrixError(InfodivError):

@@ -21,15 +21,12 @@ from typing import Iterator
 import numpy as np
 
 from .cluster import Dendrogram, DendrogramNode, SplitEvaluation
-from .errors import NonFiniteValueError, ParseError
+from .errors import InvalidInputError, NonFiniteValueError, ParseError
 from .matrix import LabeledMatrix, build_matrix
 from .similarity import SimilarityMatrix
 
 _CTX = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_UP)
 _NEWICK_PLAIN = re.compile(r"[^\s()\[\]':;,_]*")
-_JSON_CONSTANTS = {"true": True, "false": False, "null": None,
-                   "NaN": math.nan, "Infinity": math.inf,
-                   "-Infinity": -math.inf}
 # The fields of an export's "split" object and their kinds for `_field`,
 # in the order `dendrogram_from_json` checks them.
 _SPLIT_FIELDS = {"h_aggregate": float, "h_left": float, "h_right": float,
@@ -228,18 +225,23 @@ def export_dendrogram(dendrogram: Dendrogram, fmt: str = "json") -> str:
         return _newick(dendrogram)
     if fmt == "dot":
         return _dot(dendrogram)
-    raise ValueError(f"unknown export format: {fmt!r}")
+    raise InvalidInputError(f"unknown export format: {fmt!r}")
 
 
 def dendrogram_from_json(text: str) -> Dendrogram:
     """Rebuild a Dendrogram from the canonical JSON export, however deeply
     nested. Text that is not JSON raises json.JSONDecodeError; a document
-    of another shape raises ParseError naming the first bad field."""
+    of another shape, or a tree that is not one (a label given twice, or
+    children that do not partition their node), raises ParseError naming
+    the first bad field."""
     doc = load_json(text)
     labels = _field(doc, "labels", "document", list)
-    if not all(isinstance(lab, str) for lab in labels):
-        raise ParseError("document.labels: every label must be a string")
-    index = {lab: i for i, lab in enumerate(labels)}
+    index: dict[str, int] = {}
+    for i, lab in enumerate(labels):
+        if not isinstance(lab, str):
+            raise ParseError("document.labels: every label must be a string")
+        if index.setdefault(lab, i) != i:
+            raise ParseError(f"document.labels: repeated label {lab!r}")
 
     # Depth first without recursion: an object's own fields are checked on
     # the way down, its split's numbers on the way back up, once both
@@ -252,6 +254,9 @@ def dendrogram_from_json(text: str) -> Dendrogram:
             members, height, s = inner
             kids = (built[-2], built[-1])
             del built[-2:]
+            if tuple(sorted(kids[0].members + kids[1].members)) != members:
+                raise ParseError(f"{path}.children: their members must "
+                                 f"partition {path}.members")
             split = SplitEvaluation(
                 left=kids[0].members, right=kids[1].members,
                 **{key: _field(s, key, f"{path}.split", kind)
@@ -259,11 +264,15 @@ def dendrogram_from_json(text: str) -> Dendrogram:
             built.append(DendrogramNode(members=members, height=height,
                                         split=split, children=kids))
             continue
-        members = []
+        members = set()
         for lab in _field(d, "members", path, list):
             if not isinstance(lab, str) or lab not in index:
                 raise ParseError(f"{path}.members: unknown label {lab!r}")
-            members.append(index[lab])
+            if index[lab] in members:
+                raise ParseError(f"{path}.members: repeated label {lab!r}")
+            members.add(index[lab])
+        if path == "tree" and len(members) != len(labels):
+            raise ParseError("tree.members: the root must hold every label")
         members = tuple(sorted(members))
         height = _field(d, "height", path, float)
         if "children" not in d:
@@ -298,19 +307,18 @@ def _scan_json(text: str):
     def fail(message: str, pos: int):
         raise json.JSONDecodeError(message, text, pos)
 
-    # Compiled on first use, so that importing the module stays cheap.
-    space = re.compile(r"[ \t\n\r]*")
-    number = re.compile(r"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+    # json.loads' reader of one value; never given a bracket, so never nests.
+    scan = json.scanner.make_scanner(json.JSONDecoder())
 
     def skip(pos: int) -> int:
-        return space.match(text, pos).end()
+        return json.decoder.WHITESPACE.match(text, pos).end()
 
     def key(pos: int) -> tuple[str, int]:
         """An object key at `pos`, and where its value starts."""
         pos = skip(pos)
         if not text.startswith('"', pos):
             fail("Expecting property name enclosed in double quotes", pos)
-        name, pos = json.decoder.scanstring(text, pos + 1)
+        name, pos = scan(text, pos)
         pos = skip(pos)
         if not text.startswith(":", pos):
             fail("Expecting ':' delimiter", pos)
@@ -332,19 +340,15 @@ def _scan_json(text: str):
             else:
                 open_.append([[], None])
                 continue
-        elif c == '"':
-            value, pos = json.decoder.scanstring(text, pos + 1)
-        elif (m := number.match(text, pos)):
+        else:
             try:
-                value = float(m[0]) if m[1] or m[2] else int(m[0])
+                value, pos = scan(text, pos)
+            except StopIteration:
+                fail("Expecting value", pos)
+            except json.JSONDecodeError:  # a malformed string
+                raise
             except ValueError:  # over int's limit on decimal digits
                 fail("Number too long", pos)
-            pos = m.end()
-        elif (word := next((w for w in _JSON_CONSTANTS
-                            if text.startswith(w, pos)), None)):
-            value, pos = _JSON_CONSTANTS[word], pos + len(word)
-        else:
-            fail("Expecting value", pos)
         # Put it in the innermost open container; close those that end.
         while True:
             pos = skip(pos)

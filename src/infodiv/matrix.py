@@ -9,7 +9,7 @@ model, never from the raw counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,42 +66,18 @@ class ProbabilityModel:
         return self.joint.shape[1]
 
 
-@dataclass(frozen=True)
-class BuildReport:
-    """Outcome of matrix construction under the drop policy."""
-
-    matrix: LabeledMatrix
-    dropped_rows: tuple[str, ...] = ()
-
-
 def _check_labels(labels, kind: str) -> tuple[str, ...]:
     labels = tuple(str(x) for x in labels)
     if len(set(labels)) != len(labels):
-        seen, dups = set(), []
-        for x in labels:
-            if x in seen:
-                dups.append(x)
-            seen.add(x)
+        first: dict[str, int] = {}  # each label's first position
+        dups = [x for k, x in enumerate(labels) if first.setdefault(x, k) != k]
         raise DuplicateLabelError(f"duplicate {kind} labels: {dups}")
     return labels
 
 
-def build_matrix(row_labels, col_labels, values,
-                 zero_row_policy: str = "reject") -> LabeledMatrix:
-    """Validate and construct a LabeledMatrix.
-
-    zero_row_policy: "reject" raises on any all-zero row; "drop" removes
-    them silently (use build_matrix_report to learn which were dropped).
-    """
-    return build_matrix_report(row_labels, col_labels, values,
-                               zero_row_policy).matrix
-
-
-def build_matrix_report(row_labels, col_labels, values,
-                        zero_row_policy: str = "reject") -> BuildReport:
-    """As build_matrix, but also reports rows dropped under the drop policy."""
-    if zero_row_policy not in ("reject", "drop"):
-        raise ValueError(f"unknown zero_row_policy: {zero_row_policy!r}")
+def build_matrix(row_labels, col_labels, values) -> LabeledMatrix:
+    """Validate and construct a LabeledMatrix; an all-zero row raises
+    ZeroRowError."""
     row_labels = _check_labels(row_labels, "row")
     col_labels = _check_labels(col_labels, "column")
 
@@ -122,26 +98,18 @@ def build_matrix_report(row_labels, col_labels, values,
             f"negative value {arr[i, j]} at row {row_labels[i]!r}, "
             f"column {col_labels[j]!r}")
 
-    with np.errstate(over="ignore"):  # a sum past the float range is inf
-        row_sums = arr.sum(axis=1)
-        grand_sum = arr.sum()
-    dropped: tuple[str, ...] = ()
-    if np.any(row_sums == 0):
-        zero_idx = np.flatnonzero(row_sums == 0)
-        if zero_row_policy == "reject":
-            names = [row_labels[i] for i in zero_idx]
-            raise ZeroRowError(f"rows with zero sum: {names}")
-        keep = np.flatnonzero(row_sums > 0)
-        dropped = tuple(row_labels[i] for i in zero_idx)
-        row_labels = tuple(row_labels[i] for i in keep)
-        arr = arr[keep]
-
-    if arr.size == 0 or not grand_sum > 0:
+    # A row of nonnegative cells sums to zero exactly when no cell is
+    # nonzero; once each row has a positive sum, so has the whole matrix.
+    zero = np.flatnonzero(~arr.any(axis=1))
+    if len(zero):
+        names = [row_labels[i] for i in zero]
+        raise ZeroRowError(f"rows with zero sum: {names}")
+    if arr.size == 0:
         raise EmptyMatrixError("matrix grand sum is zero")
 
     arr = arr.copy()
     arr.setflags(write=False)
-    return BuildReport(LabeledMatrix(row_labels, col_labels, arr), dropped)
+    return LabeledMatrix(row_labels, col_labels, arr)
 
 
 def probability_model(matrix: LabeledMatrix) -> ProbabilityModel:

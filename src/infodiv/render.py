@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 
 from .cluster import Dendrogram, DendrogramNode
+from .errors import InvalidInputError
 from .io import _leaf_name, format_number
 
 _WIDTH = 60  # columns of the text drawing's plot area
@@ -49,7 +50,7 @@ def render_dendrogram(dendrogram: Dendrogram, fmt: str = "text") -> str:
         return _render_text(dendrogram)
     if fmt == "svg":
         return _render_svg(dendrogram)
-    raise ValueError(f"unknown render format: {fmt!r}")
+    raise InvalidInputError(f"unknown render format: {fmt!r}")
 
 
 def _render_text(dendrogram: Dendrogram) -> str:

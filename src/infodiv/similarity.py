@@ -262,11 +262,11 @@ def similarity_matrix(matrix: LabeledMatrix, measure: str = "pearson",
     transform, when requested, is applied before anything else.
     """
     if measure not in ("pearson", "cosine"):
-        raise ValueError(f"unknown measure: {measure!r}")
+        raise InvalidInputError(f"unknown measure: {measure!r}")
     if diagonal_mode not in ("include", "missing"):
-        raise ValueError(f"unknown diagonal_mode: {diagonal_mode!r}")
+        raise InvalidInputError(f"unknown diagonal_mode: {diagonal_mode!r}")
     if transform not in ("none", "log1p"):
-        raise ValueError(f"unknown transform: {transform!r}")
+        raise InvalidInputError(f"unknown transform: {transform!r}")
     if matrix.row_labels != matrix.col_labels:
         raise InvalidInputError("similarity needs a square matrix with "
                                 "matching row and column labels")

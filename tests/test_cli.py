@@ -140,16 +140,11 @@ def test_render_command(block_csv, tmp_path, capsys):
 def test_thread_env_var_does_not_change_output(block_csv, capsys,
                                                monkeypatch):
     outputs = []
-    for threads in ["1", "4"]:
+    for threads in ["1", "4", "lots"]:
         monkeypatch.setenv("INFODIV_THREADS", threads)
         assert run_cli(["cluster", block_csv]) == 0
         outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
-
-
-def test_bad_thread_env_var_exits_2(block_csv, capsys, monkeypatch):
-    monkeypatch.setenv("INFODIV_THREADS", "lots")
-    assert run_cli(["cluster", block_csv]) == 2
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_row_order_invariance(tmp_path, capsys):
@@ -185,6 +180,15 @@ def test_similarity_non_square_exits_2(block_csv, capsys):
     ("[1,2]", "document: expected an object"),
     ('{"labels":["a"],"tree":{"members":["b"],"height":0.0}}',
      "tree.members: unknown label 'b'"),
+    # Trees that draw a leaf twice unless rejected.
+    ('{"labels":["a","b","c"],"tree":{"members":["a","b"],"height":0.0,'
+     '"split":{},"children":[{"members":["a"],"height":1.0},'
+     '{"members":["a"],"height":1.0}]}}',
+     "tree.members: the root must hold every label"),
+    ('{"labels":["a","b"],"tree":{"members":["a","b"],"height":0.0,'
+     '"split":{},"children":[{"members":["a"],"height":1.0},'
+     '{"members":["a"],"height":1.0}]}}',
+     "tree.children: their members must partition tree.members"),
 ])
 def test_render_malformed_dendrogram_exits_2(tmp_path, capsys, doc, field):
     p = tmp_path / "dend.json"
@@ -192,6 +196,7 @@ def test_render_malformed_dendrogram_exits_2(tmp_path, capsys, doc, field):
     assert run_cli(["render", str(p)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and field in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_tree_deeper_than_the_recursion_limit(tmp_path, capsys):

@@ -42,6 +42,17 @@ def test_evaluate_bipartition_block():
         brute_local_h0(BLOCK, (0, 1, 2, 3), (0, 1)), abs=1e-12)
 
 
+def test_greedy_ties_go_to_the_first_row_in_group_order():
+    # The two seeds tie; the one listed first in the group wins, whatever
+    # its row index, so a child group's order (the order its rows joined)
+    # decides its ties.
+    pm = probability_model(build_matrix(["a", "b"], ["x", "y"],
+                                        [[1, 2], [2, 1]]))
+    full = ClusterOptions(stop_rule="full")
+    assert greedy_bisect(pm, (1, 0), full).left == (1,)
+    assert greedy_bisect(pm, (0, 1), full).left == (0,)
+
+
 def test_evaluate_bipartition_identical_rows_not_divisive():
     pm = probability_model(build_matrix(["a", "b"], ["x", "y"],
                                         [[1, 1], [1, 1]]))

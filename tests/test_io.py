@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from infodiv import (
     ClusterOptions,
     InfodivError,
+    InvalidInputError,
     ParseError,
     NegativeValueError,
     NonFiniteValueError,
@@ -18,6 +19,7 @@ from infodiv import (
     dendrogram_from_json,
     divisive_cluster,
     export_dendrogram,
+    extract_clusters,
     format_number,
     parse_csv,
     render_dendrogram,
@@ -349,12 +351,66 @@ def test_similarity_csv_layout():
      '"children":[{"members":["a"],"height":1.0},'
      '{"members":["zz"],"height":1.0}]}}',
      "tree.children[1].members: unknown label 'zz'"),
+    ('{"labels":["a","b","a"],"tree":{}}',
+     "document.labels: repeated label 'a'"),
+    ('{"labels":["a","b"],"tree":{"members":["a","b","a"],"height":0.0}}',
+     "tree.members: repeated label 'a'"),
+    ('{"labels":["a","b","c"],"tree":{"members":["a","b"],"height":0.0}}',
+     "tree.members: the root must hold every label"),
+    ('{"labels":["a","b"],"tree":{"members":["a","b"],"height":0.0,'
+     '"split":{},"children":[{"members":["a"],"height":1.0},'
+     '{"members":["a"],"height":1.0}]}}',
+     "tree.children: their members must partition tree.members"),
+    # The children's own fields come first, then the partition, then the
+    # split's numbers.
+    ('{"labels":["a","b","c"],"tree":{"members":["a","b","c"],'
+     '"height":0.0,"split":{},"children":['
+     '{"members":["a","b"],"height":1.0,"split":{},"children":['
+     '{"members":["a"],"height":1.0},{"members":["a","a"],"height":1.0}]},'
+     '{"members":["c"],"height":1.0}]}}',
+     "tree.children[0].children[1].members: repeated label 'a'"),
+    ('{"labels":["a","b","c"],"tree":{"members":["a","b","c"],'
+     '"height":0.0,"split":{},"children":['
+     '{"members":["a","b"],"height":1.0},{"members":["b"],"height":1.0}]}}',
+     "tree.children: their members must partition tree.members"),
 ], ids=["no-labels", "label-type", "height-string", "height-nan",
         "height-huge-int", "one-child", "no-split", "divisive-type",
-        "child-type", "child-before-split"])
+        "child-type", "child-before-split", "repeated-label",
+        "repeated-member", "root-short", "children-overlap",
+        "member-before-partition", "partition-before-split"])
 def test_dendrogram_from_json_names_the_bad_field(doc, message):
     with pytest.raises(ParseError, match=re.escape(message)):
         dendrogram_from_json(doc)
+
+
+SQUARE = build_matrix(["a", "b"], ["a", "b"], [[2, 0], [0, 2]])
+TREE = divisive_cluster(SQUARE)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ClusterOptions(stop_rule="half"), "unknown stop_rule: 'half'"),
+    (lambda: divisive_cluster(SQUARE, method="random"),
+     "unknown method: 'random'"),
+    (lambda: extract_clusters(TREE, rule="top"), "unknown cut rule: 'top'"),
+    (lambda: extract_clusters(TREE, rule="height"),
+     "height cut requires a height"),
+    (lambda: extract_clusters(TREE, rule="height", height=-1.0),
+     "cut height must be >= 0"),
+    (lambda: similarity_matrix(SQUARE, measure="spearman"),
+     "unknown measure: 'spearman'"),
+    (lambda: similarity_matrix(SQUARE, diagonal_mode="skip"),
+     "unknown diagonal_mode: 'skip'"),
+    (lambda: similarity_matrix(SQUARE, transform="sqrt"),
+     "unknown transform: 'sqrt'"),
+    (lambda: export_dendrogram(TREE, "png"), "unknown export format: 'png'"),
+    (lambda: render_dendrogram(TREE, "png"), "unknown render format: 'png'"),
+], ids=["stop-rule", "method", "cut-rule", "cut-no-height",
+        "cut-negative-height", "measure", "diagonal-mode", "transform",
+        "export-format", "render-format"])
+def test_bad_option_value_raises_invalid_input(call, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)) as exc:
+        call()
+    assert isinstance(exc.value, ValueError)
 
 
 JSON_VALUES = st.recursive(

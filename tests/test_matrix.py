@@ -8,7 +8,6 @@ from infodiv import (
     NonFiniteValueError,
     ZeroRowError,
     build_matrix,
-    build_matrix_report,
     pooled_profile,
     probability_model,
 )
@@ -40,14 +39,9 @@ def test_duplicate_labels_rejected():
         build_matrix(["a", "b"], ["x", "x"], [[1, 0], [0, 1]])
 
 
-def test_zero_row_reject_and_drop():
-    with pytest.raises(ZeroRowError):
+def test_zero_row_rejected():
+    with pytest.raises(ZeroRowError, match=r"rows with zero sum: \['a'\]"):
         build_matrix(["a", "b"], ["x", "y"], [[0, 0], [1, 2]])
-    rep = build_matrix_report(["a", "b"], ["x", "y"], [[0, 0], [1, 2]],
-                              zero_row_policy="drop")
-    assert rep.dropped_rows == ("a",)
-    assert rep.matrix.row_labels == ("b",)
-    assert rep.matrix.values.tolist() == [[1, 2]]
 
 
 def test_all_zero_rejected():
