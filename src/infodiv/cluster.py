@@ -17,7 +17,10 @@ the admissible seeds, start from the one with the highest transmission,
 then repeatedly move in the single best outside row while that strictly
 increases the transmission. It and the exhaustive search rank candidates by
 one kernel on pooled row sums; only the winner goes through
-`evaluate_bipartition`.
+`evaluate_bipartition`. Both take every entropy from `entropy._entropies`,
+but the kernel subtracts the left half's sum from the group's where
+`evaluate_bipartition` pools the right half's rows, so a kernel score and
+the reported `local_h0` can differ in the last bits.
 """
 
 from __future__ import annotations
@@ -27,13 +30,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .entropy import _entropy_bits
+from .entropy import _entropies
 from .errors import InvalidInputError, SizeLimitError
 from .matrix import (
     LabeledMatrix,
     ProbabilityModel,
     RowSubset,
-    _pool_rows,
     check_subset,
     probability_model,
 )
@@ -116,19 +118,22 @@ def evaluate_bipartition(model: ProbabilityModel, subtree: RowSubset,
                          left: RowSubset) -> SplitEvaluation:
     """Score one bipartition of `subtree` into `left` and its complement.
 
-    The arguments are validated once; the three entropies are then those of
-    `pooled_profile` and `shannon_entropy`, with the same arithmetic but
-    without validating each group again."""
+    The arguments are validated once. The rows of the subtree, of `left`
+    and of the right half are pooled as `pooled_profile` pools them, and
+    the three sums are scored in one `_entropies` call."""
     subtree = check_subset(model, subtree)
     left = check_subset(model, left)
     left_set = set(left)
     if not left_set < set(subtree):
-        raise ValueError("left must be a proper subset of subtree")
+        raise InvalidInputError("left must be a proper subset of subtree")
     right = tuple(i for i in subtree if i not in left_set)
 
-    (w_sub, h_agg), (w_l, h_l), (w_r, h_r) = (
-        (w, _entropy_bits(profile)) for w, profile in
-        (_pool_rows(model, g) for g in (subtree, left, right)))
+    h, w = _entropies(np.stack([model.joint[list(g)].sum(axis=0)
+                                for g in (subtree, left, right)]))
+    (h_agg, h_l, h_r), (w_sub, w_l, w_r) = h.tolist(), w.tolist()
+    # Zero rows are rejected at ingestion, so every weight is positive.
+    if not min(w_sub, w_l, w_r) > 0:
+        raise AssertionError(f"a group of {subtree} has zero probability")
 
     # Within-subtree weights; the chain rule wants global_delta = w_sub * h0.
     local_h0 = h_agg - (w_l * h_l + w_r * h_r) / w_sub
@@ -137,19 +142,6 @@ def evaluate_bipartition(model: ProbabilityModel, subtree: RowSubset,
     return SplitEvaluation(left=left, right=right, h_aggregate=h_agg,
                            h_left=h_l, h_right=h_r, local_h0=local_h0,
                            global_delta=w_sub * local_h0, divisive=divisive)
-
-
-def _entropies(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entropy in bits of each row of `sums` once normalized, and its total.
-    A row of total 0 has entropy 0. Adding 1 where p is 0 leaves every
-    other p as it is, so each p log2 p has the bits of the masked form."""
-    weights = sums.sum(axis=-1)
-    p = np.divide(sums, weights[..., None], out=np.zeros_like(sums),
-                  where=weights[..., None] > 0)
-    plogp = p + (p == 0)
-    np.log2(plogp, out=plogp)
-    plogp *= p
-    return np.maximum(-plogp.sum(axis=-1), 0.0), weights
 
 
 def _split_scores(total: np.ndarray, whole: tuple[np.ndarray, np.ndarray],

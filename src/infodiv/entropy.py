@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidInputError
 from .matrix import ProbabilityModel
 
 IDENTITY_TOL = 1e-9  # bits
@@ -35,7 +36,7 @@ class Grouping:
     def __post_init__(self):
         used = set(self.assignment)
         if used != set(range(self.m)):
-            raise ValueError(
+            raise InvalidInputError(
                 f"group ids must cover 0..{self.m - 1}, got {sorted(used)}")
 
     @classmethod
@@ -45,11 +46,13 @@ class Grouping:
         assignment = [-1] * n_rows
         for g, members in enumerate(groups):
             for i in members:
+                if not 0 <= i < n_rows:
+                    raise InvalidInputError(f"row {i} outside 0..{n_rows - 1}")
                 if assignment[i] != -1:
-                    raise ValueError(f"row {i} assigned twice")
+                    raise InvalidInputError(f"row {i} assigned twice")
                 assignment[i] = g
         if -1 in assignment:
-            raise ValueError("grouping does not cover all rows")
+            raise InvalidInputError("grouping does not cover all rows")
         return cls(tuple(assignment), len(groups))
 
     def members(self, g: int) -> tuple[int, ...]:
@@ -70,32 +73,47 @@ class EntropyReport:
 
 
 def shannon_entropy(dist) -> float:
-    """Entropy -sum p*log2(p) of a probability vector, with 0*log2(0) = 0."""
-    p = np.asarray(dist, dtype=float)
-    if np.any(p < 0):
-        raise ValueError("probabilities must be nonnegative")
+    """Entropy -sum p*log2(p) of a probability vector, with 0*log2(0) = 0.
+    An array of any shape is taken as one distribution."""
+    p = np.asarray(dist, dtype=float).ravel()
+    if not (np.isfinite(p).all() and (p >= 0).all()):
+        raise InvalidInputError("probabilities must be finite and nonnegative")
     total = p.sum()
     if abs(total - 1.0) > IDENTITY_TOL:
-        raise ValueError(f"probabilities sum to {total}, expected 1")
-    return _entropy_bits(p)
+        raise InvalidInputError(f"probabilities sum to {total}, expected 1")
+    return float(_entropy_bits(p))
 
 
-def _entropy_bits(p: np.ndarray) -> float:
-    """shannon_entropy of a float array already known to be a
-    distribution."""
-    nz = p[p > 0]
-    return float(max(-(nz * np.log2(nz)).sum(), 0.0))
+def _entropy_bits(p: np.ndarray) -> np.ndarray:
+    """Bits of each distribution along the last axis of `p`, unvalidated.
+    Adding 1 where p is 0 gives 0 log2 0 = 0 without a warning and leaves
+    every other p log2 p as it is."""
+    plogp = p + (p == 0)
+    np.log2(plogp, out=plogp)
+    plogp *= p
+    return np.maximum(-plogp.sum(axis=-1), 0.0)
+
+
+def _entropies(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy in bits of each row of `sums` once normalized, and its total.
+    A row of total 0 has entropy 0."""
+    weights = sums.sum(axis=-1)
+    p = np.divide(sums, weights[..., None], out=np.zeros_like(sums),
+                  where=weights[..., None] > 0)
+    return _entropy_bits(p), weights
 
 
 def decompose(model: ProbabilityModel, grouping: Grouping) -> EntropyReport:
     """Entropy decomposition of the column variable under a row grouping.
 
+    The group entropies Hg come from one `_entropies` call on the
+    aggregated joint; H(n), H(m) and H(n,m) from `shannon_entropy`.
     H(n) = H0 + sum_g Pg Hg and 0 <= H0 <= min(H(n), H(m)) are checked to
     within 1e-9 bits. A violation indicates a bug or an inconsistent model,
     not bad data, so it raises AssertionError, also under `python -O`.
     """
     if len(grouping.assignment) != model.n_rows:
-        raise ValueError(
+        raise InvalidInputError(
             f"grouping covers {len(grouping.assignment)} rows, "
             f"model has {model.n_rows}")
 
@@ -104,18 +122,13 @@ def decompose(model: ProbabilityModel, grouping: Grouping) -> EntropyReport:
     agg = np.zeros((grouping.m, model.n_cols))
     np.add.at(agg, assign, model.joint)
 
-    weights = agg.sum(axis=1)
+    h_groups, weights = _entropies(agg)
     h_m = shannon_entropy(weights)
     h_n = shannon_entropy(model.col_marginal)
-    h_joint = shannon_entropy(agg.ravel())
+    h_joint = shannon_entropy(agg)
     h_cond = h_joint - h_m
     h0 = h_n + h_m - h_joint
-
-    groups = []
-    for g in range(grouping.m):
-        p_g = float(weights[g])
-        h_g = shannon_entropy(agg[g] / p_g)
-        groups.append((p_g, h_g))
+    groups = tuple(zip(weights.tolist(), h_groups.tolist()))
 
     # H(n|m) = sum_g Pg Hg is this identity once h0 is substituted, and
     # h0 = H(n) + H(m) - H(n,m) holds by its definition above.
@@ -127,7 +140,7 @@ def decompose(model: ProbabilityModel, grouping: Grouping) -> EntropyReport:
 
     ratio = h0 / h_n if h_n > 0 else 0.0
     return EntropyReport(h_n=h_n, h_m=h_m, h_joint=h_joint, h_cond=h_cond,
-                         h0=h0, groups=tuple(groups), h0_ratio=ratio)
+                         h0=h0, groups=groups, h0_ratio=ratio)
 
 
 def transmission(model: ProbabilityModel, grouping: Grouping) -> float:

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DuplicateLabelError,
     EmptyMatrixError,
+    InvalidInputError,
     NegativeValueError,
     NonFiniteValueError,
     ZeroRowError,
@@ -133,11 +134,11 @@ def check_subset(model: ProbabilityModel, subset: RowSubset) -> RowSubset:
     """Validate a row subset: nonempty, distinct, in range."""
     subset = tuple(map(int, subset))
     if not subset:
-        raise ValueError("row subset must be nonempty")
+        raise InvalidInputError("row subset must be nonempty")
     if len(set(subset)) != len(subset):
-        raise ValueError(f"row subset has repeated indices: {subset}")
+        raise InvalidInputError(f"row subset has repeated indices: {subset}")
     if min(subset) < 0 or max(subset) >= model.n_rows:
-        raise ValueError(f"row index out of range in {subset}")
+        raise InvalidInputError(f"row index out of range in {subset}")
     return subset
 
 
@@ -148,14 +149,8 @@ def pooled_profile(model: ProbabilityModel,
     Returns (weight, profile): weight is the total row-marginal probability
     of the subset, profile the column distribution conditional on the group.
     """
-    return _pool_rows(model, check_subset(model, subset))
-
-
-def _pool_rows(model: ProbabilityModel,
-               subset: RowSubset) -> tuple[float, np.ndarray]:
-    """pooled_profile of a subset already validated by check_subset."""
-    idx = np.fromiter(subset, dtype=int)
-    pooled = model.joint[idx].sum(axis=0)
+    subset = check_subset(model, subset)
+    pooled = model.joint[list(subset)].sum(axis=0)
     weight = float(pooled.sum())
     # Zero rows are rejected at ingestion, so the weight is always positive.
     if not weight > 0:

@@ -16,8 +16,8 @@ from typing import Iterator
 import numpy as np
 
 from .cluster import MAX_BISECT_ROWS, STRICT_TOL, ClusterOptions, \
-    _entropies, _pooled_subsets, exhaustive_bisect, greedy_bisect
-from .entropy import Grouping, decompose
+    _pooled_subsets, exhaustive_bisect, greedy_bisect
+from .entropy import Grouping, _entropies, decompose
 from .errors import InvalidInputError, SizeLimitError
 from .matrix import LabeledMatrix, ProbabilityModel, probability_model
 

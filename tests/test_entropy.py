@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,12 +11,15 @@ from hypothesis import strategies as st
 
 from infodiv import (
     Grouping,
+    InvalidInputError,
     build_matrix,
     decompose,
+    evaluate_bipartition,
     probability_model,
     shannon_entropy,
     transmission,
 )
+from infodiv.matrix import check_subset
 
 from conftest import brute_decompose, entropy_bits, random_grouping, \
     random_matrix
@@ -32,11 +36,42 @@ def test_zero_times_log_zero_is_zero():
     assert shannon_entropy([0.5, 0.5, 0.0]) == 1.0
 
 
-def test_shannon_entropy_rejects_bad_input():
-    with pytest.raises(ValueError):
-        shannon_entropy([0.5, 0.4])
-    with pytest.raises(ValueError):
-        shannon_entropy([1.5, -0.5])
+def test_shannon_entropy_takes_any_shape_as_one_distribution():
+    assert shannon_entropy([[.25, .25], [.25, .25]]) == 2.0
+    assert shannon_entropy(np.full((2, 2, 2), 1 / 8)) == 3.0
+    assert shannon_entropy(1.0) == 0.0
+
+
+PM3 = probability_model(build_matrix(["a", "b", "c"], ["x", "y"],
+                                     [[3, 1], [1, 3], [3, 1]]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_subset(PM3, ()), "row subset must be nonempty"),
+    (lambda: check_subset(PM3, (0, 0)), "row subset has repeated indices"),
+    (lambda: check_subset(PM3, (0, 3)), "row index out of range in (0, 3)"),
+    (lambda: evaluate_bipartition(PM3, (0, 1), (0, 1)),
+     "left must be a proper subset of subtree"),
+    (lambda: Grouping((0, 2, 0), 2), "group ids must cover 0..1"),
+    (lambda: Grouping.from_sets([[0], [0, 1, 2]], 3), "row 0 assigned twice"),
+    (lambda: Grouping.from_sets([[0], [1]], 3),
+     "grouping does not cover all rows"),
+    (lambda: Grouping.from_sets([[0], [-1]], 2), "row -1 outside 0..1"),
+    (lambda: Grouping.from_sets([[0], [5]], 2), "row 5 outside 0..1"),
+    (lambda: shannon_entropy([1.5, -0.5]), "finite and nonnegative"),
+    (lambda: shannon_entropy([0.5, 0.5, math.nan]), "finite and nonnegative"),
+    (lambda: shannon_entropy([0.5, math.inf]), "finite and nonnegative"),
+    (lambda: shannon_entropy([0.5, 0.4]), "probabilities sum to 0.9"),
+    (lambda: decompose(PM3, Grouping((0, 1), 2)),
+     "grouping covers 2 rows, model has 3"),
+], ids=["subset-empty", "subset-repeated", "subset-range", "left-not-proper",
+        "group-ids", "row-twice", "rows-uncovered", "row-negative",
+        "row-past-end", "negative", "nan", "inf", "unnormalized",
+        "grouping-length"])
+def test_bad_argument_raises_invalid_input(call, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)) as exc:
+        call()
+    assert isinstance(exc.value, ValueError)
 
 
 @given(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=10))
