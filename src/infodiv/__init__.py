@@ -55,7 +55,6 @@ from .oracle import (
     OracleReport,
     exhaustive_bisect,
     exhaustive_partition,
-    restricted_growth_strings,
     verify_greedy,
 )
 from .render import divisive_cut_height, render_dendrogram

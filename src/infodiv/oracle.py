@@ -4,14 +4,14 @@ Searching all bipartitions of n rows means 2^(n-1) - 1 candidates; all set
 partitions, Bell(n). Both explode quickly, so hard size guards raise rather
 than let a call run for hours. `exhaustive_bisect` shares the greedy
 search's scoring kernel in `cluster` and is re-exported here. Partitions are
-enumerated via restricted growth strings, which visit each set partition
-exactly once, and ranked by sums of per-subset costs from the same kernel.
+enumerated by one depth-first search over row bitmasks of blocks, in the
+lexicographic order of restricted growth strings (Knuth, TAOCP 4A,
+7.2.1.5), and ranked by sums of per-subset costs from the same kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -33,34 +33,6 @@ class OracleReport:
     candidates_examined: int
     greedy_h0: float | None = None
     gap: float | None = None  # best_h0 - greedy_h0, >= 0 up to rounding
-
-
-def restricted_growth_strings(n: int, max_groups: int) -> Iterator[tuple[int, ...]]:
-    """All set partitions of n items with at most max_groups blocks.
-
-    Yields restricted growth strings a with a[0] = 0 and
-    a[i] <= max(a[:i]) + 1, in lexicographic order, without recursion
-    (Knuth, TAOCP 4A, 7.2.1.5, Algorithm H, with values capped at
-    max_groups - 1).
-    """
-    if n == 0 or n > 1 and max_groups < 1:
-        return
-    top = max_groups - 1
-    a = [0] * n
-    # b[i]: the largest value a[i] may take after a[:i], max(a[:i]) + 1
-    # capped at top.
-    b = [min(1, top)] * n
-    while True:
-        yield tuple(a)
-        i = n - 1
-        while i and a[i] == b[i]:
-            i -= 1
-        if i == 0:
-            return
-        a[i] += 1
-        if i < n - 1:
-            a[i + 1:] = [0] * (n - 1 - i)
-            b[i + 1:] = [min(b[i] + (a[i] == b[i]), top)] * (n - 1 - i)
 
 
 def exhaustive_partition(model: ProbabilityModel,
@@ -87,23 +59,34 @@ def exhaustive_partition(model: ProbabilityModel,
         cost[chunk] = w * h
     cost = cost.tolist()
     h_n = cost[-1]
-    bits = [1 << i for i in range(n)]
 
-    best_rgs = None
+    best_blocks = None
     best_h0 = -1.0
     best_m = n + 1
     count = 0
-    for rgs in restricted_growth_strings(n, max_groups):
-        count += 1
-        m = max(rgs) + 1
-        blocks = [0] * m
-        for bit, g in zip(bits, rgs):
-            blocks[g] |= bit
-        h0 = h_n - sum(cost[b] for b in blocks)
-        if h0 > best_h0 + STRICT_TOL or \
-                (abs(h0 - best_h0) <= STRICT_TOL and m < best_m):
-            best_rgs, best_h0, best_m = rgs, h0, m
-    best_grouping = Grouping(best_rgs, best_m)
+    # Prefixes as (next row, block bitmasks of the rows before it). Opening
+    # a new block is pushed first and the joins from the last block to the
+    # first, so block 0 is popped first and leaves come out in the
+    # lexicographic order of their restricted growth strings.
+    stack = [(1, (1,))]
+    while stack:
+        i, blocks = stack.pop()
+        if i == n:
+            count += 1
+            m = len(blocks)
+            h0 = h_n - sum(cost[b] for b in blocks)
+            if h0 > best_h0 + STRICT_TOL or \
+                    (abs(h0 - best_h0) <= STRICT_TOL and m < best_m):
+                best_blocks, best_h0, best_m = blocks, h0, m
+            continue
+        bit = 1 << i
+        if len(blocks) < max_groups:
+            stack.append((i + 1, blocks + (bit,)))
+        for g in reversed(range(len(blocks))):
+            stack.append((i + 1, blocks[:g] + (blocks[g] | bit,)
+                          + blocks[g + 1:]))
+    best_grouping = Grouping.from_sets(
+        [[r for r in range(n) if b >> r & 1] for b in best_blocks], n)
     return OracleReport(best_grouping=best_grouping,
                         best_h0=decompose(model, best_grouping).h0,
                         candidates_examined=count)

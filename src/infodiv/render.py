@@ -15,9 +15,9 @@ from .errors import InvalidInputError
 from .io import _leaf_name, format_number
 
 _WIDTH = 60  # columns of the text drawing's plot area
-# Characters XML 1.0 cannot carry, even as character references.
-_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd"
-                      "\U00010000-\U0010ffff]")
+# Characters XML 1.0 cannot carry, even as character references: the C0
+# controls but tab, newline and carriage return, surrogates, U+FFFE, U+FFFF.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def divisive_cut_height(dendrogram: Dendrogram) -> float:

@@ -10,6 +10,8 @@ SKIPPED when it is absent.
 import contextlib
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -230,19 +232,22 @@ def test_criterion_7_published_dataset_values():
         assert cluster_of[schubert] == cluster_of[vanraan]
 
 
-def test_criterion_8_determinism_across_thread_counts(tmp_path, monkeypatch,
-                                                      capsys):
-    with criterion(8, "byte-identical cluster output for any thread count"):
+def test_criterion_8_determinism_across_hash_seeds(tmp_path):
+    with criterion(8, "byte-identical cluster output under any string-hash "
+                      "seed"):
         csv_path = tmp_path / "m.csv"
         rng = np.random.default_rng(108)
         from infodiv import write_csv
-        csv_path.write_text(write_csv(random_matrix(rng, max_rows=8)))
+        # Eight labels: a set iterated in hash order would reorder them.
+        csv_path.write_text(write_csv(random_matrix(rng, min_rows=8,
+                                                    max_rows=8)))
+        src = str(Path(__file__).resolve().parents[1] / "src")
         blobs = []
-        for threads in ("1", "7"):
-            monkeypatch.setenv("INFODIV_THREADS", threads)
-            out = tmp_path / f"out{threads}.json"
-            assert run_cli(["cluster", str(csv_path),
-                            "--out", str(out)]) == 0
+        for seed in ("0", "12345"):
+            out = tmp_path / f"out{seed}.json"
+            subprocess.run([sys.executable, "-m", "infodiv.cli", "cluster",
+                            str(csv_path), "--out", str(out)], check=True,
+                           env={"PYTHONPATH": src, "PYTHONHASHSEED": seed})
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 

@@ -29,6 +29,7 @@ from infodiv import (
 )
 
 from infodiv.io import _scan_json, canonical_json
+from infodiv.render import _NOT_XML
 
 from conftest import random_matrix, reference_parse_csv
 
@@ -456,6 +457,14 @@ def _xml_char(c):
     o = ord(c)
     return c in "\t\n" or 0x20 <= o <= 0xD7FF or 0xE000 <= o <= 0xFFFD or \
         o >= 0x10000
+
+
+def test_not_xml_class_matches_the_xml_char_production():
+    # Reference: the complement of XML 1.0's Char production.
+    every = "".join(map(chr, range(0x110000)))
+    reference = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd"
+                           "\U00010000-\U0010ffff]")
+    assert _NOT_XML.sub("\ufffd", every) == reference.sub("\ufffd", every)
 
 
 def _newick_leaves(text):

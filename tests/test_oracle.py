@@ -11,19 +11,18 @@ from infodiv import cluster
 from infodiv import (
     SizeLimitError,
     build_matrix,
+    decompose,
     exhaustive_bisect,
     exhaustive_partition,
     greedy_bisect,
     probability_model,
-    restricted_growth_strings,
     transmission,
     verify_greedy,
     Grouping,
 )
 
-from conftest import brute_decompose, random_matrix, \
-    reference_exhaustive_bisect, reference_exhaustive_partition, \
-    reference_restricted_growth_strings
+from conftest import brute_decompose, examples, random_matrix, \
+    reference_exhaustive_bisect, reference_exhaustive_partition
 
 BLOCK = [[4, 4, 0, 0], [4, 4, 0, 0], [0, 0, 4, 4], [0, 0, 4, 4]]
 
@@ -37,27 +36,6 @@ def bell(n):
             nxt.append(nxt[-1] + v)
         row = nxt
     return row[-1]
-
-
-def test_rgs_counts_match_bell():
-    for n in range(1, 8):
-        parts = list(restricted_growth_strings(n, n))
-        assert len(parts) == bell(n)
-        assert len(set(parts)) == len(parts)
-
-
-def test_rgs_respects_max_groups():
-    for rgs in restricted_growth_strings(5, 2):
-        assert max(rgs) + 1 <= 2
-    # Partitions into at most 2 blocks: 2^(n-1).
-    assert len(list(restricted_growth_strings(5, 2))) == 16
-
-
-def test_rgs_match_the_recursive_generator():
-    for n in range(10):
-        for max_groups in range(n + 2):
-            assert list(restricted_growth_strings(n, max_groups)) == \
-                list(reference_restricted_growth_strings(n, max_groups))
 
 
 def test_exhaustive_bisect_block():
@@ -133,6 +111,39 @@ def test_exhaustive_partition_hand_example():
     assert rep.best_h0 == pytest.approx(0.1687, abs=1e-3)
 
 
+def test_exhaustive_partition_counts_every_partition():
+    for n in range(1, 8):
+        pm = probability_model(build_matrix(
+            [f"r{i}" for i in range(n)], ["x", "y"],
+            [[i + 1, 1] for i in range(n)]))
+        assert exhaustive_partition(pm, n).candidates_examined == bell(n)
+        # Partitions into at most 2 blocks: 2^(n-1).
+        assert exhaustive_partition(pm, min(n, 2)).candidates_examined == \
+            2 ** (n - 1)
+
+
+def test_exhaustive_partition_respects_max_groups():
+    # Rows with disjoint support: every split adds information, so the
+    # winner uses every block it may, and no more.
+    pm = probability_model(build_matrix(list("abcde"), list("vwxyz"),
+                                        np.eye(5, dtype=int)))
+    for max_groups in range(1, 6):
+        assert exhaustive_partition(pm, max_groups).best_grouping.m == \
+            max_groups
+
+
+def test_exhaustive_partition_ties_go_to_lexicographically_smallest_string():
+    # The matrix of the bisection tie test above: the strings
+    # (0, 1, 1, 0, 0) and (0, 1, 1, 1, 0) have the same H0 bits, and the
+    # search must reach the smaller one first.
+    vals = [[0, 2, 1], [1, 0, 0], [3, 0, 2], [1, 1, 2], [0, 2, 1]]
+    pm = probability_model(build_matrix(list("abcde"), list("xyz"), vals))
+    rep = exhaustive_partition(pm, 2)
+    assert rep.best_grouping.assignment == (0, 1, 1, 0, 0)
+    assert rep.best_h0.hex() == "0x1.89b2a4e107df8p-2"
+    assert decompose(pm, Grouping((0, 1, 1, 1, 0), 2)).h0 == rep.best_h0
+
+
 def test_exhaustive_ge_greedy(rng):
     for _ in range(25):
         m = random_matrix(rng, max_rows=7, max_cols=5)
@@ -201,7 +212,7 @@ def tied_count_matrices(draw):
 
 
 @given(tied_count_matrices())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 def test_exhaustive_partition_matches_per_candidate_reference(m):
     pm = probability_model(m)
     for max_groups in range(1, m.n_rows + 1):
