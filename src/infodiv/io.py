@@ -1,17 +1,23 @@
 """CSV ingestion, canonical dendrogram exports, and renderers.
 
 Numbers in all text formats are written with 12 significant digits, rounded
-half away from zero, so golden files are byte-exact across platforms and
-runs. JSON export uses sorted keys and a trailing newline for the same
-reason. Row and column labels are sorted lexicographically at ingestion,
-which makes clustering output independent of the input row order.
+half away from zero, as `format_number` defines, so golden files are
+byte-exact across platforms and runs. JSON export uses sorted keys and a
+trailing newline for the same reason. Row and column labels are sorted
+lexicographically at ingestion, which makes clustering output independent
+of the input row order.
+
+The CSV writer screens a whole matrix with numpy in one pass, then writes
+it a row at a time. Each cell is written by Python's "{:.12g}" where that
+provably gives format_number's text, and by format_number itself where
+the screens say it might not: -0.0, values below 1e-4 or from 1e11 up,
+non-finite values, and 13-digit ties (see `_screens`).
 """
 
 from __future__ import annotations
 
 import csv
 import decimal
-import io as _io
 import itertools
 import json
 import math
@@ -136,24 +142,73 @@ def _raise_first_error(body, width: int, col_labels) -> None:
                     f"malformed number {cell!r}") from None
 
 
-class _Formatted(dict):
-    """format_number of each float looked up, computed once per float."""
+# The floats nearest 10^k, k = -4 .. 11. Those below 1 lie just above
+# 10^k, so a float is at least 10^k exactly when it is at least its entry,
+# and searchsorted(side="right") gives each cell's decade exactly: i for
+# [10^(i-5), 10^(i-4)).
+_DECADES = np.array([float(f"1e{k}") for k in range(-4, 12)])
+# 10^(17-i), exact in binary: it scales a cell of decade i to 13 digits
+# before the point.
+_TO_13_DIGITS = np.array([float(f"1e{17 - i}") for i in range(17)])
 
-    def __missing__(self, x: float) -> str:
-        text = self[x] = format_number(x)
+
+def _screens(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the cells of `values` that "{:.12g}" writes as
+    format_number does: the integers, once ".0" is appended, and the
+    other cells. Every cell outside both must go to format_number.
+
+    - An integer below 1e12 in magnitude has at most 12 digits, which
+      ".12g" writes exactly and without an exponent.
+    - Any other cell from 1e-4 up to below 1e11 in magnitude rounds to a
+      value ".12g" writes in fixed point, without trailing zeros as
+      `normalize` leaves it, unless its repr is a 13-digit midpoint of the
+      12-digit grid (one ending in 5). Only there can ".12g"'s rounding
+      of the binary value and format_number's half-up rounding of repr(x)
+      differ: a midpoint between x and repr(x) lies in x's round-trip
+      interval, where the shortest repr(x) then is that midpoint. Scaled
+      to 13 digits such an x lies within 0.003 of an integer ending in 5
+      (half an ulp of x plus the rounding of the scaling), so every cell
+      within 0.01 of one is left out.
+    - Left out too: -0.0 (written "0.0"), values below 1e-4 (".12g" takes
+      an exponent), from 1e11 up, and NaN and infinities.
+    """
+    size = np.abs(values)
+    with np.errstate(invalid="ignore"):  # trunc of a signaling NaN
+        integral = (size < 1e12) & (np.trunc(values) == values) & \
+            ~((values == 0) & np.signbit(values))
+    decade = np.searchsorted(_DECADES, size, side="right")
+    plain = (decade > 0) & (decade < len(_DECADES)) & ~integral
+    scaled = np.where(plain, size, 0.0) * _TO_13_DIGITS[decade]
+    nearest = np.rint(scaled)
+    plain &= (np.abs(scaled - nearest) >= 0.01) | (nearest % 10 != 5)
+    return integral, plain
+
+
+class _Echo:
+    """A file whose write returns the text it is given, so that a
+    csv.writer on it returns each line it writes."""
+
+    @staticmethod
+    def write(text: str) -> str:
         return text
 
 
 def _csv(row_labels, col_labels, values) -> str:
-    # A similarity matrix holds each off-diagonal value twice and 1.0 down
-    # the diagonal; count matrices repeat small integers.
-    text = _Formatted()
-    out = _io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["", *col_labels])
-    for label, row in zip(row_labels, values.tolist()):
-        w.writerow([label, *map(text.__getitem__, row)])
-    return out.getvalue()
+    line = csv.writer(_Echo(), lineterminator="\n").writerow
+    integral, plain = _screens(values)
+    lines = [line(["", *col_labels])]
+    for label, row, ints, slow in zip(row_labels, values, integral,
+                                      ~(integral | plain)):
+        floats = row.tolist()
+        cells = list(map("{:.12g}".format, floats))
+        for k in np.flatnonzero(ints).tolist():
+            cells[k] += ".0"
+        for k in np.flatnonzero(slow).tolist():  # raises on NaN and inf
+            cells[k] = format_number(floats[k])
+        # The label quoted as csv.writer quotes a field, then the cells,
+        # which hold only digits, "-" and "." and need no quoting.
+        lines.append(line((label, ""))[:-1] + ",".join(cells) + "\n")
+    return "".join(lines)
 
 
 def write_csv(matrix: LabeledMatrix) -> str:

@@ -99,22 +99,24 @@ def _check_vectors(measure: str, x_shape: tuple, y_shape: tuple) -> None:
                                 f"length >= {min_width}")
 
 
-def _prepared(measure: str, rows: np.ndarray
+def _prepared(measure: str, rows: np.ndarray, space=None
               ) -> tuple[np.ndarray, np.ndarray]:
     """The rows of the fresh 2-D array `rows`, centered in place for
-    Pearson, as `_scaled_rows` returns them with their sums of squares."""
+    Pearson, as `_scaled_rows` returns them with their sums of squares
+    (summed in `space`, if given, as by `_exact_sums`)."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         if measure == "pearson":
             rows -= rows.mean(axis=1, keepdims=True)
-        return _scaled_rows(rows)
+        return _scaled_rows(rows, space)
 
 
 def _scores(measure: str, x: np.ndarray, sxx: np.ndarray, y: np.ndarray,
-            syy: np.ndarray, name=None) -> np.ndarray:
+            syy: np.ndarray, name=None, space=None) -> np.ndarray:
     """`measure` of each pair k of rows x[k] and y[k] from `_prepared`,
     whose sums of squares are sxx[k] and syy[k]: sum(xy) / sqrt(sum(x^2) *
-    sum(y^2)), clipped to [-1, 1] for Pearson. The first undefined pair
-    raises, its message followed by name(k) when `name` is given."""
+    sum(y^2)), clipped to [-1, 1] for Pearson. The products overwrite x,
+    and are summed in `space` if given. The first undefined pair raises,
+    its message followed by name(k) when `name` is given."""
     # Centered values past the float range leave a sum of squares that is
     # not finite, even after scaling.
     finite = np.isfinite(sxx) & np.isfinite(syy)
@@ -123,27 +125,29 @@ def _scores(measure: str, x: np.ndarray, sxx: np.ndarray, y: np.ndarray,
         k = int(bad[0])
         error, what = _UNDEFINED[measure] if finite[k] else _OVERFLOW
         raise error(what if name is None else f"{what} {name(k)}")
-    r = _exact_sums(x * y) / (np.sqrt(sxx) * np.sqrt(syy))
+    r = _exact_sums(np.multiply(x, y, out=x), space) / \
+        (np.sqrt(sxx) * np.sqrt(syy))
     return np.clip(r, -1.0, 1.0) if measure == "pearson" else r
 
 
-def _scaled_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _scaled_rows(rows: np.ndarray, space=None
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """The rows of the fresh 2-D array `rows` (which it may overwrite) and
     their exactly rounded sums of squares. Only a row whose sum lies
     outside [_SQ_LO, _SQ_HI], or overflows, is first scaled by an exact
     power of two, to a largest magnitude in [0.5, 1); the ratio of
     `_scores` does not change under such a scaling."""
-    ss = _exact_sums(rows * rows)
+    ss = _exact_sums(rows * rows, space)
     out = np.flatnonzero(~((ss >= _SQ_LO) & (ss <= _SQ_HI)))
     if len(out):
         _, exponent = np.frexp(np.max(np.abs(rows[out]), axis=1))
         scaled = np.ldexp(rows[out], -exponent[:, None])
         rows[out] = scaled
-        ss[out] = _exact_sums(scaled * scaled)
+        ss[out] = _exact_sums(scaled * scaled, space)
     return rows, ss
 
 
-def _exact_sums(terms: np.ndarray) -> np.ndarray:
+def _exact_sums(terms: np.ndarray, space=None) -> np.ndarray:
     """The sum of each row of the 2-D float array `terms`, rounded once to
     nearest: what `math.fsum` returns for the row, or inf where fsum
     overflows. Rows of non-negative terms are covered, and so is any row
@@ -183,63 +187,85 @@ def _exact_sums(terms: np.ndarray) -> np.ndarray:
     products of two rows scaled by `_scaled_rows` it is at most
     sqrt(sxx * syy) <= 2^960 by Cauchy-Schwarz. Neither fsum nor the tree
     then comes near overflow where a certified c is returned.
+
+    The rows are summed a block at a time, in the working arrays `space`
+    from `_sum_space`, or in arrays made for this call if none are given.
     """
     terms = np.asarray(terms, dtype=float)
     n_rows, width = terms.shape
+    sums = np.zeros(n_rows)
     if width == 0:
-        return np.zeros(n_rows)
-    block = max(1, _CHUNK_CELLS // width)
-    if n_rows > block:  # bound the temporaries below
-        return np.concatenate([_exact_sums(terms[k:k + block])
-                               for k in range(0, n_rows, block)])
-    # One row per term, so that every level adds contiguous blocks.
-    hi = np.ascontiguousarray(terms.T)
-    errors = np.empty((max(width - 1, 1), n_rows))
-    errors[0] = 0.0
-    done = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while len(hi) > 1:
-            # Term k + j is added to term j; an odd middle term is carried
-            # to the next level as it is.
-            w = len(hi)
-            k = w // 2
-            a, b = hi[:k], hi[w - k:]
-            nxt = np.empty((w - k, n_rows))
-            s = nxt[:k]
-            np.add(a, b, out=s)
-            if w % 2:
-                nxt[k] = hi[k]
-            _two_sum_error(a, b, s, errors[done:done + k])
-            done += k
-            hi = nxt
-        hi = hi[0]
-        lo = errors.sum(axis=0)
-        bound = np.abs(errors, out=errors).sum(axis=0)
-        bound *= 4.0 * width * 2.0 ** -53
-        bound += 2.0 ** -1074
-        c = hi + lo
-        d = np.empty_like(c)
-        _two_sum_error(hi, lo, c, d)
-        size = np.abs(c)
-        gap = np.minimum(size - np.nextafter(size, 0.0),
-                         np.nextafter(size, np.inf) - size)
-        np.abs(d, out=d)
-        d += bound
-        d *= 2.0 + 2.0 ** -49
-        certified = (d < gap) & (size <= _CERT_MAX)
-    for k in np.flatnonzero(~certified).tolist():
-        try:
-            c[k] = math.fsum(terms[k].tolist())
-        except OverflowError:  # a partial sum passes the float range
-            c[k] = math.inf
-    return c
+        return sums
+    if space is None or len(space[0]) < width:
+        space = _sum_space(n_rows, width)
+    level_cells, spare_cells, err_cells = space
+    block = max(1, min(n_rows, len(level_cells) // width))
+    for start in range(0, n_rows, block):
+        rows = terms[start:start + block]
+        r = len(rows)
+        # One row per term, so that every level adds contiguous blocks.
+        hi = level_cells[:width * r].reshape(width, r)
+        spare = spare_cells[:width * r].reshape(width, r)
+        np.copyto(hi, rows.T)
+        errors = err_cells[:max(width - 1, 1) * r].reshape(-1, r)
+        errors[0] = 0.0
+        done = 0
+        w = width
+        with np.errstate(over="ignore", invalid="ignore"):
+            while w > 1:
+                # Term k + j is added to term j; an odd middle term is
+                # carried to the next level as it is. Levels alternate
+                # between the two arrays, the spare one also holding
+                # TwoSum's scratch rows.
+                k = w // 2
+                a, b = hi[:k], hi[w - k:w]
+                nxt, scratch = spare[:w - k], spare[w - k:w]
+                np.add(a, b, out=nxt[:k])
+                if w % 2:
+                    nxt[k] = hi[k]
+                _two_sum_error(a, b, nxt[:k], errors[done:done + k], scratch)
+                done += k
+                w -= k
+                hi, spare = spare, hi
+            hi = hi[0]
+            lo = errors.sum(axis=0)
+            bound = np.abs(errors, out=errors).sum(axis=0)
+            bound *= 4.0 * width * 2.0 ** -53
+            bound += 2.0 ** -1074
+            c = sums[start:start + r]
+            np.add(hi, lo, out=c)
+            d = np.empty_like(c)
+            _two_sum_error(hi, lo, c, d, np.empty_like(c))
+            size = np.abs(c)
+            gap = np.minimum(size - np.nextafter(size, 0.0),
+                             np.nextafter(size, np.inf) - size)
+            np.abs(d, out=d)
+            d += bound
+            d *= 2.0 + 2.0 ** -49
+            certified = (d < gap) & (size <= _CERT_MAX)
+        for k in np.flatnonzero(~certified).tolist():
+            try:
+                c[k] = math.fsum(rows[k].tolist())
+            except OverflowError:  # a partial sum passes the float range
+                c[k] = math.inf
+    return sums
 
 
-def _two_sum_error(a, b, s, out) -> None:
+def _sum_space(rows: int, width: int) -> tuple[np.ndarray, ...]:
+    """Working arrays in which `_exact_sums` sums up to `rows` rows of at
+    most `width` terms, in blocks of at most `_CHUNK_CELLS` cells (or one
+    row); a caller that sums many blocks passes the same ones each time,
+    and so allocates them once."""
+    cells = width * max(1, min(rows, _CHUNK_CELLS // max(width, 1)))
+    return np.empty(cells), np.empty(cells), np.empty(cells)
+
+
+def _two_sum_error(a, b, s, out, t) -> None:
     """Write to `out` the error of s = fl(a + b): a + b == s + out exactly
-    (Knuth's TwoSum), for finite a, b and s."""
-    bb = s - a
-    t = s - bb
+    (Knuth's TwoSum), for finite a, b and s; `t` is scratch space of the
+    same shape."""
+    bb = np.subtract(s, a, out=out)
+    np.subtract(s, bb, out=t)
     np.subtract(a, t, out=t)
     np.subtract(b, bb, out=bb)
     np.add(t, bb, out=out)
@@ -283,12 +309,21 @@ def similarity_matrix(matrix: LabeledMatrix, measure: str = "pearson",
     vals = np.eye(n)
     first, second = np.triu_indices(n, 1)
     chunk = max(1, _CHUNK_CELLS // n)
+    # Every chunk is summed, and for include gathered, in the same working
+    # arrays, allocated once: a fresh set per chunk made the heap top grow
+    # and shrink, with a page fault for each page it grew by.
+    space = _sum_space(chunk, n)
     if diagonal_mode == "include":  # the vectors do not depend on the pair
-        rows, ss = _prepared(measure, values.copy())
+        rows, ss = _prepared(measure, values.copy(), space)
+        x_rows, y_rows = np.empty((chunk, n)), np.empty((chunk, n))
     for start in range(0, len(first), chunk):
         i, j = first[start:start + chunk], second[start:start + chunk]
         if diagonal_mode == "include":
-            x, sxx, y, syy = rows[i], ss[i], rows[j], ss[j]
+            # take's default mode writes `out` through a temporary; the
+            # indices are in range, so "clip" changes nothing else.
+            x = np.take(rows, i, axis=0, out=x_rows[:len(i)], mode="clip")
+            y = np.take(rows, j, axis=0, out=y_rows[:len(j)], mode="clip")
+            sxx, syy = ss[i], ss[j]
         else:
             # Pair k compares rows i[k] and j[k], both without positions
             # i[k] and j[k].
@@ -296,12 +331,13 @@ def similarity_matrix(matrix: LabeledMatrix, measure: str = "pearson",
             keep = np.ones((len(i), n), dtype=bool)
             keep[pairs, i] = False
             keep[pairs, j] = False
-            x = values[i][keep].reshape(-1, width)
-            y = values[j][keep].reshape(-1, width)
-            (x, sxx), (y, syy) = _prepared(measure, x), _prepared(measure, y)
+            x, sxx = _prepared(measure, values[i][keep].reshape(-1, width),
+                               space)
+            y, syy = _prepared(measure, values[j][keep].reshape(-1, width),
+                               space)
         vals[i, j] = vals[j, i] = _scores(
             measure, x, sxx, y, syy,
-            lambda k: f"(pair {labels[i[k]]!r}, {labels[j[k]]!r})")
+            lambda k: f"(pair {labels[i[k]]!r}, {labels[j[k]]!r})", space)
     vals.setflags(write=False)
     return SimilarityMatrix(labels=labels, values=vals,
                             measure=measure, diagonal_mode=diagonal_mode,

@@ -4,13 +4,17 @@ bipartition scoring through the public validated functions and the ranking
 kernel's masked entropy formula, reference exhaustive and greedy searches
 that score every candidate separately, the recursive restricted growth
 string generator, the similarity matrix computed one pair at a time with
-`math.fsum` sums, and the CSV reader that converts one cell at a time.
+`math.fsum` sums, the CSV reader that converts one cell at a time, and the
+canonical number formatter through `decimal` alone with the CSV writer
+built on it.
 
 Registers the hypothesis profile "thorough" (`--hypothesis-profile
 thorough`), under which the properties that size their runs with
 `examples` draw 3000 examples each."""
 
 import csv
+import decimal
+import io
 import itertools
 import math
 
@@ -302,6 +306,33 @@ def reference_similarity_matrix(matrix, measure="pearson",
                     f"{exc} (pair {matrix.row_labels[i]!r}, "
                     f"{matrix.row_labels[j]!r})") from exc
     return vals
+
+
+_HALF_UP_12 = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_UP)
+
+
+def reference_format_number(x):
+    """format_number through `decimal` alone: repr(x) rounded half up to 12
+    significant digits, in fixed point, with ".0" on an integer that
+    rounds to below 1e15."""
+    if not math.isfinite(x):
+        raise NonFiniteValueError(f"cannot write the non-finite number "
+                                  f"{float(x)!r}")
+    d = _HALF_UP_12.create_decimal(repr(float(x))).normalize(_HALF_UP_12)
+    if x == int(x) and abs(d) < 10 ** 15:
+        return f"{int(d)}.0"
+    return format(d, "f")
+
+
+def reference_write_csv(row_labels, col_labels, values):
+    """write_csv's text, each row by csv.writer and each cell by
+    reference_format_number."""
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(["", *col_labels])
+    for label, row in zip(row_labels, np.asarray(values).tolist()):
+        w.writerow([label, *map(reference_format_number, row)])
+    return out.getvalue()
 
 
 def reference_parse_csv(text_or_path):

@@ -137,16 +137,6 @@ def test_render_command(block_csv, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("<svg")
 
 
-def test_thread_env_var_does_not_change_output(block_csv, capsys,
-                                               monkeypatch):
-    outputs = []
-    for threads in ["1", "4", "lots"]:
-        monkeypatch.setenv("INFODIV_THREADS", threads)
-        assert run_cli(["cluster", block_csv]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1] == outputs[2]
-
-
 def test_row_order_invariance(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

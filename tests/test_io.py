@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import re
+import struct
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +14,11 @@ from infodiv import (
     ClusterOptions,
     InfodivError,
     InvalidInputError,
+    LabeledMatrix,
     ParseError,
     NegativeValueError,
     NonFiniteValueError,
+    SimilarityMatrix,
     build_matrix,
     dendrogram_from_json,
     divisive_cluster,
@@ -31,7 +35,13 @@ from infodiv import (
 from infodiv.io import _scan_json, canonical_json
 from infodiv.render import _NOT_XML
 
-from conftest import random_matrix, reference_parse_csv
+from conftest import (
+    examples,
+    random_matrix,
+    reference_format_number,
+    reference_parse_csv,
+    reference_write_csv,
+)
 
 BLOCK = [[4, 4, 0, 0], [4, 4, 0, 0], [0, 0, 4, 4], [0, 0, 4, 4]]
 
@@ -175,6 +185,72 @@ def test_format_number_rejects_non_finite(x):
         format_number(x)
     with pytest.raises(NonFiniteValueError):
         canonical_json({"h0": [1.0, x]})
+
+
+def _signed(floats):
+    return st.tuples(floats, st.booleans()).map(
+        lambda t: -t[0] if t[1] else t[0])
+
+
+# Floats at each seam of the CSV cell writer: 13-digit numbers ending in 5
+# (midpoints of the 12-digit grid), integers around 1e12-1e15, numbers
+# that round up to a power of ten, values just under 1e-4, subnormals,
+# -0.0 and random bit patterns (NaN and infinities among them).
+SEAM_FLOATS = st.one_of(
+    _signed(st.builds(lambda m, e: float(f"{10 * m + 5}e{e}"),
+                      st.integers(10 ** 11, 10 ** 12 - 1),
+                      st.integers(-30, 5))),
+    _signed(st.integers(10 ** 11, 10 ** 15 + 10 ** 4).map(float)),
+    _signed(st.builds(lambda n, d, e: float(f"{'9' * n}{d}e{e}"),
+                      st.integers(11, 14), st.integers(5, 9),
+                      st.integers(-28, 3))),
+    _signed(st.floats(5e-5, 1e-4)),
+    _signed(st.integers(1, 2 ** 53).map(lambda k: k * 5e-324)),
+    st.just(-0.0),
+    st.integers(0, 2 ** 64 - 1).map(
+        lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.floats(),
+)
+LABELS = st.lists(st.text(",\"\r\n a", max_size=3), min_size=16, max_size=16)
+
+
+@given(st.lists(SEAM_FLOATS, min_size=1, max_size=16), st.integers(1, 4),
+       LABELS, LABELS)
+@settings(max_examples=examples(300), deadline=None)
+def test_write_csv_matches_the_decimal_reference(xs, width, rows, cols):
+    values = np.array(xs + [1.0] * (-len(xs) % width)).reshape(-1, width)
+    rows, cols = tuple(rows[:len(values)]), tuple(cols[:width])
+    matrix = LabeledMatrix(rows, cols, values)
+    try:
+        want = reference_write_csv(rows, cols, values)
+    except NonFiniteValueError as exc:
+        with pytest.raises(NonFiniteValueError, match=re.escape(str(exc))):
+            write_csv(matrix)
+        return
+    assert write_csv(matrix) == want
+
+
+@pytest.mark.parametrize("x, text", [
+    (999999999999.53, "1000000000000"),  # "{:.12g}" gives 1e+12
+    (999999999999.6, "1000000000000"),
+    (9.9999999999996, "10"),
+    (1234567890.125, "1234567890.13"),  # an exact tie: ".12g" rounds to even
+    (0.1000000000005, "0.100000000001"),  # repr a tie, the binary value below
+    (0.9999999999995, "1"),
+    (5e-05, "0.00005"),
+    (9.999999999999999e-05, "0.0001"),
+    (-0.0, "0.0"),
+    (999999999999.0, "999999999999.0"),
+    (1e12, "1000000000000.0"),
+    (123456789012345.0, "123456789012000.0"),
+])
+def test_csv_cells_at_the_seams(x, text):
+    assert reference_format_number(x) == format_number(x) == text
+    labels = ("a",)
+    assert write_csv(LabeledMatrix(labels, labels, np.array([[x]]))) == \
+        similarity_csv(SimilarityMatrix(labels, np.array([[x]]), "cosine",
+                                        "include", "none")) == \
+        f",a\na,{text}\n"
 
 
 def test_export_json_block():
