@@ -7,6 +7,9 @@ trailing newline for the same reason. Row and column labels are sorted
 lexicographically at ingestion, which makes clustering output independent
 of the input row order.
 
+The CSV reader sends plain text to numpy's C reader in one call, and
+everything else through `csv.reader` and `float` (see `parse_csv`).
+
 The CSV writer screens a whole matrix with numpy in one pass, then writes
 it a row at a time. Each cell is written by Python's "{:.12g}" where that
 provably gives format_number's text, and by format_number itself where
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import decimal
+import io
 import itertools
 import json
 import math
@@ -72,13 +76,88 @@ def parse_csv(text_or_path) -> LabeledMatrix:
     First row: column labels (the corner cell is ignored). First column:
     row labels. Remaining cells: nonnegative numbers, as the built-in
     `float` reads them. Blank rows are skipped. Accepts either a path (read
-    as UTF-8) or a file-like object.
+    as UTF-8) or a file-like object, which is read whole and split into
+    lines as a file opened with newline="" is.
+
+    Plain text, with no quote, NUL, lone carriage return or ASCII
+    separator (\\x1c-\\x1f), goes to numpy's C reader, which reads each
+    cell as `float` does or rejects it (see `_plain_cells`). Any other
+    text, and any text that reader rejects, goes through `csv.reader` and
+    `float` one cell at a time, which also names the first bad cell.
     """
     if hasattr(text_or_path, "read"):
-        rows = _read_rows(text_or_path)
+        text = _read(text_or_path)
     else:
         with open(text_or_path, newline="", encoding="utf-8") as handle:
-            rows = _read_rows(handle)
+            text = _read(handle)
+    row_labels, col_labels, cells = _plain_cells(text) or \
+        _row_cells(_read_rows(io.StringIO(text, newline="")))
+    # Free the text: from here on at most two copies of the values are
+    # alive, the sorted one and build_matrix's.
+    del text
+    r_order = sorted(range(len(row_labels)), key=row_labels.__getitem__)
+    c_order = sorted(range(len(col_labels)), key=col_labels.__getitem__)
+    cells = cells[np.ix_(r_order, c_order)]
+    return build_matrix([row_labels[i] for i in r_order],
+                        [col_labels[j] for j in c_order], cells)
+
+
+def _read(handle) -> str:
+    """All the text of a text stream; ParseError if it is not UTF-8."""
+    try:
+        text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise _not_text(exc) from None
+    if not isinstance(text, str):
+        raise ParseError("input is not text: open the file in text mode")
+    return text
+
+
+# Characters that keep a text off numpy's reader: the quote, which only
+# csv.reader reads; NUL, which csv.reader rejects before Python 3.11; and
+# the ASCII separators, which numpy strips off a number as whitespace and
+# `float` does not.
+_NOT_PLAIN = '"\0\x1c\x1d\x1e\x1f'
+
+
+def _plain_cells(text: str):
+    """(row labels, column labels, cells) as `_row_cells` gives them for
+    csv.reader's rows of `text`, read by numpy's C reader in one call; None
+    for text where that might not give the same, and for text it rejects.
+
+    Without quotes, NUL or a carriage return outside "\\r\\n", csv.reader's
+    rows are the non-blank lines split at every comma. numpy strips Unicode
+    whitespace off a cell and reads the rest with PyOS_string_to_double,
+    the routine `float` calls after stripping the same whitespace (all
+    but the separators \\x1c-\\x1f, which are not plain) and dropping
+    underscores. So numpy reads the double `float` reads, or rejects the
+    cell: one `float` rejects too, or one only `float` reads, such as
+    "1_0" or non-ASCII digits.
+    """
+    if any(c in text for c in _NOT_PLAIN):
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    lines = [line for line in text.split("\n") if line]
+    if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    commas, body = lines[0].count(","), lines[1:]
+    if commas == 0 or any(line.count(",") != commas for line in body):
+        return None
+    try:
+        cells = np.loadtxt(body, dtype=float, comments=None, delimiter=",",
+                           usecols=range(1, commas + 1), ndmin=2)
+    except ValueError:
+        return None
+    return ([line[:line.index(",")].strip() for line in body],
+            [c.strip() for c in lines[0].split(",")[1:]], cells)
+
+
+def _row_cells(rows: list[list[str]]):
+    """(row labels, column labels, cells) of csv.reader's rows, the cells
+    read by `float`; ParseError naming the first bad row or cell."""
     if not rows:
         raise ParseError("empty CSV input")
     header, body = rows[0], rows[1:]
@@ -102,16 +181,8 @@ def parse_csv(text_or_path) -> LabeledMatrix:
     except ValueError:
         _raise_first_error(body, width, col_labels)
         raise
-    row_labels = [row[0].strip() for row in body]
-    # Free the cell strings: from here on at most two copies of the values
-    # are alive, the sorted one and build_matrix's.
-    del rows, body
-
-    r_order = sorted(range(n_rows), key=row_labels.__getitem__)
-    c_order = sorted(range(n_cols), key=col_labels.__getitem__)
-    cells = cells.reshape(n_rows, n_cols)[np.ix_(r_order, c_order)]
-    return build_matrix([row_labels[i] for i in r_order],
-                        [col_labels[j] for j in c_order], cells)
+    return ([row[0].strip() for row in body], col_labels,
+            cells.reshape(n_rows, n_cols))
 
 
 def _read_rows(handle) -> list[list[str]]:
@@ -121,8 +192,6 @@ def _read_rows(handle) -> list[list[str]]:
         return [row for row in reader if row]
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise ParseError(f"line {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise _not_text(exc) from None
 
 
 def _raise_first_error(body, width: int, col_labels) -> None:

@@ -1,4 +1,5 @@
 import csv
+import decimal
 import io
 import json
 import re
@@ -32,6 +33,7 @@ from infodiv import (
     write_csv,
 )
 
+import infodiv.io
 from infodiv.io import _scan_json, canonical_json
 from infodiv.render import _NOT_XML
 
@@ -79,19 +81,42 @@ def test_parse_csv_empty():
         parse_csv(io.StringIO(""))
 
 
+_EXACT = decimal.Context(prec=1000)
+
+
+def _near_midpoint(m, e, digits, up):
+    """The decimal halfway between the doubles m * 2**e and (m + 1) * 2**e
+    (m of 53 bits), rounded down or up to `digits` significant digits: a
+    numeral that only a correctly rounding reader reads as float() does."""
+    half = _EXACT.multiply(2 * m + 1, _EXACT.power(decimal.Decimal(2), e - 1))
+    return str(decimal.Context(prec=digits, rounding=decimal.ROUND_UP if up
+                               else decimal.ROUND_DOWN).plus(half))
+
+
 # Cells in the spellings float() reads as nonnegative finite numbers
-# (integers, float reprs, underscores, non-ASCII digits, signs), and cells
-# the reader rejects: malformed, negative or not finite. Any of them may be
-# padded.
+# (integers, float reprs, 17-25-digit numerals at rounding midpoints,
+# subnormals, numerals over 128 characters, underscores, non-ASCII digits,
+# signs), and cells the reader rejects: malformed, negative or not finite
+# ("1e400" overflows to inf), padded with the ASCII separators, which
+# float() does not strip, or cut by numpy's default comment mark "#". Any
+# of them may be padded with whitespace.
 NUMBER = st.one_of(
     st.integers(0, 30).map(str),
     st.floats(0.0, 1e300).map(repr),
+    st.builds(_near_midpoint, st.integers(2 ** 52, 2 ** 53 - 1),
+              st.integers(-60, 40), st.integers(17, 25), st.booleans()),
+    st.integers(1, 2 ** 52 - 1).map(lambda k: repr(k * 5e-324)),
+    st.builds("{}{}".format, st.text("0123456789", min_size=129,
+                                     max_size=200),
+              st.sampled_from(["", ".5", "e-100"])),
     st.sampled_from(["1_0", "\u0661\u0662", "\uff13.5", "\u0664e2", "-0",
                      "+7", "1e3", ".5", "5.", "5e-324", "0"]))
 REJECTED = st.sampled_from(["1__0", "_1", "0x10", "one", "1e", "--1", "1,5",
                             "", " ", "\u00bd", "-2.5", "nan", "NaN", "inf",
-                            "-Infinity"])
-PADDING = ["{}", " {}", "{}\t", "\n{} "]
+                            "-Infinity", "1e400", "\x1c5", "5\x1f", "1\x00",
+                            "5#"])
+PADDING = ["{}", " {}", "{}\t", "\n{} ", "\x0c{}\x0c", " {} ",
+           "\xa0{}\u2003"]
 # Labels that need quoting, pad or repeat, and sort in a non-obvious order.
 CSV_LABEL = st.one_of(
     st.sampled_from(["a", "b", " a", "a,b", "x\ny", 'q"t', "", "r1", "r10",
@@ -99,20 +124,29 @@ CSV_LABEL = st.one_of(
     st.text(max_size=3))
 
 
+def _unquoted(text):
+    return not any(c in text for c in ',"\r\n')
+
+
 @st.composite
 def csv_texts(draw):
     """CSV text with up to four column labels and up to six rows besides
     blank lines. Half of the texts are faulty: they may hold rejected
     cells, rows of one empty field, rows one cell short or long, no column
-    label, and repeated labels."""
-    faulty = draw(st.booleans())
+    label, and repeated labels. Half, faulty or not, hold no field that
+    csv.writer quotes, so that numpy's reader may read them."""
+    faulty, quoted = draw(st.booleans()), draw(st.booleans())
     cell = st.one_of(NUMBER, NUMBER, NUMBER, REJECTED) if faulty else NUMBER
     cell = st.tuples(st.sampled_from(PADDING), cell).map(
         lambda pad_cell: pad_cell[0].format(pad_cell[1]))
-    kinds = ["data"] * 4 + ["blank"] + ["empty", "short", "long"] * faulty
+    label = CSV_LABEL
+    if not quoted:
+        cell, label = cell.filter(_unquoted), label.filter(_unquoted)
+    kinds = ["data"] * 4 + ["blank"] + ["short", "long"] * faulty + \
+        ["empty"] * (faulty and quoted)
     width = draw(st.integers(2 - faulty, 5))
     n_rows = draw(st.integers(1 - faulty, 6))
-    labels = st.lists(CSV_LABEL, min_size=n_rows + width, unique=not faulty,
+    labels = st.lists(label, min_size=n_rows + width, unique=not faulty,
                       max_size=n_rows + width)
     labels = iter(draw(labels))
     rows = [[next(labels) for _ in range(width)]]
@@ -143,9 +177,64 @@ def _parsed(parse, text):
 
 
 @given(csv_texts())
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=examples(500), deadline=None)
 def test_parse_csv_matches_the_per_cell_loop(text):
     assert _parsed(parse_csv, text) == _parsed(reference_parse_csv, text)
+
+
+# Plain CSV: unquoted labels, padded cells in the spellings numpy's reader
+# shares with float(), a blank line, and rows out of order.
+PLAIN_CSV = ("x, c2,c1\n"
+             "r2, 1.5e3 ,\x0c0.1\x0c\n"
+             "\n"
+             " r1 ,4,\xa02.5e-320\u2003\n"
+             "r10,123456789012345678901234567890,+0\n")
+
+
+def _no_csv_reader(handle):
+    raise AssertionError("plain CSV reached csv.reader")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_parse_csv_reads_plain_csv_without_csv_reader(monkeypatch, newline):
+    text = PLAIN_CSV.replace("\n", newline)
+    want = _parsed(reference_parse_csv, text)
+    monkeypatch.setattr(infodiv.io, "_read_rows", _no_csv_reader)
+    assert _parsed(parse_csv, text) == want
+    # Quoted text does reach it.
+    with pytest.raises(AssertionError, match="reached csv.reader"):
+        parse_csv(io.StringIO('x,"a"\nr,1\n'))
+
+
+# Texts at each check that keeps a text off numpy's reader, or that numpy's
+# reader itself must fail: cells numpy alone would read (after a separator,
+# before "#"), carriage returns outside "\r\n", a row too long or too
+# short, and cells only float() reads.
+@pytest.mark.parametrize("text", [
+    "x,a\nr,\x1c5\n", "x,a\nr,5\x1f\n", "x,a\nr,5#\n", "x#,a\nr#,5\n",
+    "x,a,b\rr,1,2\n", "x,a,b\r\nr,1,2\r", "x,a,b\nr,1,2,3\n",
+    "x,a,b\nr,1\n", "x,a\nr,1e400\n", "x,a\nr,1_0\n", "x,a\nr,\u0661\n",
+    'x,a\n"r",1\n', "x,a\nr,1\x00\n", "x\nr\n", "x,a\n\n"])
+def test_parse_csv_edge_texts_match_the_per_cell_loop(text):
+    assert _parsed(parse_csv, text) == _parsed(reference_parse_csv, text)
+
+
+def test_parse_csv_reads_lf_and_crlf_alike(tmp_path):
+    parsed = []
+    for newline in ("\n", "\r\n"):
+        text = PLAIN_CSV.replace("\n", newline)
+        path = tmp_path / f"m{len(newline)}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        for source in (path, io.StringIO(text, newline="")):
+            m = parse_csv(source)
+            parsed.append((m.row_labels, m.col_labels, m.values.tobytes()))
+    assert parsed[0][:2] == (("r1", "r10", "r2"), ("c1", "c2"))
+    assert parsed == parsed[:1] * 4
+
+
+def test_parse_csv_rejects_a_binary_stream():
+    with pytest.raises(ParseError, match="open the file in text mode"):
+        parse_csv(io.BytesIO(b"x,a\nr,1\n"))
 
 
 def test_csv_round_trip(rng):
