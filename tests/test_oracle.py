@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,8 @@ from infodiv import (
 )
 
 from conftest import brute_decompose, examples, random_matrix, \
-    reference_exhaustive_bisect, reference_exhaustive_partition
+    reference_exhaustive_bisect, reference_exhaustive_partition, \
+    reference_restricted_growth_strings
 
 BLOCK = [[4, 4, 0, 0], [4, 4, 0, 0], [0, 0, 4, 4], [0, 0, 4, 4]]
 
@@ -90,11 +92,15 @@ def test_exhaustive_partition_two_rows():
 
 
 def test_exhaustive_partition_identical_rows_prefers_fewest_groups():
-    pm = probability_model(build_matrix(["a", "b", "c"], ["x", "y"],
-                                        [[1, 1], [1, 1], [1, 1]]))
-    rep = exhaustive_partition(pm, 3)
-    assert rep.best_grouping.m == 1
-    assert rep.best_h0 == pytest.approx(0.0, abs=1e-12)
+    # Also the bound's worst case: every partition scores 0, so nothing is
+    # pruned and all Bell(n) leaves are scored.
+    for n in (3, 10):
+        pm = probability_model(build_matrix(
+            [f"r{i}" for i in range(n)], ["x", "y"], [[1, 1]] * n))
+        rep = exhaustive_partition(pm, n)
+        assert rep.best_grouping.m == 1
+        assert rep.best_h0 == pytest.approx(0.0, abs=1e-12)
+        assert rep.candidates_examined == bell(n)
 
 
 def test_exhaustive_partition_hand_example():
@@ -112,14 +118,35 @@ def test_exhaustive_partition_hand_example():
 
 
 def test_exhaustive_partition_counts_every_partition():
-    for n in range(1, 8):
+    # The count is of the strings covered, pruned or scored.
+    for n in range(1, 13):
         pm = probability_model(build_matrix(
             [f"r{i}" for i in range(n)], ["x", "y"],
             [[i + 1, 1] for i in range(n)]))
         assert exhaustive_partition(pm, n).candidates_examined == bell(n)
-        # Partitions into at most 2 blocks: 2^(n-1).
-        assert exhaustive_partition(pm, min(n, 2)).candidates_examined == \
-            2 ** (n - 1)
+        if n <= 8:
+            for max_groups in range(1, n + 1):
+                assert exhaustive_partition(pm, max_groups) \
+                    .candidates_examined == sum(
+                        1 for _ in reference_restricted_growth_strings(
+                            n, max_groups))
+
+
+def test_exhaustive_partition_prunes_a_block_matrix():
+    # 12 rows in 3 blocks: all 4,213,597 partitions take seconds to score
+    # one by one; the bound leaves a few thousand prefixes.
+    rng = np.random.default_rng(5)
+    profiles = rng.dirichlet(np.ones(6), size=3)
+    vals = np.stack([rng.multinomial(60, profiles[i % 3])
+                     for i in range(12)])
+    pm = probability_model(build_matrix(
+        [f"r{i:02d}" for i in range(12)], [f"c{j}" for j in range(6)], vals))
+    start = time.perf_counter()
+    rep = exhaustive_partition(pm, 12)
+    assert time.perf_counter() - start < 2.0
+    assert rep.candidates_examined == bell(12)
+    assert rep.best_h0 >= decompose(pm, Grouping(
+        tuple(i % 3 for i in range(12)), 3)).h0 - 1e-12
 
 
 def test_exhaustive_partition_respects_max_groups():
@@ -191,18 +218,26 @@ def test_verify_greedy_random_suite(rng):
 @st.composite
 def tied_count_matrices(draw):
     """Up to 6 rows with many zero cells; some rows repeat or scale an
-    earlier row, so distinct partitions tie exactly in H0."""
+    earlier row, so distinct partitions tie exactly in H0, and some change
+    one cell of an earlier row by 1, so they nearly tie. With cells in the
+    hundred thousands, such near ties differ by about the tie tolerance."""
     n = draw(st.integers(1, 6))
     k = draw(st.integers(1, 4))
-    cell = st.sampled_from([0, 0, 0, 1, 2, 5])
+    size = draw(st.sampled_from([1, 1, 1000, 100000]))
+    cell = st.sampled_from([0, 0, 0, size, 2 * size, 5 * size])
     rows = []
     for _ in range(n):
-        kind = draw(st.sampled_from(["fresh", "copy", "scaled"])) \
-            if rows else "fresh"
+        kind = draw(st.sampled_from(["fresh", "copy", "scaled",
+                                     "perturbed"])) if rows else "fresh"
         if kind == "fresh":
             row = draw(st.lists(cell, min_size=k, max_size=k))
             if sum(row) == 0:
                 row[draw(st.integers(0, k - 1))] = 1
+        elif kind == "perturbed":
+            row = list(draw(st.sampled_from(rows)))
+            j = draw(st.integers(0, k - 1))
+            row[j] += 1 if row[j] == 0 or sum(row) == 1 else \
+                draw(st.sampled_from([-1, 1]))
         else:
             factor = 1 if kind == "copy" else draw(st.sampled_from([2, 3]))
             row = [factor * v for v in draw(st.sampled_from(rows))]
@@ -218,6 +253,21 @@ def test_exhaustive_partition_matches_per_candidate_reference(m):
     for max_groups in range(1, m.n_rows + 1):
         assert exhaustive_partition(pm, max_groups) == \
             reference_exhaustive_partition(pm, max_groups)
+
+
+def test_exhaustive_partition_matches_reference_on_near_ties():
+    # Rows of counts near 1e5 that differ by 0 or 1 in each cell: partitions
+    # differ in H0 by about the 1e-12-bit tie tolerance, where the pruning
+    # margin must keep every string that could still win a tie.
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        vals = rng.integers(100000, 200000, size=3) + \
+            rng.integers(0, 2, size=(6, 3))
+        pm = probability_model(build_matrix(
+            [f"r{i}" for i in range(6)], ["x", "y", "z"], vals))
+        for max_groups in range(1, 7):
+            assert exhaustive_partition(pm, max_groups) == \
+                reference_exhaustive_partition(pm, max_groups)
 
 
 def test_exhaustive_searches_agree_across_subset_chunks(rng, monkeypatch):
