@@ -17,10 +17,13 @@ the admissible seeds, start from the one with the highest transmission,
 then repeatedly move in the single best outside row while that strictly
 increases the transmission. It and the exhaustive search rank candidates by
 one kernel on pooled row sums; only the winner goes through
-`evaluate_bipartition`. Both take every entropy from `entropy._entropies`,
-but the kernel subtracts the left half's sum from the group's where
-`evaluate_bipartition` pools the right half's rows, so a kernel score and
-the reported `local_h0` can differ in the last bits.
+`evaluate_bipartition`. The kernel scores the left and right halves of all
+of a move's candidates in one `_entropies` call. The greedy seed move adds
+the group's sum to that call, and only it computes the divisive flags
+(under the "divisive" stop rule). Both searches take every entropy from
+`entropy._entropies`, but the kernel subtracts the left half's sum from the
+group's where `evaluate_bipartition` pools the right half's rows, so a
+kernel score and the reported `local_h0` can differ in the last bits.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .matrix import (
 STRICT_TOL = 1e-12  # strict ">" / "<" comparisons in bits
 MAX_BISECT_ROWS = 24
 _CELLS = 1 << 18  # matrix cells pooled per exhaustive kernel call
+_ARGMAX_MIN = 64  # scores from which _first_best tries the argmax
 
 
 @dataclass(frozen=True)
@@ -128,8 +132,13 @@ def evaluate_bipartition(model: ProbabilityModel, subtree: RowSubset,
         raise InvalidInputError("left must be a proper subset of subtree")
     right = tuple(i for i in subtree if i not in left_set)
 
-    h, w = _entropies(np.stack([model.joint[list(g)].sum(axis=0)
-                                for g in (subtree, left, right)]))
+    # One gather of the three groups' rows, each summed along axis 0.
+    rows = model.joint[list(subtree + left + right)]
+    ends = (0, len(subtree), len(subtree) + len(left), len(rows))
+    sums = np.empty((3, rows.shape[1]))
+    for g in range(3):
+        rows[ends[g]:ends[g + 1]].sum(axis=0, out=sums[g])
+    h, w = _entropies(sums)
     (h_agg, h_l, h_r), (w_sub, w_l, w_r) = h.tolist(), w.tolist()
     # Zero rows are rejected at ingestion, so every weight is positive.
     if not min(w_sub, w_l, w_r) > 0:
@@ -144,28 +153,52 @@ def evaluate_bipartition(model: ProbabilityModel, subtree: RowSubset,
                            global_delta=w_sub * local_h0, divisive=divisive)
 
 
-def _split_scores(total: np.ndarray, whole: tuple[np.ndarray, np.ndarray],
-                  halves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """local_h0 and divisive flag of bipartitions of one group, as in
-    evaluate_bipartition but unvalidated. `total` sums the group's rows of
-    `model.joint` and `whole` is `_entropies(total)`. Each row of
-    `halves[0]` sums the rows of a proper left half; `halves[1]` is
-    overwritten with the sums of the right halves, so that both are
-    scored in one `_entropies` call."""
-    h_agg, w_sub = whole
-    right = np.subtract(total, halves[0], out=halves[1])
+def _split_scores(total: np.ndarray, sums: np.ndarray,
+                  whole: tuple[float, float] | None = None,
+                  flags: bool = False,
+                  ) -> tuple[np.ndarray, np.ndarray | None, tuple]:
+    """local_h0 of k bipartitions of one group, as in evaluate_bipartition
+    but unvalidated, and their divisive flags if `flags` (else None).
+    `total` sums the group's rows of `model.joint`; rows :k of `sums` sum
+    the rows of proper left halves, and rows k:2k are overwritten with the
+    sums of the right halves. `whole` is `_entropies(total)`; when it is
+    None, `sums` has a last row 2k holding `total`, scored in the same
+    `_entropies` call as the halves. Returns the scores, the flags and
+    `whole`."""
+    k = len(sums) // 2
+    right = np.subtract(total, sums[:k], out=sums[k:2 * k])
     # Rounding can leave a right half's sum below zero where it is zero.
     np.maximum(right, 0.0, out=right)
-    (h_l, h_r), (w_l, w_r) = _entropies(halves)
-    local_h0 = np.maximum(h_agg - (w_l * h_l + w_r * h_r) / w_sub, 0.0)
-    divisive = (h_l < h_agg - STRICT_TOL) & (h_r < h_agg - STRICT_TOL)
-    return local_h0, divisive
+    h, w = _entropies(sums)
+    if whole is None:
+        whole = h[-1], w[-1]
+    h_agg, w_sub = whole
+    wh = w * h
+    local_h0 = np.maximum(h_agg - (wh[:k] + wh[k:2 * k]) / w_sub, 0.0)
+    divisive = None
+    if flags:
+        divisive = ((h[:k] < h_agg - STRICT_TOL) &
+                    (h[k:2 * k] < h_agg - STRICT_TOL))
+    return local_h0, divisive, whole
 
 
 def _first_best(scores: np.ndarray, floor: float) -> tuple[int | None, float]:
     """The sequential tie rule: take the first score above `floor`, then each
     later one more than STRICT_TOL above the score taken. Returns the index
-    taken last (None if none) and the floor a further score must beat."""
+    taken last (None if none) and the floor a further score must beat.
+
+    That index is the argmax whenever the top score beats `floor` and every
+    other score plus STRICT_TOL is below it (then so is the runner-up's,
+    as float addition is monotone), and no index when the top score does
+    not beat `floor`; only otherwise are the scores walked in turn. Below
+    _ARGMAX_MIN scores the walk alone is faster."""
+    if len(scores) >= _ARGMAX_MIN:
+        i = int(scores.argmax())
+        top = float(scores[i])
+        if not top > floor:
+            return None, floor
+        if np.count_nonzero(scores + STRICT_TOL >= top) == 1:
+            return i, top + STRICT_TOL
     best = None
     for i, score in enumerate(scores.tolist()):
         if score > floor:
@@ -196,30 +229,39 @@ def greedy_bisect(model: ProbabilityModel, subtree: RowSubset,
     if len(subtree) < 2:
         raise InvalidInputError("cannot bisect fewer than 2 rows")
     rows = model.joint[list(subtree)]
-    total = rows.sum(axis=0)
-    whole = _entropies(total)
-    halves = np.empty((2, *rows.shape))
+    n = len(rows)
+    # Rows :m of `sums` hold the m candidate left halves of a move and rows
+    # m:2m their right halves; the last row holds the group's row sum.
+    sums = np.empty((2 * n + 1, rows.shape[1]))
+    total = rows.sum(axis=0, out=sums[2 * n])
 
     # The first move picks the seed: the best admissible single row, ties
-    # to the first in `subtree`. Each later move adds the outside row that
-    # raises the transmission most, while one raises it more than STRICT_TOL.
-    # `left_sum` adds the rows of `left` in order, as rows[left].sum(axis=0)
-    # does.
+    # to the first in `subtree`. It scores the group's sum in the same
+    # call, and only it needs the divisive flags. Each later move adds the
+    # outside row that raises the transmission most, while one raises it
+    # more than STRICT_TOL. `left_sum` adds the rows of `left` in order,
+    # as rows[left].sum(axis=0) does; a one-row left is that row, as
+    # 0.0 + x is x.
     left: list[int] = []
     left_sum = np.zeros_like(total)
-    out = list(range(len(subtree)))
+    out = list(range(n))
+    sums[:n] = rows
+    divisive_only = options.stop_rule == "divisive"
+    scores, divisive, whole = _split_scores(total, sums, flags=divisive_only)
+    if divisive_only:
+        scores = np.where(divisive, scores, -np.inf)
     floor = -np.inf
-    while len(out) > 1:
-        moves = halves[:, :len(out)]
-        np.add(left_sum, rows[out], out=moves[0])
-        scores, divisive = _split_scores(total, whole, moves)
-        if not left and options.stop_rule == "divisive":
-            scores = np.where(divisive, scores, -np.inf)
+    while True:
         k, floor = _first_best(scores, floor)
         if k is None:
             break
         left.append(out.pop(k))
-        left_sum = left_sum + rows[left[-1]]
+        left_sum += rows[left[-1]]
+        m = len(out)
+        if m < 2:
+            break
+        np.add(left_sum, rows[out], out=sums[:m])
+        scores, _, _ = _split_scores(total, sums[:2 * m], whole)
     if not left:
         return None
 
@@ -263,11 +305,10 @@ def exhaustive_bisect(model: ProbabilityModel,
     whole = _entropies(total)
     best, floor = None, -np.inf
     for chunk, sums in _pooled_subsets(rows[1:], masks):
-        halves = np.empty((2, *sums.shape))
-        np.add(rows[0], sums, out=halves[0])
-        scores, _ = _split_scores(total, whole, halves)
-        if scores.max() > floor:  # else the chunk cannot change the winner
-            k, floor = _first_best(scores, floor)
+        halves = np.empty((2 * len(sums), sums.shape[1]))
+        np.add(rows[0], sums, out=halves[:len(sums)])
+        k, floor = _first_best(_split_scores(total, halves, whole)[0], floor)
+        if k is not None:
             best = int(chunk[k])
     left = (subtree[0],) + tuple(row for b, row in enumerate(subtree[1:])
                                  if best >> b & 1)
@@ -328,7 +369,7 @@ def extract_clusters(dendrogram: Dendrogram, rule: str = "nondivisive",
     if rule == "height":
         if height is None:
             raise InvalidInputError("height cut requires a height")
-        if height < 0:
+        if not height >= 0:  # also NaN, which compares false
             raise InvalidInputError("cut height must be >= 0")
 
     def descend(node: DendrogramNode) -> bool:

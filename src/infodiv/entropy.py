@@ -95,11 +95,15 @@ def _entropy_bits(p: np.ndarray) -> np.ndarray:
 
 
 def _entropies(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entropy in bits of each row of `sums` once normalized, and its total.
-    A row of total 0 has entropy 0."""
+    """Entropy in bits of each row of `sums` (nonnegative) once normalized,
+    and its total. A row of total 0 has entropy 0: only then is the divide
+    masked, which gives every other row the bits of the plain divide."""
     weights = sums.sum(axis=-1)
-    p = np.divide(sums, weights[..., None], out=np.zeros_like(sums),
-                  where=weights[..., None] > 0)
+    if weights.all():
+        p = sums / weights[..., None]
+    else:
+        p = np.divide(sums, weights[..., None], out=np.zeros_like(sums),
+                      where=weights[..., None] > 0)
     return _entropy_bits(p), weights
 
 

@@ -322,20 +322,28 @@ def _unfold(items: list, expand) -> Iterator[str]:
 
 
 def _tree_json(dendrogram: Dendrogram) -> str:
-    """canonical_json of the export's "tree" object, each node's own
-    fields through canonical_json and the nesting without recursion."""
+    """canonical_json of the export's "tree" object, with the nesting
+    written without recursion. Each row label is encoded once: a node's
+    "members" list joins the codes of its rows in the order of their
+    labels' ranks, which is the order of the labels."""
     labels = dendrogram.row_labels
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    codes = [canonical_json(labels[i]) for i in order]
+    rank = [0] * len(labels)
+    for r, i in enumerate(order):
+        rank[i] = r
 
     def pieces(node: DendrogramNode) -> list:
-        fields = {"members": sorted(labels[i] for i in node.members),
-                  "height": node.height}
+        # The keys in sorted order: children, height, members, split.
+        own = (f'"height":{canonical_json(node.height)},"members":['
+               + ",".join([codes[r] for r in
+                           sorted([rank[i] for i in node.members])]) + "]")
         if node.is_leaf:
-            return [canonical_json(fields)]
-        fields["split"] = {key: getattr(node.split, key)
-                           for key in _SPLIT_FIELDS}
-        # "children" sorts before the other keys, so it opens the object.
+            return ["{" + own + "}"]
+        split = canonical_json({key: getattr(node.split, key)
+                                for key in _SPLIT_FIELDS})
         return ['{"children":[', node.children[0], ",", node.children[1],
-                "]," + canonical_json(fields)[1:]]
+                "]," + own + ',"split":' + split + "}"]
 
     return "".join(_unfold([dendrogram.root], pieces))
 

@@ -23,8 +23,8 @@ from infodiv import (
     transmission,
 )
 
-from infodiv.cluster import STRICT_TOL, _first_best, _split_scores, \
-    exhaustive_bisect
+from infodiv.cluster import _ARGMAX_MIN, STRICT_TOL, _first_best, \
+    _split_scores, exhaustive_bisect
 from infodiv.entropy import _entropies
 
 from conftest import brute_local_h0, examples, random_matrix, \
@@ -150,6 +150,10 @@ def test_extract_clusters():
     assert sorted(map(sorted, extract_clusters(d2))) == [[0], [1]]
     with pytest.raises(ValueError):
         extract_clusters(dend, rule="height", height=-1)
+    # An infinite height is valid (NaN is not, see test_io): it cuts below
+    # every split, down to the leaves.
+    assert sorted(map(sorted, extract_clusters(
+        dend, rule="height", height=float("inf")))) == [[0, 1], [2, 3]]
 
 
 def all_cut_groupings(dend):
@@ -237,8 +241,31 @@ def sparse_count_matrices(draw, max_cols=5):
                         [f"c{j}" for j in range(k)], rows)
 
 
-@given(sparse_count_matrices(), st.data())
-@settings(max_examples=200, deadline=None)
+@st.composite
+def two_scale_matrices(draw):
+    """Rows with cells near 1 and rows with cells near 1e-17 within the
+    columns of the large rows. A group's sum minus the sum of its large rows
+    then rounds to 0 in every column, so a right half of weight 0 reaches
+    the masked divide of `_entropies`."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, 4))
+    big = draw(st.lists(st.sampled_from([0, 1, 1, 2, 5]), min_size=k,
+                        max_size=k).filter(any))
+    rows = []
+    for i in range(n):
+        scale = 1.0 if i == 0 else draw(st.sampled_from([1.0, 1e-17]))
+        cells = [c * draw(st.sampled_from([0, 1, 1, 3])) for c in big]
+        if not any(cells):
+            cells = big
+        rows.append([c * scale for c in cells])
+    order = draw(st.permutations(range(n)))
+    return build_matrix([f"r{i}" for i in range(n)],
+                        [f"c{j}" for j in range(k)],
+                        [rows[i] for i in order])
+
+
+@given(st.one_of(sparse_count_matrices(), two_scale_matrices()), st.data())
+@settings(max_examples=examples(200), deadline=None)
 def test_bisect_searches_match_per_candidate_reference(m, data):
     pm = probability_model(m)
     order = data.draw(st.permutations(range(m.n_rows)))
@@ -250,19 +277,25 @@ def test_bisect_searches_match_per_candidate_reference(m, data):
         reference_exhaustive_bisect(pm, subtree)
 
 
-@given(st.lists(st.integers(0, 12), min_size=1, max_size=30),
-       st.integers(-1, 12))
-@settings(max_examples=300, deadline=None)
-def test_first_best_is_the_sequential_tie_rule(steps, floor_step):
-    # Scores on a grid of 0.4 * STRICT_TOL: many gaps fall either side of
-    # the tolerance.
-    scores = np.array(steps) * 0.4 * STRICT_TOL
+@given(st.data())
+@settings(max_examples=examples(300), deadline=None)
+def test_first_best_is_the_sequential_tie_rule(data):
+    # Scores on a grid of 0.4 * STRICT_TOL, and -inf for step -1: on a grid
+    # of 12 steps many gaps fall either side of the tolerance; on one of
+    # 10**6 steps the top score mostly stands clear, which from
+    # _ARGMAX_MIN scores on is taken by the argmax.
+    hi = data.draw(st.sampled_from([12, 10 ** 6]))
+    n = data.draw(st.integers(1, 2 * _ARGMAX_MIN + 20))
+    steps = data.draw(st.lists(st.integers(-1, hi), min_size=n, max_size=n))
+    floor_step = data.draw(st.integers(-1, hi))
+    scores = np.array([-np.inf if s < 0 else s * 0.4 * STRICT_TOL
+                       for s in steps])
     floor = -np.inf if floor_step < 0 else floor_step * 0.4 * STRICT_TOL
-    best = None
-    for i, s in enumerate(scores):
-        if s > (floor if best is None else scores[best] + STRICT_TOL):
-            best = i
-    assert _first_best(scores, floor)[0] == best
+    best, want = None, floor
+    for i, s in enumerate(scores.tolist()):
+        if s > want:
+            best, want = i, s + STRICT_TOL
+    assert _first_best(scores, floor) == (best, want)
 
 
 def _float_bits(ev):
@@ -347,14 +380,16 @@ def test_entropies_equal_the_masked_formula_bit_for_bit(m, c, data):
         for got, want in zip(_entropies(sums), reference_entropies(sums)):
             assert got.tobytes() == want.tobytes()
     # The fused left-and-right call against one call per half, on a group
-    # of positive weight.
+    # of positive weight: with the group's entropy given, and with the
+    # group's sum scored in the same call as the halves.
     total = halves[0].sum(axis=0) + halves[1].sum(axis=0)
     assume(total.sum() > 0)
     left_sums = np.minimum(halves[0], total)
-    halves[0] = left_sums
-    got = _split_scores(total, _entropies(total), halves)
     want = reference_split_scores(total, left_sums)
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    sums = np.concatenate([left_sums, left_sums, total[None]])
+    for got in (_split_scores(total, sums[:2 * m], _entropies(total), True),
+                _split_scores(total, sums, flags=True)):
+        assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want]
 
 
 def test_entropies_of_zero_columns_and_rows():

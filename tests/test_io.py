@@ -566,6 +566,8 @@ TREE = divisive_cluster(SQUARE)
      "height cut requires a height"),
     (lambda: extract_clusters(TREE, rule="height", height=-1.0),
      "cut height must be >= 0"),
+    (lambda: extract_clusters(TREE, rule="height", height=float("nan")),
+     "cut height must be >= 0"),
     (lambda: similarity_matrix(SQUARE, measure="spearman"),
      "unknown measure: 'spearman'"),
     (lambda: similarity_matrix(SQUARE, diagonal_mode="skip"),
@@ -575,8 +577,8 @@ TREE = divisive_cluster(SQUARE)
     (lambda: export_dendrogram(TREE, "png"), "unknown export format: 'png'"),
     (lambda: render_dendrogram(TREE, "png"), "unknown render format: 'png'"),
 ], ids=["stop-rule", "method", "cut-rule", "cut-no-height",
-        "cut-negative-height", "measure", "diagonal-mode", "transform",
-        "export-format", "render-format"])
+        "cut-negative-height", "cut-nan-height", "measure", "diagonal-mode",
+        "transform", "export-format", "render-format"])
 def test_bad_option_value_raises_invalid_input(call, message):
     with pytest.raises(InvalidInputError, match=re.escape(message)) as exc:
         call()
