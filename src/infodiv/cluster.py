@@ -17,9 +17,10 @@ the admissible seeds, start from the one with the highest transmission,
 then repeatedly move in the single best outside row while that strictly
 increases the transmission. It and the exhaustive search rank candidates by
 one kernel on pooled row sums; only the winner goes through
-`evaluate_bipartition`. The kernel scores the left and right halves of all
-of a move's candidates in one `_entropies` call. The greedy seed move adds
-the group's sum to that call, and only it computes the divisive flags
+`evaluate_bipartition`. The kernel takes one buffer per move, the group's
+sum in row 0 and then the left and right halves of all of its candidates,
+and scores every row in one `_entropies` call. The greedy seed is the
+first move, from an empty left; only it computes the divisive flags
 (under the "divisive" stop rule). Both searches take every entropy from
 `entropy._entropies`, but the kernel subtracts the left half's sum from the
 group's where `evaluate_bipartition` pools the right half's rows, so a
@@ -153,33 +154,26 @@ def evaluate_bipartition(model: ProbabilityModel, subtree: RowSubset,
                            global_delta=w_sub * local_h0, divisive=divisive)
 
 
-def _split_scores(total: np.ndarray, sums: np.ndarray,
-                  whole: tuple[float, float] | None = None,
-                  flags: bool = False,
-                  ) -> tuple[np.ndarray, np.ndarray | None, tuple]:
+def _split_scores(sums: np.ndarray, divisive_only: bool = False
+                  ) -> np.ndarray:
     """local_h0 of k bipartitions of one group, as in evaluate_bipartition
-    but unvalidated, and their divisive flags if `flags` (else None).
-    `total` sums the group's rows of `model.joint`; rows :k of `sums` sum
-    the rows of proper left halves, and rows k:2k are overwritten with the
-    sums of the right halves. `whole` is `_entropies(total)`; when it is
-    None, `sums` has a last row 2k holding `total`, scored in the same
-    `_entropies` call as the halves. Returns the scores, the flags and
-    `whole`."""
+    but unvalidated; -inf for one that is not divisive if `divisive_only`.
+    Row 0 of `sums` sums the group's rows of `model.joint`, rows 1..k the
+    rows of proper left halves; rows k+1..2k are overwritten with the sums
+    of the right halves. All 2k + 1 rows are scored in one `_entropies`
+    call."""
     k = len(sums) // 2
-    right = np.subtract(total, sums[:k], out=sums[k:2 * k])
+    right = np.subtract(sums[0], sums[1:k + 1], out=sums[k + 1:])
     # Rounding can leave a right half's sum below zero where it is zero.
     np.maximum(right, 0.0, out=right)
     h, w = _entropies(sums)
-    if whole is None:
-        whole = h[-1], w[-1]
-    h_agg, w_sub = whole
     wh = w * h
-    local_h0 = np.maximum(h_agg - (wh[:k] + wh[k:2 * k]) / w_sub, 0.0)
-    divisive = None
-    if flags:
-        divisive = ((h[:k] < h_agg - STRICT_TOL) &
-                    (h[k:2 * k] < h_agg - STRICT_TOL))
-    return local_h0, divisive, whole
+    scores = np.maximum(h[0] - (wh[1:k + 1] + wh[k + 1:]) / w[0], 0.0)
+    if divisive_only:
+        divisive = (h[1:k + 1] < h[0] - STRICT_TOL) & \
+            (h[k + 1:] < h[0] - STRICT_TOL)
+        scores = np.where(divisive, scores, -np.inf)
+    return scores
 
 
 def _first_best(scores: np.ndarray, floor: float) -> tuple[int | None, float]:
@@ -229,46 +223,37 @@ def greedy_bisect(model: ProbabilityModel, subtree: RowSubset,
     if len(subtree) < 2:
         raise InvalidInputError("cannot bisect fewer than 2 rows")
     rows = model.joint[list(subtree)]
-    n = len(rows)
-    # Rows :m of `sums` hold the m candidate left halves of a move and rows
-    # m:2m their right halves; the last row holds the group's row sum.
-    sums = np.empty((2 * n + 1, rows.shape[1]))
-    total = rows.sum(axis=0, out=sums[2 * n])
-
-    # The first move picks the seed: the best admissible single row, ties
-    # to the first in `subtree`. It scores the group's sum in the same
-    # call, and only it needs the divisive flags. Each later move adds the
+    # A move from `left` scores the m rows outside it: row 0 of `sums`
+    # holds the group's row sum, rows 1..m the m candidate left halves and
+    # rows m+1..2m their right halves. The first move, from an empty left,
+    # picks the seed: the best admissible single row, ties to the first in
+    # `subtree`; only it needs the divisive flags. Each later move adds the
     # outside row that raises the transmission most, while one raises it
-    # more than STRICT_TOL. `left_sum` adds the rows of `left` in order,
-    # as rows[left].sum(axis=0) does; a one-row left is that row, as
-    # 0.0 + x is x.
+    # more than STRICT_TOL. `left_sum` adds the rows of `left` in order to
+    # 0.0, as rows[left].sum(axis=0) does.
+    sums = np.empty((2 * len(rows) + 1, rows.shape[1]))
+    rows.sum(axis=0, out=sums[0])
     left: list[int] = []
-    left_sum = np.zeros_like(total)
-    out = list(range(n))
-    sums[:n] = rows
+    left_sum = np.zeros(rows.shape[1])
+    out = list(range(len(rows)))
     divisive_only = options.stop_rule == "divisive"
-    scores, divisive, whole = _split_scores(total, sums, flags=divisive_only)
-    if divisive_only:
-        scores = np.where(divisive, scores, -np.inf)
     floor = -np.inf
-    while True:
+    while len(out) >= 2:
+        m = len(out)
+        np.add(left_sum, rows[out], out=sums[1:m + 1])
+        scores = _split_scores(sums[:2 * m + 1], divisive_only and not left)
         k, floor = _first_best(scores, floor)
         if k is None:
             break
         left.append(out.pop(k))
         left_sum += rows[left[-1]]
-        m = len(out)
-        if m < 2:
-            break
-        np.add(left_sum, rows[out], out=sums[:m])
-        scores, _, _ = _split_scores(total, sums[:2 * m], whole)
     if not left:
         return None
 
     # The divisive flag of the final, grown bipartition governs acceptance.
     best = evaluate_bipartition(model, subtree,
                                 tuple(subtree[i] for i in left))
-    if options.stop_rule == "divisive" and not best.divisive:
+    if divisive_only and not best.divisive:
         return None
     return best
 
@@ -302,12 +287,12 @@ def exhaustive_bisect(model: ProbabilityModel,
         raise AssertionError(f"{len(masks)} candidates for {n} rows")
     rows = model.joint[list(subtree)]
     total = rows.sum(axis=0)
-    whole = _entropies(total)
     best, floor = None, -np.inf
     for chunk, sums in _pooled_subsets(rows[1:], masks):
-        halves = np.empty((2 * len(sums), sums.shape[1]))
-        np.add(rows[0], sums, out=halves[:len(sums)])
-        k, floor = _first_best(_split_scores(total, halves, whole)[0], floor)
+        halves = np.empty((2 * len(sums) + 1, sums.shape[1]))
+        halves[0] = total
+        np.add(rows[0], sums, out=halves[1:len(sums) + 1])
+        k, floor = _first_best(_split_scores(halves), floor)
         if k is not None:
             best = int(chunk[k])
     left = (subtree[0],) + tuple(row for b, row in enumerate(subtree[1:])

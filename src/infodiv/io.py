@@ -41,6 +41,7 @@ _NEWICK_PLAIN = re.compile(r"[^\s()\[\]':;,_]*")
 # in the order `dendrogram_from_json` checks them.
 _SPLIT_FIELDS = {"h_aggregate": float, "h_left": float, "h_right": float,
                  "local_h0": float, "global_delta": float, "divisive": bool}
+_SPLIT_KEYS = sorted(_SPLIT_FIELDS)  # the order an export writes them in
 
 
 def format_number(x: float) -> str:
@@ -59,15 +60,7 @@ def format_number(x: float) -> str:
 def read_text(path) -> str:
     """The contents of a UTF-8 text file; ParseError if it is not UTF-8."""
     with open(path, encoding="utf-8") as handle:
-        try:
-            return handle.read()
-        except UnicodeDecodeError as exc:
-            raise _not_text(exc) from None
-
-
-def _not_text(exc: UnicodeDecodeError) -> ParseError:
-    return ParseError(f"input is not {exc.encoding} text ({exc.reason}: "
-                      f"0x{exc.object[exc.start]:02x})")
+        return _read(handle)
 
 
 def parse_csv(text_or_path) -> LabeledMatrix:
@@ -107,7 +100,8 @@ def _read(handle) -> str:
     try:
         text = handle.read()
     except UnicodeDecodeError as exc:
-        raise _not_text(exc) from None
+        raise ParseError(f"input is not {exc.encoding} text ({exc.reason}: "
+                         f"0x{exc.object[exc.start]:02x})") from None
     if not isinstance(text, str):
         raise ParseError("input is not text: open the file in text mode")
     return text
@@ -321,14 +315,14 @@ def _unfold(items: list, expand) -> Iterator[str]:
             todo += reversed(expand(item))
 
 
-def _tree_json(dendrogram: Dendrogram) -> str:
+def _tree_json(dendrogram: Dendrogram, codes: list[str]) -> str:
     """canonical_json of the export's "tree" object, with the nesting
-    written without recursion. Each row label is encoded once: a node's
-    "members" list joins the codes of its rows in the order of their
-    labels' ranks, which is the order of the labels."""
+    written without recursion. `codes` holds each row label's
+    canonical_json: a node's "members" list joins the codes of its rows in
+    the order of their labels' ranks, which is the order of the labels."""
     labels = dendrogram.row_labels
     order = sorted(range(len(labels)), key=labels.__getitem__)
-    codes = [canonical_json(labels[i]) for i in order]
+    ranked = [codes[i] for i in order]
     rank = [0] * len(labels)
     for r, i in enumerate(order):
         rank[i] = r
@@ -336,14 +330,14 @@ def _tree_json(dendrogram: Dendrogram) -> str:
     def pieces(node: DendrogramNode) -> list:
         # The keys in sorted order: children, height, members, split.
         own = (f'"height":{canonical_json(node.height)},"members":['
-               + ",".join([codes[r] for r in
+               + ",".join([ranked[r] for r in
                            sorted([rank[i] for i in node.members])]) + "]")
         if node.is_leaf:
             return ["{" + own + "}"]
-        split = canonical_json({key: getattr(node.split, key)
-                                for key in _SPLIT_FIELDS})
+        split = ",".join([f'"{key}":{canonical_json(getattr(node.split, key))}'
+                          for key in _SPLIT_KEYS])
         return ['{"children":[', node.children[0], ",", node.children[1],
-                "]," + own + ',"split":' + split + "}"]
+                "]," + own + ',"split":{' + split + "}}"]
 
     return "".join(_unfold([dendrogram.root], pieces))
 
@@ -351,8 +345,9 @@ def _tree_json(dendrogram: Dendrogram) -> str:
 def export_dendrogram(dendrogram: Dendrogram, fmt: str = "json") -> str:
     """Serialize a dendrogram as canonical JSON, Newick, or Graphviz DOT."""
     if fmt == "json":  # canonical_json of {"labels": ..., "tree": ...}
-        return (f'{{"labels":{canonical_json(dendrogram.row_labels)},'
-                f'"tree":{_tree_json(dendrogram)}}}\n')
+        codes = [canonical_json(label) for label in dendrogram.row_labels]
+        return (f'{{"labels":[{",".join(codes)}],'
+                f'"tree":{_tree_json(dendrogram, codes)}}}\n')
     if fmt == "newick":
         return _newick(dendrogram)
     if fmt == "dot":

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import MAX_BISECT_ROWS, STRICT_TOL, ClusterOptions, \
-    _pooled_subsets, exhaustive_bisect, greedy_bisect
+from .cluster import STRICT_TOL, ClusterOptions, _pooled_subsets, \
+    exhaustive_bisect, greedy_bisect
 from .entropy import Grouping, _entropies, decompose
 from .errors import InvalidInputError, SizeLimitError
 from .matrix import LabeledMatrix, ProbabilityModel, probability_model

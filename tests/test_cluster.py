@@ -1,3 +1,4 @@
+import io
 import itertools
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from infodiv import (
 from infodiv.cluster import _ARGMAX_MIN, STRICT_TOL, _first_best, \
     _split_scores, exhaustive_bisect
 from infodiv.entropy import _entropies
+from infodiv.io import export_dendrogram, parse_csv
 
 from conftest import brute_local_h0, examples, random_matrix, \
     reference_entropies, reference_evaluate_bipartition, \
@@ -277,6 +279,27 @@ def test_bisect_searches_match_per_candidate_reference(m, data):
         reference_exhaustive_bisect(pm, subtree)
 
 
+@given(sparse_count_matrices())
+@settings(max_examples=examples(40), deadline=None)
+def test_the_sign_of_a_zero_cell_never_changes_a_tree(m):
+    # The seed move forms its one-row lefts as 0.0 + row, which turns a
+    # -0.0 cell into 0.0; no score, and so no export, may tell them apart.
+    def export(zero):
+        lines = [",".join(["", *m.col_labels])]
+        lines += [",".join([label, *(f"{v:g}" if v else zero for v in row)])
+                  for label, row in zip(m.row_labels, m.values.tolist())]
+        parsed = parse_csv(io.StringIO("\n".join(lines) + "\n"))
+        if zero == "-0" and (m.values == 0).any():
+            assert np.signbit(parsed.values[m.values == 0]).all()
+        return [export_dendrogram(divisive_cluster(
+                    parsed, ClusterOptions(stop_rule=stop), method), fmt)
+                for stop in ("divisive", "full")
+                for method in ("greedy", "exhaustive")
+                for fmt in ("json", "newick")]
+
+    assert export("-0") == export("0")
+
+
 @given(st.data())
 @settings(max_examples=examples(300), deadline=None)
 def test_first_best_is_the_sequential_tie_rule(data):
@@ -379,17 +402,17 @@ def test_entropies_equal_the_masked_formula_bit_for_bit(m, c, data):
     for sums in (halves, halves[0], halves[0, 0]):
         for got, want in zip(_entropies(sums), reference_entropies(sums)):
             assert got.tobytes() == want.tobytes()
-    # The fused left-and-right call against one call per half, on a group
-    # of positive weight: with the group's entropy given, and with the
-    # group's sum scored in the same call as the halves.
+    # The one call on the group's sum and both halves against one call per
+    # half, on a group of positive weight; with divisive_only, a split that
+    # is not divisive scores -inf.
     total = halves[0].sum(axis=0) + halves[1].sum(axis=0)
     assume(total.sum() > 0)
     left_sums = np.minimum(halves[0], total)
-    want = reference_split_scores(total, left_sums)
-    sums = np.concatenate([left_sums, left_sums, total[None]])
-    for got in (_split_scores(total, sums[:2 * m], _entropies(total), True),
-                _split_scores(total, sums, flags=True)):
-        assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want]
+    scores, divisive = reference_split_scores(total, left_sums)
+    for divisive_only in (False, True):
+        want = np.where(divisive, scores, -np.inf) if divisive_only else scores
+        sums = np.concatenate([total[None], left_sums, left_sums])
+        assert _split_scores(sums, divisive_only).tobytes() == want.tobytes()
 
 
 def test_entropies_of_zero_columns_and_rows():
