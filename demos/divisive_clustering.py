@@ -7,6 +7,7 @@ from infodiv import (
     divisive_cluster,
     export_dendrogram,
     extract_clusters,
+    probability_model,
     render_dendrogram,
     verify_greedy,
 )
@@ -33,7 +34,7 @@ for c in clusters:
     print("  ", sorted(matrix.row_labels[i] for i in c))
 
 # The greedy result can be checked against exhaustive search:
-report = verify_greedy(matrix)
+report = verify_greedy(probability_model(matrix))
 print(f"\nroot split: greedy H0 = {report.greedy_h0:.6f} bits, "
       f"exhaustive H0 = {report.best_h0:.6f} bits, gap = {report.gap:.2e}")
 

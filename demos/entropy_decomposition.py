@@ -13,7 +13,7 @@ matrix = build_matrix(
 )
 model = probability_model(matrix)
 
-print("column marginal:", model.col_marginal)
+print("column marginal:", model.joint.sum(axis=0))
 
 for name, assignment in [
     ("alice+carol vs bob", (0, 1, 0)),

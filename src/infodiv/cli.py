@@ -130,7 +130,7 @@ def _cmd_oracle(args) -> str:
     max_groups = matrix.n_rows if args.max_groups is None else args.max_groups
     model = probability_model(matrix)
     part = exhaustive_partition(model, max_groups)
-    bisect = verify_greedy(matrix)
+    bisect = verify_greedy(model)
     groups = [sorted(matrix.row_labels[i]
                      for i in part.best_grouping.members(g))
               for g in range(part.best_grouping.m)]

@@ -110,11 +110,11 @@ def _entropies(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def decompose(model: ProbabilityModel, grouping: Grouping) -> EntropyReport:
     """Entropy decomposition of the column variable under a row grouping.
 
-    The group entropies Hg come from one `_entropies` call on the
-    aggregated joint; H(n), H(m) and H(n,m) from `shannon_entropy`.
+    Hg comes from one `_entropies` call on the aggregated joint; H(n), of
+    the joint's column sums, and H(m) and H(n,m) from `shannon_entropy`.
     H(n) = H0 + sum_g Pg Hg and 0 <= H0 <= min(H(n), H(m)) are checked to
-    within 1e-9 bits. A violation indicates a bug or an inconsistent model,
-    not bad data, so it raises AssertionError, also under `python -O`.
+    within 1e-9 bits. A violation indicates a bug, not bad data, so it
+    raises AssertionError, also under `python -O`.
     """
     if len(grouping.assignment) != model.n_rows:
         raise InvalidInputError(
@@ -128,7 +128,7 @@ def decompose(model: ProbabilityModel, grouping: Grouping) -> EntropyReport:
 
     h_groups, weights = _entropies(agg)
     h_m = shannon_entropy(weights)
-    h_n = shannon_entropy(model.col_marginal)
+    h_n = shannon_entropy(model.joint.sum(axis=0))
     h_joint = shannon_entropy(agg)
     h_cond = h_joint - h_m
     h0 = h_n + h_m - h_joint

@@ -1,4 +1,5 @@
-"""CSV ingestion, canonical dendrogram exports, and renderers.
+"""CSV ingestion and writing, canonical dendrogram exports, and their JSON
+reader (`dendrogram_from_json` on `load_json`). The drawings are in `render`.
 
 Numbers in all text formats are written with 12 significant digits, rounded
 half away from zero, as `format_number` defines, so golden files are
@@ -360,9 +361,14 @@ def dendrogram_from_json(text: str) -> Dendrogram:
     nested. Text that is not JSON raises json.JSONDecodeError; a document
     of another shape, or a tree that is not one (a label given twice, or
     children that do not partition their node), raises ParseError naming
-    the first bad field."""
+    the first bad field. So does a tree `cluster` cannot write: no labels,
+    a root above height 0, or a child whose height is not its parent's
+    plus the split's global_delta (the chain rule), to within
+    1e-9 * max(1, child height)."""
     doc = load_json(text)
     labels = _field(doc, "labels", "document", list)
+    if not labels:
+        raise ParseError("document.labels: expected at least one label")
     index: dict[str, int] = {}
     for i, lab in enumerate(labels):
         if not isinstance(lab, str):
@@ -388,6 +394,11 @@ def dendrogram_from_json(text: str) -> Dendrogram:
                 left=kids[0].members, right=kids[1].members,
                 **{key: _field(s, key, f"{path}.split", kind)
                    for key, kind in _SPLIT_FIELDS.items()})
+            for k, kid in enumerate(kids):
+                if abs(kid.height - (height + split.global_delta)) > \
+                        1e-9 * max(1.0, kid.height):
+                    raise ParseError(f"{path}.children[{k}].height: expected "
+                                     f"{path}.height + global_delta")
             built.append(DendrogramNode(members=members, height=height,
                                         split=split, children=kids))
             continue
@@ -402,6 +413,8 @@ def dendrogram_from_json(text: str) -> Dendrogram:
             raise ParseError("tree.members: the root must hold every label")
         members = tuple(sorted(members))
         height = _field(d, "height", path, float)
+        if path == "tree" and height != 0:
+            raise ParseError("tree.height: the root must be at height 0")
         if "children" not in d:
             built.append(DendrogramNode(members=members, height=height))
             continue

@@ -51,12 +51,10 @@ class LabeledMatrix:
 
 @dataclass(frozen=True)
 class ProbabilityModel:
-    """Joint and marginal probabilities of a LabeledMatrix."""
+    """The joint distribution p(i, j) of a LabeledMatrix's cells. Every
+    marginal and group quantity is a sum over it, taken where it is used."""
 
-    joint: np.ndarray          # p[i, j], sums to 1
-    row_marginal: np.ndarray   # P[i]
-    col_marginal: np.ndarray   # q[j]
-    grand_sum: float
+    joint: np.ndarray  # p[i, j], read-only, sums to 1
 
     @property
     def n_rows(self) -> int:
@@ -114,20 +112,16 @@ def build_matrix(row_labels, col_labels, values) -> LabeledMatrix:
 
 
 def probability_model(matrix: LabeledMatrix) -> ProbabilityModel:
-    """Normalize the matrix by its grand sum into a joint distribution.
-
-    Raises NonFiniteValueError when the grand sum overflows the float range.
-    """
+    """Divide the matrix by its grand sum: the joint distribution, with no
+    other reduction. Raises NonFiniteValueError when the grand sum
+    overflows the float range."""
     total = matrix.grand_sum
     if not math.isfinite(total):
         raise NonFiniteValueError("matrix grand sum overflows the float "
                                   "range")
     joint = matrix.values / total
-    row_marginal = joint.sum(axis=1)
-    col_marginal = joint.sum(axis=0)
-    for a in (joint, row_marginal, col_marginal):
-        a.setflags(write=False)
-    return ProbabilityModel(joint, row_marginal, col_marginal, total)
+    joint.setflags(write=False)
+    return ProbabilityModel(joint)
 
 
 def check_subset(model: ProbabilityModel, subset: RowSubset) -> RowSubset:

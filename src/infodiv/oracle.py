@@ -23,7 +23,7 @@ from .cluster import STRICT_TOL, ClusterOptions, _pooled_subsets, \
     exhaustive_bisect, greedy_bisect
 from .entropy import Grouping, _entropies, decompose
 from .errors import InvalidInputError, SizeLimitError
-from .matrix import LabeledMatrix, ProbabilityModel, probability_model
+from .matrix import ProbabilityModel
 
 MAX_PARTITION_ROWS = 12
 # Bits below the incumbent at which a prefix is pruned: far above
@@ -135,9 +135,8 @@ def _partitions(n: int, max_groups: int) -> int:
     return sum(row)
 
 
-def verify_greedy(matrix: LabeledMatrix) -> OracleReport:
-    """Compare greedy and exhaustive bisection at the root of the matrix."""
-    model = probability_model(matrix)
+def verify_greedy(model: ProbabilityModel) -> OracleReport:
+    """Compare greedy and exhaustive bisection at the root of the model."""
     all_rows = tuple(range(model.n_rows))
     exact = exhaustive_bisect(model, all_rows)
     greedy = greedy_bisect(model, all_rows, ClusterOptions(stop_rule="full"))

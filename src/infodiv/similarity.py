@@ -59,9 +59,6 @@ class SimilarityMatrix:
 
     labels: tuple[str, ...]
     values: np.ndarray
-    measure: str          # "pearson" | "cosine"
-    diagonal_mode: str    # "include" | "missing"
-    transform: str        # "none" | "log1p"
 
 
 def pearson(x, y) -> float:
@@ -339,6 +336,4 @@ def similarity_matrix(matrix: LabeledMatrix, measure: str = "pearson",
             measure, x, sxx, y, syy,
             lambda k: f"(pair {labels[i[k]]!r}, {labels[j[k]]!r})", space)
     vals.setflags(write=False)
-    return SimilarityMatrix(labels=labels, values=vals,
-                            measure=measure, diagonal_mode=diagonal_mode,
-                            transform=transform)
+    return SimilarityMatrix(labels=labels, values=vals)

@@ -3,9 +3,11 @@ import json
 
 import pytest
 
-from infodiv import build_matrix, write_csv
+from infodiv import build_matrix, exhaustive_partition, parse_csv, \
+    verify_greedy, write_csv
 from infodiv import cli
 from infodiv.cli import run_cli
+from infodiv.io import canonical_json
 
 BLOCK_CSV = "x,w,x1,y,z\na,4,4,0,0\nb,4,4,0,0\nc,0,0,4,4\nd,0,0,4,4\n"
 
@@ -128,6 +130,30 @@ def test_oracle_command(block_csv, capsys):
         [["a", "b"], ["c", "d"]]
 
 
+def test_oracle_output_is_the_oracle_functions_on_one_model(
+        block_csv, capsys, monkeypatch):
+    built = []
+    model_of = cli.probability_model
+    monkeypatch.setattr(cli, "probability_model",
+                        lambda m: built.append(m) or model_of(m))
+    assert run_cli(["oracle", block_csv, "--max-groups", "2"]) == 0
+    assert len(built) == 1
+    matrix = parse_csv(block_csv)
+    pm = model_of(matrix)
+    part = exhaustive_partition(pm, 2)
+    bisect = verify_greedy(pm)
+    groups = [sorted(matrix.row_labels[i]
+                     for i in part.best_grouping.members(g))
+              for g in range(part.best_grouping.m)]
+    doc = {
+        "best_partition": {"groups": groups, "h0": part.best_h0,
+                           "candidates_examined": part.candidates_examined},
+        "root_bisection": {"exhaustive_h0": bisect.best_h0,
+                           "greedy_h0": bisect.greedy_h0, "gap": bisect.gap},
+    }
+    assert capsys.readouterr().out == canonical_json(doc) + "\n"
+
+
 def test_render_command(block_csv, tmp_path, capsys):
     dend = tmp_path / "dend.json"
     assert run_cli(["cluster", block_csv, "--out", str(dend)]) == 0
@@ -179,6 +205,13 @@ def test_similarity_non_square_exits_2(block_csv, capsys):
      '"split":{},"children":[{"members":["a"],"height":1.0},'
      '{"members":["a"],"height":1.0}]}}',
      "tree.children: their members must partition tree.members"),
+    # Leaves drawn left of their parent's split unless rejected.
+    ('{"labels":["a","b"],"tree":{"members":["a","b"],"height":0.0,'
+     '"split":{"h_aggregate":1,"h_left":0,"h_right":0,"local_h0":1,'
+     '"global_delta":1,"divisive":true},'
+     '"children":[{"members":["a"],"height":0.0},'
+     '{"members":["b"],"height":0.0}]}}',
+     "tree.children[0].height: expected tree.height + global_delta"),
 ])
 def test_render_malformed_dendrogram_exits_2(tmp_path, capsys, doc, field):
     p = tmp_path / "dend.json"

@@ -176,23 +176,25 @@ def test_singleton_grouping_h0():
                                         [[3, 1], [1, 3], [3, 1]]))
     rep = decompose(pm, Grouping((0, 1, 2), 3))
     row_term = sum(
-        pm.row_marginal[i] * entropy_bits(pm.joint[i] / pm.row_marginal[i])
+        pm.joint[i].sum() * entropy_bits(pm.joint[i] / pm.joint[i].sum())
         for i in range(3))
     assert rep.h0 == pytest.approx(rep.h_n - row_term, abs=1e-12)
 
 
 def test_inconsistent_model_raises_even_under_python_O():
-    # The column marginal claims two columns where the joint has one, so
-    # H0 = 1 bit exceeds H(m) = 0: a bug, reported even when asserts are off.
+    # Each group entropy comes back 1 bit too high, so H(n) misses
+    # H0 + sum Pg Hg by 1 bit: a bug, reported even when asserts are off.
     code = """
-import numpy as np
-from infodiv import Grouping, decompose
-from infodiv.matrix import ProbabilityModel
-pm = ProbabilityModel(joint=np.array([[.5, 0], [.5, 0]]),
-                      row_marginal=np.array([.5, .5]),
-                      col_marginal=np.array([.5, .5]), grand_sum=1)
+from infodiv import Grouping, build_matrix, decompose, entropy
+from infodiv import probability_model
+exact = entropy._entropies
+def one_bit_high(sums):
+    bits, weights = exact(sums)
+    return bits + 1, weights
+entropy._entropies = one_bit_high
+pm = probability_model(build_matrix(["a", "b"], ["x", "y"], [[1, 3], [2, 1]]))
 try:
-    decompose(pm, Grouping((0, 0), 1))
+    decompose(pm, Grouping((0, 1), 2))
 except AssertionError:
     print("raised")
 """

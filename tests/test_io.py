@@ -341,8 +341,7 @@ def test_csv_cells_at_the_seams(x, text):
     assert reference_format_number(x) == format_number(x) == text
     labels = ("a",)
     assert write_csv(LabeledMatrix(labels, labels, np.array([[x]]))) == \
-        similarity_csv(SimilarityMatrix(labels, np.array([[x]]), "cosine",
-                                        "include", "none")) == \
+        similarity_csv(SimilarityMatrix(labels, np.array([[x]]))) == \
         f",a\na,{text}\n"
 
 
@@ -543,11 +542,37 @@ def test_similarity_csv_layout():
      '"height":0.0,"split":{},"children":['
      '{"members":["a","b"],"height":1.0},{"members":["b"],"height":1.0}]}}',
      "tree.children: their members must partition tree.members"),
+    ('{"labels":[],"tree":{"height":0,"members":[]}}',
+     "document.labels: expected at least one label"),
+    ('{"labels":["a","b"],"tree":{"members":["a","b"],"height":5.0,'
+     '"split":{"h_aggregate":1,"h_left":0,"h_right":0,"local_h0":1,'
+     '"global_delta":1,"divisive":true},'
+     '"children":[{"members":["a"],"height":0.0},'
+     '{"members":["b"],"height":0.0}]}}',
+     "tree.height: the root must be at height 0"),
+    # The chain rule is checked after the split's numbers.
+    ('{"labels":["a","b","c"],"tree":{"members":["a","b","c"],'
+     '"height":0.0,"split":{"h_aggregate":1,"h_left":0.5,"h_right":0,'
+     '"local_h0":0.5,"global_delta":0.5,"divisive":true},"children":['
+     '{"members":["a","b"],"height":0.5,"split":{"h_aggregate":1,'
+     '"h_left":0,"h_right":0,"local_h0":1,"global_delta":0.25,'
+     '"divisive":true},"children":[{"members":["a"],"height":0.75},'
+     '{"members":["b"],"height":0.7500001}]},'
+     '{"members":["c"],"height":0.5}]}}',
+     "tree.children[0].children[1].height: expected "
+     "tree.children[0].height + global_delta"),
+    ('{"labels":["a","b"],"tree":{"members":["a","b"],"height":0.0,'
+     '"split":{"h_aggregate":1,"h_left":-1,"h_right":0,"local_h0":1,'
+     '"global_delta":1,"divisive":true},'
+     '"children":[{"members":["a"],"height":0.0},'
+     '{"members":["b"],"height":0.0}]}}',
+     "tree.split.h_left: expected a finite number >= 0"),
 ], ids=["no-labels", "label-type", "height-string", "height-nan",
         "height-huge-int", "one-child", "no-split", "divisive-type",
         "child-type", "child-before-split", "repeated-label",
         "repeated-member", "root-short", "children-overlap",
-        "member-before-partition", "partition-before-split"])
+        "member-before-partition", "partition-before-split", "labels-empty",
+        "root-height", "child-height", "split-before-child-height"])
 def test_dendrogram_from_json_names_the_bad_field(doc, message):
     with pytest.raises(ParseError, match=re.escape(message)):
         dendrogram_from_json(doc)

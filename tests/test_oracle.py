@@ -195,10 +195,11 @@ def test_partition_beyond_profile_classes_never_helps(rng):
 
 
 def test_verify_greedy_block_and_forced():
-    rep = verify_greedy(build_matrix(list("abcd"), list("wxyz"), BLOCK))
+    rep = verify_greedy(probability_model(
+        build_matrix(list("abcd"), list("wxyz"), BLOCK)))
     assert rep.gap == pytest.approx(0.0, abs=1e-12)
-    rep2 = verify_greedy(build_matrix(["a", "b"], ["x", "y"],
-                                      [[2, 0], [0, 2]]))
+    rep2 = verify_greedy(probability_model(
+        build_matrix(["a", "b"], ["x", "y"], [[2, 0], [0, 2]])))
     assert rep2.gap == pytest.approx(0.0, abs=1e-12)
 
 
@@ -207,7 +208,7 @@ def test_verify_greedy_random_suite(rng):
     for _ in range(20):
         m = random_matrix(rng, max_rows=6, min_rows=6, max_cols=5,
                           min_cols=5)
-        rep = verify_greedy(m)
+        rep = verify_greedy(probability_model(m))
         assert rep.gap >= -1e-12
         if rep.gap <= 1e-9:
             equal += 1
