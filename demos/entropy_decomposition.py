@@ -20,11 +20,11 @@ for name, assignment in [
     ("alice+bob vs carol", (0, 0, 1)),
     ("everyone together ", (0, 0, 0)),
 ]:
-    rep = decompose(model, Grouping(assignment, max(assignment) + 1))
+    rep = decompose(model, Grouping(assignment))
     print(f"{name}: H0 = {rep.h0:.4f} bits "
           f"(H(n) = {rep.h_n:.4f}, within-group = {rep.h_cond:.4f})")
 
 # The identity H(n) = H0 + sum_g Pg * Hg holds to machine precision:
-rep = decompose(model, Grouping((0, 1, 0), 2))
+rep = decompose(model, Grouping((0, 1, 0)))
 within = sum(p * h for p, h in rep.groups)
 print(f"\nidentity check: {rep.h_n:.12f} = {rep.h0:.12f} + {within:.12f}")

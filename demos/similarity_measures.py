@@ -3,7 +3,8 @@ and what a log transform does about it."""
 
 import numpy as np
 
-from infodiv import build_matrix, cosine, pearson, similarity_matrix
+from infodiv import build_matrix, cosine, log_transform, pearson, \
+    similarity_matrix
 
 x, y = [1, 2], [2, 1]
 print("two vectors:", x, y)
@@ -27,11 +28,10 @@ counts = [
 m = build_matrix(labels, labels, counts)
 
 for measure in ("pearson", "cosine"):
-    for transform in ("none", "log1p"):
-        sim = similarity_matrix(m, measure=measure, transform=transform)
+    for name, matrix in (("counts", m), ("log2(1+x)", log_transform(m))):
+        sim = similarity_matrix(matrix, measure=measure)
         off = sim.values[np.triu_indices(4, k=1)]
-        print(f"{measure:8s} transform={transform:5s} "
-              f"off-diagonal: {np.round(off, 3)}")
+        print(f"{measure:8s} {name:9s} off-diagonal: {np.round(off, 3)}")
 
 sim = similarity_matrix(m, measure="pearson", diagonal_mode="missing")
 print("pearson with diagonal-as-missing:",

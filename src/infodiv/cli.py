@@ -18,7 +18,7 @@ from .errors import InfodivError
 from .matrix import probability_model
 from .oracle import exhaustive_partition, verify_greedy
 from .render import render_dendrogram
-from .similarity import similarity_matrix
+from .similarity import log_transform, similarity_matrix
 
 
 class _UsageError(Exception):
@@ -95,9 +95,12 @@ def _cmd_cluster(args) -> str:
 
 def _cmd_similarity(args) -> str:
     matrix = div_io.parse_csv(args.matrix)
+    # A matrix that is not square is left for similarity_matrix to reject
+    # before log_transform could (ZeroRowError, for cells below 2^-53).
+    if args.log and matrix.row_labels == matrix.col_labels:
+        matrix = log_transform(matrix)
     sim = similarity_matrix(matrix, measure=args.measure,
-                            diagonal_mode=args.diagonal,
-                            transform="log1p" if args.log else "none")
+                            diagonal_mode=args.diagonal)
     return div_io.similarity_csv(sim)
 
 
@@ -114,7 +117,7 @@ def _cmd_entropy(args) -> str:
     names = sorted(set(mapping[lab] for lab in matrix.row_labels))
     name_id = {name: g for g, name in enumerate(names)}
     grouping = Grouping(tuple(name_id[mapping[lab]]
-                              for lab in matrix.row_labels), len(names))
+                              for lab in matrix.row_labels))
     rep = decompose(probability_model(matrix), grouping)
     doc = {
         "h_n": rep.h_n, "h_m": rep.h_m, "h_joint": rep.h_joint,

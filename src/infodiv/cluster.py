@@ -29,6 +29,7 @@ kernel score and the reported `local_h0` can differ in the last bits.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -339,26 +340,22 @@ def divisive_cluster(matrix: LabeledMatrix,
     return Dendrogram(root=built.pop(), row_labels=matrix.row_labels)
 
 
-def extract_clusters(dendrogram: Dendrogram, rule: str = "nondivisive",
+def extract_clusters(dendrogram: Dendrogram,
                      height: float | None = None) -> list[RowSubset]:
     """Cut the dendrogram into flat clusters.
 
-    rule "nondivisive": descend from the root through divisive splits only;
+    Without a height, descend from the root through divisive splits only;
     the maximal subtrees reached are the clusters (the level at which the
     total between-group information is maximal under the divisive rule).
-    rule "height": clusters are the maximal subtrees whose split would lie
-    above cumulative height `height`.
+    With a height (a number >= 0, inf included), the clusters are the
+    maximal subtrees whose split would lie above cumulative height `height`.
     """
-    if rule not in ("nondivisive", "height"):
-        raise InvalidInputError(f"unknown cut rule: {rule!r}")
-    if rule == "height":
-        if height is None:
-            raise InvalidInputError("height cut requires a height")
-        if not height >= 0:  # also NaN, which compares false
-            raise InvalidInputError("cut height must be >= 0")
+    if height is not None and not (isinstance(height, numbers.Real)
+                                   and height >= 0):  # NaN compares false
+        raise InvalidInputError(f"cut height must be >= 0, got {height!r}")
 
     def descend(node: DendrogramNode) -> bool:
-        if rule == "nondivisive":
+        if height is None:
             return node.split.divisive
         return node.height + node.split.global_delta <= height
 

@@ -16,35 +16,38 @@ every decomposition. All entropies are in bits (base-2 logarithms).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .matrix import ProbabilityModel
+from .matrix import ProbabilityModel, as_indices
 
 IDENTITY_TOL = 1e-9  # bits
 
 
 @dataclass(frozen=True)
 class Grouping:
-    """Assignment of each row to one of m groups, ids 0..m-1, all used."""
+    """Assignment of each row to a group; the m distinct ids are 0..m-1."""
 
     assignment: tuple[int, ...]
-    m: int
+    m: int = field(init=False)  # the number of groups
 
     def __post_init__(self):
-        used = set(self.assignment)
+        used = set(as_indices(self.assignment, "group id"))
+        object.__setattr__(self, "m", len(used))
         if used != set(range(self.m)):
             raise InvalidInputError(
                 f"group ids must cover 0..{self.m - 1}, got {sorted(used)}")
 
     @classmethod
     def from_sets(cls, groups, n_rows: int) -> "Grouping":
-        """Build a Grouping from an iterable of disjoint row-index sets."""
-        groups = [tuple(g) for g in groups]
+        """Build a Grouping from disjoint nonempty row-index sets."""
         assignment = [-1] * n_rows
         for g, members in enumerate(groups):
+            members = as_indices(members, "row index")
+            if not members:
+                raise InvalidInputError(f"group {g} is empty")
             for i in members:
                 if not 0 <= i < n_rows:
                     raise InvalidInputError(f"row {i} outside 0..{n_rows - 1}")
@@ -53,7 +56,7 @@ class Grouping:
                 assignment[i] = g
         if -1 in assignment:
             raise InvalidInputError("grouping does not cover all rows")
-        return cls(tuple(assignment), len(groups))
+        return cls(tuple(assignment))
 
     def members(self, g: int) -> tuple[int, ...]:
         return tuple(i for i, a in enumerate(self.assignment) if a == g)

@@ -296,8 +296,6 @@ def canonical_json(obj) -> str:
         return "{" + body + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(canonical_json(v) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if isinstance(obj, float):
         return format_number(obj)
     return json.dumps(obj)

@@ -9,6 +9,7 @@ model, never from the raw counts.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,9 +125,23 @@ def probability_model(matrix: LabeledMatrix) -> ProbabilityModel:
     return ProbabilityModel(joint)
 
 
+def as_indices(values, what: str) -> tuple[int, ...]:
+    """`values` as ints by `operator.index`, which takes Python's and
+    numpy's integers. A float or a string, which `int` would truncate or
+    parse, raises InvalidInputError naming the first such value."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        bad = next(v for v in values if not hasattr(type(v), "__index__"))
+        raise InvalidInputError(
+            f"{what} must be an integer, got {bad!r}") from None
+
+
 def check_subset(model: ProbabilityModel, subset: RowSubset) -> RowSubset:
-    """Validate a row subset: nonempty, distinct, in range."""
-    subset = tuple(map(int, subset))
+    """Validate a row subset: integer indices, nonempty, distinct, in
+    range."""
+    subset = as_indices(subset, "row index")
     if not subset:
         raise InvalidInputError("row subset must be nonempty")
     if len(set(subset)) != len(subset):

@@ -23,7 +23,7 @@ from .cluster import STRICT_TOL, ClusterOptions, _pooled_subsets, \
     exhaustive_bisect, greedy_bisect
 from .entropy import Grouping, _entropies, decompose
 from .errors import InvalidInputError, SizeLimitError
-from .matrix import ProbabilityModel
+from .matrix import ProbabilityModel, as_indices
 
 MAX_PARTITION_ROWS = 12
 # Bits below the incumbent at which a prefix is pruned: far above
@@ -65,6 +65,7 @@ def exhaustive_partition(model: ProbabilityModel,
     partitions into at most `max_groups` blocks.
     """
     n = model.n_rows
+    (max_groups,) = as_indices((max_groups,), "max_groups")
     if n > MAX_PARTITION_ROWS:
         raise SizeLimitError(
             f"{n} rows exceeds the exhaustive partition limit of "

@@ -275,27 +275,22 @@ def log_transform(matrix: LabeledMatrix) -> LabeledMatrix:
 
 
 def similarity_matrix(matrix: LabeledMatrix, measure: str = "pearson",
-                      diagonal_mode: str = "include",
-                      transform: str = "none") -> SimilarityMatrix:
-    """Pairwise similarity of the rows of a square labeled matrix.
+                      diagonal_mode: str = "include") -> SimilarityMatrix:
+    """Pairwise similarity of the rows of a square labeled matrix; pass
+    `log_transform(matrix)` to compare the log-transformed rows.
 
     diagonal_mode "missing" drops positions i and j from both row vectors
     before comparing rows i and j (the usual handling of self-cocitation
-    cells); "include" treats the diagonal as ordinary data. The log
-    transform, when requested, is applied before anything else.
+    cells); "include" treats the diagonal as ordinary data.
     """
     if measure not in ("pearson", "cosine"):
         raise InvalidInputError(f"unknown measure: {measure!r}")
     if diagonal_mode not in ("include", "missing"):
         raise InvalidInputError(f"unknown diagonal_mode: {diagonal_mode!r}")
-    if transform not in ("none", "log1p"):
-        raise InvalidInputError(f"unknown transform: {transform!r}")
     if matrix.row_labels != matrix.col_labels:
         raise InvalidInputError("similarity needs a square matrix with "
                                 "matching row and column labels")
 
-    if transform == "log1p":
-        matrix = log_transform(matrix)
     n = matrix.n_rows
     labels, values = matrix.row_labels, matrix.values
     width = n if diagonal_mode == "include" else n - 2

@@ -33,7 +33,6 @@ from infodiv import (
     build_matrix,
     decompose,
     evaluate_bipartition,
-    log_transform,
     pooled_profile,
     shannon_entropy,
 )
@@ -205,7 +204,7 @@ def reference_exhaustive_partition(model, max_groups):
     for rgs in reference_restricted_growth_strings(n, max_groups):
         count += 1
         m = max(rgs) + 1
-        grouping = Grouping(rgs, m)
+        grouping = Grouping(rgs)
         h0 = decompose(model, grouping).h0
         if h0 > best_h0 + STRICT_TOL or \
                 (abs(h0 - best_h0) <= STRICT_TOL and m < best_m):
@@ -284,11 +283,9 @@ def reference_centered(rows):
 
 
 def reference_similarity_matrix(matrix, measure="pearson",
-                                diagonal_mode="include", transform="none"):
+                                diagonal_mode="include"):
     """The values of similarity_matrix, one reference_pair call per pair
     of rows; an undefined pair raises naming that pair."""
-    if transform == "log1p":
-        matrix = log_transform(matrix)
     n = matrix.n_rows
     vals = np.eye(n)
     for i in range(n):

@@ -59,8 +59,7 @@ def test_criterion_1_decomposition_identities():
             m = random_matrix(rng, max_rows=10, max_cols=8)
             pm = probability_model(m)
             assignment = random_grouping(rng, m.n_rows)
-            rep = decompose(pm, Grouping(tuple(assignment),
-                                         max(assignment) + 1))
+            rep = decompose(pm, Grouping(tuple(assignment)))
             within = sum(p * h for p, h in rep.groups)
             assert abs(rep.h_n - (rep.h0 + within)) <= 1e-9
             assert abs(rep.h_cond - (rep.h_joint - rep.h_m)) <= 1e-9
@@ -139,8 +138,7 @@ def test_criterion_4_bounds_and_monotonicity():
             m = random_matrix(rng, max_rows=10, max_cols=8)
             pm = probability_model(m)
             assignment = random_grouping(rng, m.n_rows)
-            rep = decompose(pm, Grouping(tuple(assignment),
-                                         max(assignment) + 1))
+            rep = decompose(pm, Grouping(tuple(assignment)))
             assert -1e-12 <= rep.h0 <= min(rep.h_n, rep.h_m) + 1e-12
             # Refine by splitting one multi-row group.
             m_groups = max(assignment) + 1
@@ -149,8 +147,7 @@ def test_criterion_4_bounds_and_monotonicity():
                 if len(members) >= 2:
                     refined = list(assignment)
                     refined[members[0]] = m_groups
-                    fine = transmission(pm, Grouping(tuple(refined),
-                                                     m_groups + 1))
+                    fine = transmission(pm, Grouping(tuple(refined)))
                     assert fine >= rep.h0 - 1e-12
                     break
 

@@ -191,6 +191,16 @@ def test_similarity_non_square_exits_2(block_csv, capsys):
     assert captured.out == "" and "square" in captured.err
 
 
+def test_similarity_non_square_error_comes_before_the_log(tmp_path, capsys):
+    # Under --log, row a is all zero, which log_transform rejects.
+    p = tmp_path / "m.csv"
+    p.write_text("x,a,b,c\na,1e-20,1e-20,1e-20\nb,1,2,3\n")
+    assert run_cli(["similarity", str(p), "--measure", "cosine",
+                    "--log"]) == 2
+    assert capsys.readouterr().err == "error: similarity needs a square " \
+        "matrix with matching row and column labels\n"
+
+
 @pytest.mark.parametrize("doc, field", [
     ('{"labels":["a"],"tree":{}}', "tree: missing field 'members'"),
     ("[1,2]", "document: expected an object"),

@@ -145,17 +145,17 @@ def test_extract_clusters():
     m = build_matrix(list("abcd"), list("wxyz"), BLOCK)
     dend = divisive_cluster(m)
     assert sorted(map(sorted, extract_clusters(dend))) == [[0, 1], [2, 3]]
-    assert sorted(map(sorted, extract_clusters(
-        dend, rule="height", height=0.0))) == [[0, 1, 2, 3]]
+    assert sorted(map(sorted, extract_clusters(dend, height=0.0))) == \
+        [[0, 1, 2, 3]]
     d2 = divisive_cluster(build_matrix(["a", "b"], ["x", "y"],
                                        [[2, 0], [0, 2]]))
     assert sorted(map(sorted, extract_clusters(d2))) == [[0], [1]]
     with pytest.raises(ValueError):
-        extract_clusters(dend, rule="height", height=-1)
+        extract_clusters(dend, height=-1)
     # An infinite height is valid (NaN is not, see test_io): it cuts below
     # every split, down to the leaves.
     assert sorted(map(sorted, extract_clusters(
-        dend, rule="height", height=float("inf")))) == [[0, 1], [2, 3]]
+        dend, height=float("inf")))) == [[0, 1], [2, 3]]
 
 
 def all_cut_groupings(dend):
@@ -356,7 +356,7 @@ def test_group_entropy_is_one_float_by_every_route(m, data):
     assignment = [ids.setdefault(g, len(ids)) for g in data.draw(
         st.lists(st.integers(0, m.n_rows - 1), min_size=m.n_rows,
                  max_size=m.n_rows))]
-    grouping = Grouping(tuple(assignment), len(ids))
+    grouping = Grouping(tuple(assignment))
     report = decompose(pm, grouping)
     for g in range(grouping.m):
         members = grouping.members(g)

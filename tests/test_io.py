@@ -586,24 +586,21 @@ TREE = divisive_cluster(SQUARE)
     (lambda: ClusterOptions(stop_rule="half"), "unknown stop_rule: 'half'"),
     (lambda: divisive_cluster(SQUARE, method="random"),
      "unknown method: 'random'"),
-    (lambda: extract_clusters(TREE, rule="top"), "unknown cut rule: 'top'"),
-    (lambda: extract_clusters(TREE, rule="height"),
-     "height cut requires a height"),
-    (lambda: extract_clusters(TREE, rule="height", height=-1.0),
-     "cut height must be >= 0"),
-    (lambda: extract_clusters(TREE, rule="height", height=float("nan")),
-     "cut height must be >= 0"),
+    (lambda: extract_clusters(TREE, height=-1.0),
+     "cut height must be >= 0, got -1.0"),
+    (lambda: extract_clusters(TREE, height=float("nan")),
+     "cut height must be >= 0, got nan"),
+    (lambda: extract_clusters(TREE, height="1"),
+     "cut height must be >= 0, got '1'"),
     (lambda: similarity_matrix(SQUARE, measure="spearman"),
      "unknown measure: 'spearman'"),
     (lambda: similarity_matrix(SQUARE, diagonal_mode="skip"),
      "unknown diagonal_mode: 'skip'"),
-    (lambda: similarity_matrix(SQUARE, transform="sqrt"),
-     "unknown transform: 'sqrt'"),
     (lambda: export_dendrogram(TREE, "png"), "unknown export format: 'png'"),
     (lambda: render_dendrogram(TREE, "png"), "unknown render format: 'png'"),
-], ids=["stop-rule", "method", "cut-rule", "cut-no-height",
-        "cut-negative-height", "cut-nan-height", "measure", "diagonal-mode",
-        "transform", "export-format", "render-format"])
+], ids=["stop-rule", "method", "cut-negative-height", "cut-nan-height",
+        "cut-string-height", "measure", "diagonal-mode", "export-format",
+        "render-format"])
 def test_bad_option_value_raises_invalid_input(call, message):
     with pytest.raises(InvalidInputError, match=re.escape(message)) as exc:
         call()

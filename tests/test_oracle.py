@@ -146,7 +146,7 @@ def test_exhaustive_partition_prunes_a_block_matrix():
     assert time.perf_counter() - start < 2.0
     assert rep.candidates_examined == bell(12)
     assert rep.best_h0 >= decompose(pm, Grouping(
-        tuple(i % 3 for i in range(12)), 3)).h0 - 1e-12
+        tuple(i % 3 for i in range(12)))).h0 - 1e-12
 
 
 def test_exhaustive_partition_respects_max_groups():
@@ -168,7 +168,7 @@ def test_exhaustive_partition_ties_go_to_lexicographically_smallest_string():
     rep = exhaustive_partition(pm, 2)
     assert rep.best_grouping.assignment == (0, 1, 1, 0, 0)
     assert rep.best_h0.hex() == "0x1.89b2a4e107df8p-2"
-    assert decompose(pm, Grouping((0, 1, 1, 1, 0), 2)).h0 == rep.best_h0
+    assert decompose(pm, Grouping((0, 1, 1, 1, 0))).h0 == rep.best_h0
 
 
 def test_exhaustive_ge_greedy(rng):
@@ -188,8 +188,7 @@ def test_partition_beyond_profile_classes_never_helps(rng):
         m = random_matrix(rng, max_rows=6, max_cols=4)
         pm = probability_model(m)
         full = exhaustive_partition(pm, m.n_rows)
-        singles = transmission(pm, Grouping(tuple(range(m.n_rows)),
-                                            m.n_rows))
+        singles = transmission(pm, Grouping(tuple(range(m.n_rows))))
         assert full.best_h0 == pytest.approx(singles, abs=1e-9) or \
             full.best_h0 >= singles - 1e-12
 

@@ -173,8 +173,7 @@ def test_similarity_matrix_cosine_identity_like():
 
 def test_similarity_matrix_symmetric_and_bounded():
     for measure in ("pearson", "cosine"):
-        sim = similarity_matrix(square(), measure=measure,
-                                transform="log1p")
+        sim = similarity_matrix(log_transform(square()), measure=measure)
         assert np.allclose(sim.values, sim.values.T, atol=1e-12)
         assert np.all(np.diag(sim.values) == 1.0)
         if measure == "cosine":
@@ -208,11 +207,11 @@ def test_similarity_error_names_the_pair():
 
 @st.composite
 def transformed_square_matrices(draw):
-    """A transform and a square matrix of up to 7 rows: small integers or
-    reals, each row scaled by 2^-700 (untransformed only, as the log of so
-    small a row is zero), 1 or 2^700; in half of them some rows are zero
-    off the diagonal and some constant."""
-    transform = draw(st.sampled_from(["none", "log1p"]))
+    """A square matrix of up to 7 rows, log-transformed or not: small
+    integers or reals, each row scaled by 2^-700 (untransformed only, as the
+    log of so small a row is zero), 1 or 2^700; in half of them some rows
+    are zero off the diagonal and some constant."""
+    logged = draw(st.booleans())
     n = draw(st.integers(1, 7))
     cell = st.one_of(st.integers(0, 4).map(float),
                      st.floats(0.0, 50.0, allow_subnormal=False))
@@ -220,7 +219,7 @@ def transformed_square_matrices(draw):
                                     min_size=n, max_size=n)))
     kinds = ["data", "data", "zero", "constant"] if draw(st.booleans()) \
         else ["data"]
-    scales = [-700, 0, 0, 700] if transform == "none" else [0, 0, 700]
+    scales = [0, 0, 700] if logged else [-700, 0, 0, 700]
     for i in range(n):
         kind = draw(st.sampled_from(kinds))
         if kind == "zero":
@@ -230,7 +229,8 @@ def transformed_square_matrices(draw):
         values[i, i] = max(values[i, i], 1.0)  # no all-zero row
         values[i] = np.ldexp(values[i], draw(st.sampled_from(scales)))
     labels = [f"a{i}" for i in range(n)]
-    return build_matrix(labels, labels, values), transform
+    matrix = build_matrix(labels, labels, values)
+    return log_transform(matrix) if logged else matrix
 
 
 def _outcome(fn, *args):
@@ -242,27 +242,25 @@ def _outcome(fn, *args):
 
 @given(transformed_square_matrices(), st.sampled_from(["pearson", "cosine"]),
        st.sampled_from(["include", "missing"]))
-@example((build_matrix(list("abc"), list("abc"),
-                       [[5, 2, 0], [2, 7, 1], [0, 1, 4]]), "none"),
+@example(build_matrix(list("abc"), list("abc"),
+                      [[5, 2, 0], [2, 7, 1], [0, 1, 4]]),
          "pearson", "missing")
-@example((build_matrix(list("abc"), list("abc"),
-                       [[1e154, 1e154, 1], [1, 1e154, 1e154],
-                        [3, 1, 1e154]]), "none"),
+@example(build_matrix(list("abc"), list("abc"),
+                      [[1e154, 1e154, 1], [1, 1e154, 1e154],
+                       [3, 1, 1e154]]),
          "cosine", "include")
-@example((build_matrix(list("abcd"), list("abcd"),
-                       [[2, 2, 2, 2], [1e308, 1e308, 1, 1], [1, 2, 3, 4],
-                        [2, 1, 1, 5]]), "none"),
+@example(build_matrix(list("abcd"), list("abcd"),
+                      [[2, 2, 2, 2], [1e308, 1e308, 1, 1], [1, 2, 3, 4],
+                       [2, 1, 1, 5]]),
          "pearson", "include")
-@example((build_matrix(list("abcd"), list("abcd"),
-                       [[1, 1e308, 1e308, 1], [1, 2, 3, 4], [2, 1, 1, 5],
-                        [1, 1, 2, 3]]), "none"),
+@example(build_matrix(list("abcd"), list("abcd"),
+                      [[1, 1e308, 1e308, 1], [1, 2, 3, 4], [2, 1, 1, 5],
+                       [1, 1, 2, 3]]),
          "pearson", "missing")
 @settings(max_examples=examples(400), deadline=None)
-def test_similarity_matrix_matches_the_per_pair_loop(matrix_transform,
-                                                      measure,
+def test_similarity_matrix_matches_the_per_pair_loop(matrix, measure,
                                                       diagonal_mode):
-    matrix, transform = matrix_transform
-    args = (matrix, measure, diagonal_mode, transform)
+    args = (matrix, measure, diagonal_mode)
     expected = _outcome(reference_similarity_matrix, *args)
     got = _outcome(similarity_matrix, *args)
     if isinstance(expected, tuple):
@@ -398,9 +396,9 @@ def test_small_chunks_match_the_per_pair_loop(monkeypatch, seed,
     matrix = _cocitation(rng, int(rng.integers(20, 41)))
     monkeypatch.setattr(similarity, "_CHUNK_CELLS",
                         chunk_cells(matrix.n_rows))
-    for measure, diagonal_mode, transform in itertools.product(
-            ["pearson", "cosine"], ["include", "missing"], ["none", "log1p"]):
-        args = (matrix, measure, diagonal_mode, transform)
+    for args in itertools.product(
+            [matrix, log_transform(matrix)], ["pearson", "cosine"],
+            ["include", "missing"]):
         got = similarity_matrix(*args).values
         assert got.tobytes() == reference_similarity_matrix(*args).tobytes()
 
