@@ -21,7 +21,6 @@ from .entropy import (
     Grouping,
     decompose,
     shannon_entropy,
-    transmission,
 )
 from .errors import (
     DuplicateLabelError,

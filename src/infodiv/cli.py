@@ -95,9 +95,7 @@ def _cmd_cluster(args) -> str:
 
 def _cmd_similarity(args) -> str:
     matrix = div_io.parse_csv(args.matrix)
-    # A matrix that is not square is left for similarity_matrix to reject
-    # before log_transform could (ZeroRowError, for cells below 2^-53).
-    if args.log and matrix.row_labels == matrix.col_labels:
+    if args.log:
         matrix = log_transform(matrix)
     sim = similarity_matrix(matrix, measure=args.measure,
                             diagonal_mode=args.diagonal)

@@ -148,8 +148,3 @@ def decompose(model: ProbabilityModel, grouping: Grouping) -> EntropyReport:
     ratio = h0 / h_n if h_n > 0 else 0.0
     return EntropyReport(h_n=h_n, h_m=h_m, h_joint=h_joint, h_cond=h_cond,
                          h0=h0, groups=groups, h0_ratio=ratio)
-
-
-def transmission(model: ProbabilityModel, grouping: Grouping) -> float:
-    """Mutual information between the grouping and the column variable."""
-    return decompose(model, grouping).h0

@@ -141,8 +141,8 @@ def verify_greedy(model: ProbabilityModel) -> OracleReport:
     all_rows = tuple(range(model.n_rows))
     exact = exhaustive_bisect(model, all_rows)
     greedy = greedy_bisect(model, all_rows, ClusterOptions(stop_rule="full"))
-    greedy_h0 = greedy.local_h0 if greedy is not None else 0.0
     grouping = Grouping.from_sets([exact.left, exact.right], model.n_rows)
     return OracleReport(best_grouping=grouping, best_h0=exact.local_h0,
                         candidates_examined=2 ** (model.n_rows - 1) - 1,
-                        greedy_h0=greedy_h0, gap=exact.local_h0 - greedy_h0)
+                        greedy_h0=greedy.local_h0,
+                        gap=exact.local_h0 - greedy.local_h0)

@@ -63,7 +63,7 @@ def _render_text(dendrogram: Dendrogram) -> str:
     leaves: list[DendrogramNode] = dendrogram.leaves()
     # Row of each leaf; the center row of each inner node is added below.
     rows = {id(leaf): 2 * k for k, leaf in enumerate(leaves)}
-    n_lines = 2 * len(leaves) - 1 if leaves else 1
+    n_lines = 2 * len(leaves) - 1
     grid = [[" "] * (_WIDTH + 2) for _ in range(n_lines)]
 
     def hline(r: int, x0: int, x1: int, ch: str):
@@ -121,7 +121,7 @@ def _render_svg(dendrogram: Dendrogram) -> str:
     leaves = dendrogram.leaves()
     max_h = dendrogram.max_height()
     row_step, pad, plot_w = 24, 60, 480
-    height = pad + row_step * max(len(leaves), 1) + 40
+    height = pad + row_step * len(leaves) + 40
     scale = plot_w / max_h if max_h > 0 else 0.0
 
     def x_of(h: float) -> float:
@@ -154,7 +154,7 @@ def _render_svg(dendrogram: Dendrogram) -> str:
 
     # Divisive cut line and axis.
     cut_x = x_of(divisive_cut_height(dendrogram))
-    axis_y = pad + row_step * max(len(leaves) - 1, 0) + 24
+    axis_y = pad + row_step * (len(leaves) - 1) + 24
     parts.append(
         f'<line x1="{cut_x:.2f}" y1="{pad - 16}" x2="{cut_x:.2f}" '
         f'y2="{axis_y:.2f}" stroke="red" stroke-dasharray="3,3"/>')

@@ -84,8 +84,10 @@ def _pair(measure: str, x, y) -> float:
     if not np.isfinite(pair).all():
         raise NonFiniteValueError(f"{measure} undefined for a vector with "
                                   "NaN or infinite coordinates")
-    rows, ss = _prepared(measure, pair)
-    return float(_scores(measure, rows[:1], ss[:1], rows[1:], ss[1:])[0])
+    space = _sum_space(2, len(x))
+    rows, ss = _prepared(measure, pair, space)
+    return float(_scores(measure, rows[:1], ss[:1], rows[1:], ss[1:],
+                         space)[0])
 
 
 def _check_vectors(measure: str, x_shape: tuple, y_shape: tuple) -> None:
@@ -96,11 +98,11 @@ def _check_vectors(measure: str, x_shape: tuple, y_shape: tuple) -> None:
                                 f"length >= {min_width}")
 
 
-def _prepared(measure: str, rows: np.ndarray, space=None
+def _prepared(measure: str, rows: np.ndarray, space
               ) -> tuple[np.ndarray, np.ndarray]:
     """The rows of the fresh 2-D array `rows`, centered in place for
     Pearson, as `_scaled_rows` returns them with their sums of squares
-    (summed in `space`, if given, as by `_exact_sums`)."""
+    (summed in `space`, as by `_exact_sums`)."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         if measure == "pearson":
             rows -= rows.mean(axis=1, keepdims=True)
@@ -108,11 +110,11 @@ def _prepared(measure: str, rows: np.ndarray, space=None
 
 
 def _scores(measure: str, x: np.ndarray, sxx: np.ndarray, y: np.ndarray,
-            syy: np.ndarray, name=None, space=None) -> np.ndarray:
+            syy: np.ndarray, space, name=None) -> np.ndarray:
     """`measure` of each pair k of rows x[k] and y[k] from `_prepared`,
     whose sums of squares are sxx[k] and syy[k]: sum(xy) / sqrt(sum(x^2) *
     sum(y^2)), clipped to [-1, 1] for Pearson. The products overwrite x,
-    and are summed in `space` if given. The first undefined pair raises,
+    and are summed in `space`. The first undefined pair raises,
     its message followed by name(k) when `name` is given."""
     # Centered values past the float range leave a sum of squares that is
     # not finite, even after scaling.
@@ -127,8 +129,7 @@ def _scores(measure: str, x: np.ndarray, sxx: np.ndarray, y: np.ndarray,
     return np.clip(r, -1.0, 1.0) if measure == "pearson" else r
 
 
-def _scaled_rows(rows: np.ndarray, space=None
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _scaled_rows(rows: np.ndarray, space) -> tuple[np.ndarray, np.ndarray]:
     """The rows of the fresh 2-D array `rows` (which it may overwrite) and
     their exactly rounded sums of squares. Only a row whose sum lies
     outside [_SQ_LO, _SQ_HI], or overflows, is first scaled by an exact
@@ -144,7 +145,7 @@ def _scaled_rows(rows: np.ndarray, space=None
     return rows, ss
 
 
-def _exact_sums(terms: np.ndarray, space=None) -> np.ndarray:
+def _exact_sums(terms: np.ndarray, space) -> np.ndarray:
     """The sum of each row of the 2-D float array `terms`, rounded once to
     nearest: what `math.fsum` returns for the row, or inf where fsum
     overflows. Rows of non-negative terms are covered, and so is any row
@@ -186,15 +187,13 @@ def _exact_sums(terms: np.ndarray, space=None) -> np.ndarray:
     then comes near overflow where a certified c is returned.
 
     The rows are summed a block at a time, in the working arrays `space`
-    from `_sum_space`, or in arrays made for this call if none are given.
+    that `_sum_space` made for at least this many terms per row.
     """
     terms = np.asarray(terms, dtype=float)
     n_rows, width = terms.shape
     sums = np.zeros(n_rows)
     if width == 0:
         return sums
-    if space is None or len(space[0]) < width:
-        space = _sum_space(n_rows, width)
     level_cells, spare_cells, err_cells = space
     block = max(1, min(n_rows, len(level_cells) // width))
     for start in range(0, n_rows, block):
@@ -269,9 +268,15 @@ def _two_sum_error(a, b, s, out, t) -> None:
 
 
 def log_transform(matrix: LabeledMatrix) -> LabeledMatrix:
-    """Cell-wise x -> log2(1 + x); monotone and zero-preserving."""
-    return build_matrix(matrix.row_labels, matrix.col_labels,
-                        np.log2(1.0 + matrix.values))
+    """Cell-wise x -> log2(1 + x): monotone, zero-preserving and positive on
+    every positive cell, so it accepts every matrix `build_matrix` does. A
+    cell in (0, 1) takes log1p(x) / ln 2, as 1 + x rounds one below 2^-53
+    to 1."""
+    x = matrix.values
+    out = np.log2(1.0 + x)
+    small = (x > 0.0) & (x < 1.0)
+    out[small] = np.log1p(x[small]) / np.log(2.0)
+    return build_matrix(matrix.row_labels, matrix.col_labels, out)
 
 
 def similarity_matrix(matrix: LabeledMatrix, measure: str = "pearson",
@@ -328,7 +333,7 @@ def similarity_matrix(matrix: LabeledMatrix, measure: str = "pearson",
             y, syy = _prepared(measure, values[j][keep].reshape(-1, width),
                                space)
         vals[i, j] = vals[j, i] = _scores(
-            measure, x, sxx, y, syy,
-            lambda k: f"(pair {labels[i[k]]!r}, {labels[j[k]]!r})", space)
+            measure, x, sxx, y, syy, space,
+            lambda k: f"(pair {labels[i[k]]!r}, {labels[j[k]]!r})")
     vals.setflags(write=False)
     return SimilarityMatrix(labels=labels, values=vals)

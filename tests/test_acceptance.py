@@ -23,6 +23,7 @@ from infodiv import (
     Grouping,
     build_matrix,
     cosine,
+    decompose,
     divisive_cluster,
     exhaustive_bisect,
     exhaustive_partition,
@@ -31,7 +32,6 @@ from infodiv import (
     parse_csv,
     pearson,
     probability_model,
-    transmission,
 )
 from infodiv.cli import run_cli
 
@@ -97,7 +97,7 @@ def test_criterion_2_chain_rule_exactness():
                 seen.add(key)
                 grouping = Grouping.from_sets(
                     [n.members for n in frontier], m.n_rows)
-                assert abs(delta_sum - transmission(pm, grouping)) <= 1e-9
+                assert abs(delta_sum - decompose(pm, grouping).h0) <= 1e-9
         assert time.perf_counter() - start < 10.0
 
 
@@ -147,7 +147,7 @@ def test_criterion_4_bounds_and_monotonicity():
                 if len(members) >= 2:
                     refined = list(assignment)
                     refined[members[0]] = m_groups
-                    fine = transmission(pm, Grouping(tuple(refined)))
+                    fine = decompose(pm, Grouping(tuple(refined))).h0
                     assert fine >= rep.h0 - 1e-12
                     break
 

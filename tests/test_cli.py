@@ -1,10 +1,11 @@
 import itertools
 import json
+import math
 
 import pytest
 
-from infodiv import build_matrix, exhaustive_partition, parse_csv, \
-    verify_greedy, write_csv
+from infodiv import build_matrix, cosine, exhaustive_partition, \
+    format_number, parse_csv, verify_greedy, write_csv
 from infodiv import cli
 from infodiv.cli import run_cli
 from infodiv.io import canonical_json
@@ -88,6 +89,19 @@ def test_similarity_log_and_missing_flags(tmp_path, capsys):
     assert run_cli(["similarity", str(p), "--measure", "pearson",
                     "--log", "--diagonal", "missing"]) == 0
     assert capsys.readouterr().out
+
+
+def test_similarity_log_of_cells_below_2_to_the_minus_53(tmp_path, capsys):
+    # 1 + 1e-20 rounds to 1, yet the log of row a is positive, not zero.
+    p = tmp_path / "m.csv"
+    p.write_text("x,a,b\na,1e-20,1e-20\nb,1,2\n")
+    assert run_cli(["similarity", str(p), "--measure", "cosine",
+                    "--log"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    label, _, a_b = captured.out.splitlines()[1].split(",")
+    assert (label, a_b) == \
+        ("a", format_number(cosine([1, 1], [1, math.log2(3)])))
 
 
 def test_entropy_command(block_csv, tmp_path, capsys):
@@ -192,7 +206,8 @@ def test_similarity_non_square_exits_2(block_csv, capsys):
 
 
 def test_similarity_non_square_error_comes_before_the_log(tmp_path, capsys):
-    # Under --log, row a is all zero, which log_transform rejects.
+    # Row a's cells are below 2^-53, which --log keeps positive; the only
+    # error is the square-matrix one.
     p = tmp_path / "m.csv"
     p.write_text("x,a,b,c\na,1e-20,1e-20,1e-20\nb,1,2,3\n")
     assert run_cli(["similarity", str(p), "--measure", "cosine",

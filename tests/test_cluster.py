@@ -21,7 +21,6 @@ from infodiv import (
     pooled_profile,
     probability_model,
     shannon_entropy,
-    transmission,
 )
 
 from infodiv.cluster import _ARGMAX_MIN, STRICT_TOL, _first_best, \
@@ -188,7 +187,7 @@ def test_chain_rule_additivity(rng):
             grouping = Grouping.from_sets([n.members for n in frontier],
                                           m.n_rows)
             assert delta_sum == pytest.approx(
-                transmission(pm, grouping), abs=1e-9)
+                decompose(pm, grouping).h0, abs=1e-9)
 
 
 def test_total_height_bounded_by_h_n(rng):

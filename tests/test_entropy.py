@@ -19,7 +19,6 @@ from infodiv import (
     greedy_bisect,
     probability_model,
     shannon_entropy,
-    transmission,
 )
 from infodiv.matrix import check_subset
 
@@ -135,13 +134,18 @@ def test_decompose_hand_example():
 def test_transmission_named_quantity():
     pm = probability_model(build_matrix(["a", "b"], ["x", "y"],
                                         [[2, 0], [0, 2]]))
-    assert transmission(pm, Grouping((0, 1))) == 1.0
-    assert transmission(pm, Grouping((0, 0))) == pytest.approx(0.0,
+    assert decompose(pm, Grouping((0, 1))).h0 == 1.0
+    assert decompose(pm, Grouping((0, 0))).h0 == pytest.approx(0.0,
                                                                abs=1e-12)
+    # H0 is the mutual information between the groups and the columns:
+    # groups {a, c} and {b} pool to [[6, 2], [1, 3]] / 12.
     pm3 = probability_model(build_matrix(["a", "b", "c"], ["x", "y"],
                                          [[3, 1], [1, 3], [3, 1]]))
-    assert transmission(pm3, Grouping((0, 1, 0))) == \
-        pytest.approx(decompose(pm3, Grouping((0, 1, 0))).h0)
+    joint = [[6 / 12, 2 / 12], [1 / 12, 3 / 12]]
+    mutual = sum(p * math.log2(p / (sum(row) * (joint[0][c] + joint[1][c])))
+                 for row in joint for c, p in enumerate(row))
+    assert decompose(pm3, Grouping((0, 1, 0))).h0 == \
+        pytest.approx(mutual, abs=1e-12)
 
 
 def test_identities_on_random_inputs(rng):
@@ -172,7 +176,7 @@ def test_refinement_monotonicity(rng):
         m = random_matrix(rng, max_rows=8)
         pm = probability_model(m)
         assignment = random_grouping(rng, m.n_rows)
-        coarse = transmission(pm, Grouping(tuple(assignment)))
+        coarse = decompose(pm, Grouping(tuple(assignment))).h0
         # Split the largest group in two, if it has at least 2 rows.
         m_groups = max(assignment) + 1
         counts = [assignment.count(g) for g in range(m_groups)]
@@ -182,7 +186,7 @@ def test_refinement_monotonicity(rng):
         members = [i for i, a in enumerate(assignment) if a == g]
         refined = list(assignment)
         refined[members[0]] = m_groups
-        fine = transmission(pm, Grouping(tuple(refined)))
+        fine = decompose(pm, Grouping(tuple(refined))).h0
         assert fine >= coarse - 1e-12
 
 

@@ -17,7 +17,6 @@ from infodiv import (
     exhaustive_partition,
     greedy_bisect,
     probability_model,
-    transmission,
     verify_greedy,
     Grouping,
 )
@@ -188,7 +187,7 @@ def test_partition_beyond_profile_classes_never_helps(rng):
         m = random_matrix(rng, max_rows=6, max_cols=4)
         pm = probability_model(m)
         full = exhaustive_partition(pm, m.n_rows)
-        singles = transmission(pm, Grouping(tuple(range(m.n_rows))))
+        singles = decompose(pm, Grouping(tuple(range(m.n_rows)))).h0
         assert full.best_h0 == pytest.approx(singles, abs=1e-9) or \
             full.best_h0 >= singles - 1e-12
 

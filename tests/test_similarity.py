@@ -22,7 +22,7 @@ from infodiv import (
     similarity_matrix,
 )
 from infodiv import similarity
-from infodiv.similarity import _exact_sums
+from infodiv.similarity import _exact_sums, _sum_space
 
 
 def test_pearson_basics():
@@ -148,6 +148,33 @@ def test_log_transform_values():
     m = build_matrix(["a"], ["x", "y", "z"], [[0, 1, 3]])
     t = log_transform(m)
     assert t.values.tolist() == [[0.0, 1.0, 2.0]]
+    # Below 1, log1p keeps the cells that 1 + x would round away.
+    small = [1e-20, 1e-10, 0.5, math.nextafter(1.0, 0.0)]
+    t = log_transform(build_matrix(["a"], list("wxyz"), [small]))
+    assert [v.hex() for v in t.values[0].tolist()] == \
+        [(math.log1p(x) / math.log(2)).hex() for x in small]
+
+
+# Cells for the log transform: integers, reals, the floats around 1.0 and
+# around powers of two, and subnormals.
+_log_cells = st.one_of(
+    st.integers(0, 2 ** 53).map(float),
+    st.floats(0.0, 2.0 ** 60),
+    st.integers(-64, 64).map(lambda k: 1.0 + k * 2.0 ** -53),
+    st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-1074, 60)),
+    st.integers(1, 2 ** 52).map(lambda k: k * 2.0 ** -1074))
+
+
+@given(st.lists(_log_cells, min_size=1, max_size=40))
+@settings(max_examples=examples(300), deadline=None)
+def test_log_transform_is_monotone_and_keeps_integer_bits(cells):
+    x = np.array(sorted([*cells, 1.0]))
+    got = log_transform(build_matrix(["a"], [f"c{j}" for j in range(len(x))],
+                                     [x])).values[0]
+    assert np.all(got[1:] >= got[:-1])
+    assert np.array_equal(got > 0, x > 0)
+    whole = x == np.floor(x)
+    assert got[whole].tobytes() == np.log2(1.0 + x[whole]).tobytes()
 
 
 def test_log_transform_does_not_move_pearson_base():
@@ -208,9 +235,8 @@ def test_similarity_error_names_the_pair():
 @st.composite
 def transformed_square_matrices(draw):
     """A square matrix of up to 7 rows, log-transformed or not: small
-    integers or reals, each row scaled by 2^-700 (untransformed only, as the
-    log of so small a row is zero), 1 or 2^700; in half of them some rows
-    are zero off the diagonal and some constant."""
+    integers or reals, each row scaled by 2^-700, 1 or 2^700; in half of
+    them some rows are zero off the diagonal and some constant."""
     logged = draw(st.booleans())
     n = draw(st.integers(1, 7))
     cell = st.one_of(st.integers(0, 4).map(float),
@@ -219,7 +245,6 @@ def transformed_square_matrices(draw):
                                     min_size=n, max_size=n)))
     kinds = ["data", "data", "zero", "constant"] if draw(st.booleans()) \
         else ["data"]
-    scales = [0, 0, 700] if logged else [-700, 0, 0, 700]
     for i in range(n):
         kind = draw(st.sampled_from(kinds))
         if kind == "zero":
@@ -227,7 +252,8 @@ def transformed_square_matrices(draw):
         elif kind == "constant":
             values[i] = values[i, 0]
         values[i, i] = max(values[i, i], 1.0)  # no all-zero row
-        values[i] = np.ldexp(values[i], draw(st.sampled_from(scales)))
+        values[i] = np.ldexp(values[i],
+                             draw(st.sampled_from([-700, 0, 0, 700])))
     labels = [f"a{i}" for i in range(n)]
     matrix = build_matrix(labels, labels, values)
     return log_transform(matrix) if logged else matrix
@@ -288,7 +314,9 @@ def _fsum_or_inf(row):
 
 
 def _assert_exact_sums(rows):
-    got = [float(v).hex() for v in _exact_sums(np.array(rows, dtype=float))]
+    terms = np.array(rows, dtype=float)
+    sums = _exact_sums(terms, _sum_space(*terms.shape))
+    got = [float(v).hex() for v in sums]
     assert got == [_fsum_or_inf(row).hex() for row in rows]
 
 
@@ -319,7 +347,8 @@ _HARD_ROWS = {
 
 
 def test_exact_sums_of_no_columns():
-    assert _exact_sums(np.empty((3, 0))).tolist() == [0.0, 0.0, 0.0]
+    assert _exact_sums(np.empty((3, 0)), _sum_space(3, 0)).tolist() == \
+        [0.0, 0.0, 0.0]
 
 
 @st.composite
