@@ -4,6 +4,7 @@ import io
 import json
 import re
 import struct
+import unittest.mock
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -239,6 +240,119 @@ def test_parse_csv_reads_lf_and_crlf_alike(tmp_path):
 def test_parse_csv_rejects_a_binary_stream():
     with pytest.raises(ParseError, match="open the file in text mode"):
         parse_csv(io.BytesIO(b"x,a\nr,1\n"))
+
+
+# Plain integer CSV: unquoted labels with "-", blanks and non-ASCII
+# characters; cells of 1 to 15 digits with leading zeros, and in half of
+# the texts one of 16 digits, which `_digit_cells` declines; LF or CRLF
+# line ends; blank lines. The block size is drawn from one cell up, so a
+# text spans one to many blocks, and its rows may be wider than a block.
+INTEGER_LABEL = st.text("ab1- \u00e9\u4e2d", max_size=4)
+INTEGER_CELL = st.one_of(
+    st.text("0123456789", min_size=1, max_size=15),
+    st.sampled_from(["0", "000000000000000", "999999999999999"]))
+SIXTEEN_DIGITS = st.one_of(
+    st.text("0123456789", min_size=16, max_size=16),
+    st.sampled_from(["0999999999999999", "9007199254740993"]))
+
+
+@st.composite
+def integer_csv_texts(draw):
+    width, n_rows = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    labels = iter(draw(st.lists(INTEGER_LABEL, min_size=width + n_rows + 1,
+                                max_size=width + n_rows + 1, unique=True)))
+    rows = [draw(st.lists(INTEGER_CELL, min_size=width, max_size=width))
+            for _ in range(n_rows)]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n_rows - 1))][
+            draw(st.integers(0, width - 1))] = draw(SIXTEEN_DIGITS)
+    lines = [",".join(next(labels) for _ in range(width + 1))]
+    lines += [",".join([next(labels), *row]) for row in rows]
+    for at in draw(st.lists(st.integers(0, len(lines)), max_size=3)):
+        lines.insert(at, "")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline
+
+
+@given(integer_csv_texts(), st.sampled_from([1, 2, 7, 30, 2 ** 14]))
+@settings(max_examples=examples(500), deadline=None)
+def test_parse_csv_reads_integer_csv_as_the_per_cell_loop(text, block):
+    with unittest.mock.patch.object(infodiv.io, "_BLOCK_CELLS", block):
+        assert _parsed(parse_csv, text) == _parsed(reference_parse_csv, text)
+
+
+def _no_loadtxt(*args, **kwargs):
+    raise AssertionError("digit-only CSV reached np.loadtxt")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_parse_csv_reads_digit_cells_without_loadtxt(monkeypatch, newline):
+    text = ("x,c2,c1\nr2,007,123456789012345\n\nr1,0,9\n"
+            "r10,999999999999999,000000000000001\n").replace("\n", newline)
+    want = _parsed(reference_parse_csv, text)
+    monkeypatch.setattr(np, "loadtxt", _no_loadtxt)
+    monkeypatch.setattr(infodiv.io, "_read_rows", _no_csv_reader)
+    assert _parsed(parse_csv, text) == want
+
+
+def _routes(monkeypatch):
+    """The readers that parse_csv goes on to call, in order."""
+    called = []
+    loadtxt, read_rows = np.loadtxt, infodiv.io._read_rows
+
+    def spy(name, real):
+        def call(*args, **kwargs):
+            called.append(name)
+            return real(*args, **kwargs)
+        return call
+    monkeypatch.setattr(np, "loadtxt", spy("loadtxt", loadtxt))
+    monkeypatch.setattr(infodiv.io, "_read_rows", spy("csv", read_rows))
+    return called
+
+
+# Cells one step from digit-only: `_digit_cells` declines each, numpy's
+# reader reads the ones `float` reads alike, and csv.reader the rest.
+@pytest.mark.parametrize("cell, routes", [
+    ("+1", ["loadtxt"]), (" 1", ["loadtxt"]), ("1.0", ["loadtxt"]),
+    ("1e0", ["loadtxt"]), ("-0", ["loadtxt"]),
+    ("1234567890123456", ["loadtxt"]), ("", ["loadtxt", "csv"]),
+    ("\u0661", ["loadtxt", "csv"])])
+def test_parse_csv_sends_near_digit_cells_to_the_old_routes(
+        monkeypatch, cell, routes):
+    text = f"x,a,b\nr,1,{cell}\ns,2,3\n"
+    want = _parsed(reference_parse_csv, text)
+    called = _routes(monkeypatch)
+    assert _parsed(parse_csv, text) == want
+    assert called == routes
+    if cell == "-0":
+        assert np.signbit(parse_csv(io.StringIO(text)).values[0, 1])
+
+
+def _digit_csv(rng, n_rows, n_cols):
+    """A count CSV of 1- to 15-digit cells, a third of them zero-padded."""
+    widths = rng.integers(1, 16, n_rows * n_cols).tolist()
+    cells = [str(int(rng.integers(0, 10 ** w))).zfill(0 if k % 3 else w)
+             for k, w in enumerate(widths)]
+    lines = [",".join(["x", *(f"c{j}" for j in range(n_cols))])]
+    for i in range(n_rows):
+        lines.append(",".join([f"r{i}", *cells[i * n_cols:(i + 1) * n_cols]]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("last", ["", "1.5"])
+def test_parse_csv_block_size_does_not_change_the_result(rng, monkeypatch,
+                                                         last):
+    # 60 rows of 300 cells: two blocks at the default size; a "1.5" as the
+    # last cell sends the text to numpy's reader only in the last block.
+    text = _digit_csv(rng, 60, 300)
+    if last:
+        text = text[:text.rindex(",") + 1] + last + "\n"
+    want = _parsed(reference_parse_csv, text)
+    called = _routes(monkeypatch)
+    for block in (1, 7, infodiv.io._BLOCK_CELLS):
+        monkeypatch.setattr(infodiv.io, "_BLOCK_CELLS", block)
+        assert _parsed(parse_csv, text) == want
+    assert called == ["loadtxt"] * 3 * bool(last)
 
 
 def test_csv_round_trip(rng):
