@@ -8,11 +8,10 @@ trailing newline for the same reason. Row and column labels are sorted
 lexicographically at ingestion, which makes clustering output independent
 of the input row order.
 
-The CSV reader has three routes, each giving the doubles `float` gives:
-plain text whose every cell is 1 to 15 ASCII digits is decoded by numpy a
-block of lines at a time, other plain text goes to numpy's C reader in one
-call, and everything else goes through `csv.reader` and `float` (see
-`parse_csv`).
+The CSV reader has two routes, each giving the doubles `float` gives:
+plain text whose every cell is 1 to 15 ASCII digits is decoded exactly by
+numpy a block of lines at a time, and everything else goes through
+`csv.reader` and `float` (see `parse_csv`).
 
 The CSV writer screens a whole matrix with numpy in one pass, then writes
 it a row at a time. Each cell is written by Python's "{:.12g}" where that
@@ -76,20 +75,18 @@ def parse_csv(text_or_path) -> LabeledMatrix:
     as UTF-8) or a file-like object, which is read whole and split into
     lines as a file opened with newline="" is.
 
-    Plain text, with no quote, NUL, lone carriage return or ASCII
-    separator (\\x1c-\\x1f), and with every row as wide as the header, is
-    read by numpy (see `_plain_cells`): by `_digit_cells` when every cell
-    is 1 to 15 ASCII digits, and otherwise by numpy's C reader, which reads
-    each cell as `float` does or rejects it. Any other text, and any text
-    that reader rejects, goes through `csv.reader` and `float` one cell at
-    a time, which also names the first bad cell.
+    Plain text, with no quote, NUL or lone carriage return, with every row
+    as wide as the header and every cell 1 to 15 ASCII digits, as in count
+    data, is decoded by `_digit_cells`. Any other text goes through
+    `csv.reader` and `float` one cell at a time, which also names the
+    first bad cell.
     """
     if hasattr(text_or_path, "read"):
         text = _read(text_or_path)
     else:
         with open(text_or_path, newline="", encoding="utf-8") as handle:
             text = _read(handle)
-    row_labels, col_labels, cells = _plain_cells(text) or \
+    row_labels, col_labels, cells = _digit_cells(text) or \
         _row_cells(_read_rows(io.StringIO(text, newline="")))
     # Free the text: from here on at most two copies of the values are
     # alive, the sorted one and build_matrix's.
@@ -113,29 +110,29 @@ def _read(handle) -> str:
     return text
 
 
-# Characters that keep a text off numpy's reader: the quote, which only
-# csv.reader reads; NUL, which csv.reader rejects before Python 3.11; and
-# the ASCII separators, which numpy strips off a number as whitespace and
-# `float` does not.
-_NOT_PLAIN = '"\0\x1c\x1d\x1e\x1f'
+# Characters that keep a text off the digit decoder: the quote, which only
+# csv.reader reads, and NUL, which csv.reader rejects before Python 3.11.
+_NOT_PLAIN = '"\0'
+# _digit_cells decodes the lines a block of at most this many cells (or one
+# line) at a time, so that its temporaries, about 40 bytes a cell, stay near
+# 0.6 MB. The whole text at once raises the peak memory of a large read.
+_BLOCK_CELLS = 2 ** 14
 
 
-def _plain_cells(text: str):
+def _digit_cells(text: str):
     """(row labels, column labels, cells) as `_row_cells` gives them for
-    csv.reader's rows of `text`, read by `_digit_cells` or, where it
-    declines, by numpy's C reader in one call; None for text where that
-    might not give the same, and for text it rejects.
+    csv.reader's rows of `text`, if every cell is 1 to 15 ASCII digits;
+    else None.
 
-    Without quotes, NUL or a carriage return outside "\\r\\n", csv.reader's
-    rows are the non-blank lines split at every comma. `_digit_cells`
-    reads cells of 1 to 15 ASCII digits exactly, so it gives the double
-    `float` gives. numpy's reader strips Unicode whitespace off a cell and
-    reads the rest with PyOS_string_to_double, the routine `float` calls
-    after stripping the same whitespace (all but the separators
-    \\x1c-\\x1f, which are not plain) and dropping underscores. So it
-    reads the double `float` reads, or rejects the cell: one `float`
-    rejects too, or one only `float` reads, such as "1_0" or non-ASCII
-    digits.
+    Without quotes, NUL, a carriage return outside "\\r\\n" or a line over
+    csv.field_size_limit(), csv.reader's rows are the non-blank lines split
+    at every comma. The cells of each block of lines are joined into one
+    ASCII buffer, commas around, and numpy finds the commas and builds each
+    value by Horner's rule, v = 10 v + digit, in float64. Every partial
+    value is an integer below 10^15 < 2^53, so every step is exact, and the
+    result is the cell's integer exactly: the double `float` reads, since
+    `float` is correctly rounded. Signs, padding, points, exponents, empty
+    cells, non-ASCII characters and 16 digits or more make it return None.
     """
     if any(c in text for c in _NOT_PLAIN):
         return None
@@ -146,39 +143,9 @@ def _plain_cells(text: str):
     lines = [line for line in text.split("\n") if line]
     if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
         return None
-    commas, body = lines[0].count(","), lines[1:]
-    if commas == 0 or any(line.count(",") != commas for line in body):
+    width, body = lines[0].count(","), lines[1:]
+    if width == 0 or any(line.count(",") != width for line in body):
         return None
-    cells = _digit_cells(body, commas)
-    if cells is None:
-        try:
-            cells = np.loadtxt(body, dtype=float, comments=None,
-                               delimiter=",", usecols=range(1, commas + 1),
-                               ndmin=2)
-        except ValueError:
-            return None
-    return ([line[:line.index(",")].strip() for line in body],
-            [c.strip() for c in lines[0].split(",")[1:]], cells)
-
-
-# _digit_cells decodes the lines a block of at most this many cells (or one
-# line) at a time, so that its temporaries, about 40 bytes a cell, stay near
-# 0.6 MB. The whole text at once raises the peak memory of a large read.
-_BLOCK_CELLS = 2 ** 14
-
-
-def _digit_cells(body: list[str], width: int):
-    """The (len(body), width) cells after the first comma of each line of
-    `body`, if every one is 1 to 15 ASCII digits; else None.
-
-    Each block of lines is joined into one ASCII buffer, commas around,
-    and numpy finds the commas and builds each value by Horner's rule,
-    v = 10 v + digit, in float64. Every partial value is an integer below
-    10^15 < 2^53, so every step is exact, and the result is the cell's
-    integer exactly: the double `float` reads, since `float` is correctly
-    rounded. Signs, padding, points, exponents, empty cells, non-ASCII
-    characters and 16 digits or more make it return None.
-    """
     cells = np.empty((len(body), width))
     step = max(1, _BLOCK_CELLS // width)
     for first in range(0, len(body), step):
@@ -206,7 +173,8 @@ def _digit_cells(body: list[str], width: int):
             np.multiply(values, 10, out=values, where=more)
             np.add(values, digits[k:].take(starts, mode="clip"), out=values,
                    where=more)
-    return cells
+    return ([line[:line.index(",")].strip() for line in body],
+            [c.strip() for c in lines[0].split(",")[1:]], cells)
 
 
 def _row_cells(rows: list[list[str]]):

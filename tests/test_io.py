@@ -97,11 +97,11 @@ def _near_midpoint(m, e, digits, up):
 # Cells in the spellings float() reads as nonnegative finite numbers
 # (integers, float reprs, 17-25-digit numerals at rounding midpoints,
 # subnormals, numerals over 128 characters, signs; and, in NUMBER only,
-# underscores and non-ASCII digits, which numpy's reader rejects), and
-# cells the reader rejects: malformed, negative or not finite ("1e400"
-# overflows to inf), padded with the ASCII separators, which float() does
-# not strip, or cut by numpy's default comment mark "#". Any of them may be
-# padded with whitespace.
+# underscores and non-ASCII digits, which float() reads and most other
+# readers do not), and cells the reader rejects: malformed, negative or
+# not finite ("1e400" overflows to inf), padded with the ASCII separators,
+# which str.strip() strips and float() does not, or followed by the
+# comment mark "#". Any of them may be padded with whitespace.
 PLAIN_NUMBER = st.one_of(
     st.integers(0, 30).map(str),
     st.floats(0.0, 1e300).map(repr),
@@ -137,8 +137,9 @@ def csv_texts(draw):
     blank lines. Half of the texts are faulty: they may hold rejected
     cells, rows of one empty field, rows one cell short or long, no column
     label, and repeated labels. Half, faulty or not, hold no field that
-    csv.writer quotes and no cell only float() reads, so that numpy's
-    reader reads them unless they are faulty."""
+    csv.writer quotes and no underscore or non-ASCII digit: they pass the
+    digit decoder's quote check, and it reads those whose every cell is
+    digits."""
     faulty, quoted = draw(st.booleans()), draw(st.booleans())
     number = NUMBER if quoted else PLAIN_NUMBER
     cell = st.one_of(number, number, number, REJECTED) if faulty else number
@@ -181,14 +182,20 @@ def _parsed(parse, text):
     return m.row_labels, m.col_labels, m.values.tobytes()
 
 
+def _no_loadtxt(*args, **kwargs):
+    raise AssertionError("parse_csv reached np.loadtxt")
+
+
 @given(csv_texts())
 @settings(max_examples=examples(500), deadline=None)
 def test_parse_csv_matches_the_per_cell_loop(text):
-    assert _parsed(parse_csv, text) == _parsed(reference_parse_csv, text)
+    # Two readers, the digit decoder and csv.reader, read every text.
+    with unittest.mock.patch.object(np, "loadtxt", _no_loadtxt):
+        assert _parsed(parse_csv, text) == _parsed(reference_parse_csv, text)
 
 
-# Plain CSV: unquoted labels, padded cells in the spellings numpy's reader
-# shares with float(), a blank line, and rows out of order.
+# Plain CSV: unquoted labels, padded cells in spellings float() reads, a
+# blank line, and rows out of order.
 PLAIN_CSV = ("x, c2,c1\n"
              "r2, 1.5e3 ,\x0c0.1\x0c\n"
              "\n"
@@ -196,30 +203,25 @@ PLAIN_CSV = ("x, c2,c1\n"
              "r10,123456789012345678901234567890,+0\n")
 
 
-def _no_csv_reader(handle):
-    raise AssertionError("plain CSV reached csv.reader")
-
-
-@pytest.mark.parametrize("newline", ["\n", "\r\n"])
-def test_parse_csv_reads_plain_csv_without_csv_reader(monkeypatch, newline):
-    text = PLAIN_CSV.replace("\n", newline)
-    want = _parsed(reference_parse_csv, text)
-    monkeypatch.setattr(infodiv.io, "_read_rows", _no_csv_reader)
-    assert _parsed(parse_csv, text) == want
-    # Quoted text does reach it.
-    with pytest.raises(AssertionError, match="reached csv.reader"):
-        parse_csv(io.StringIO('x,"a"\nr,1\n'))
-
-
-# Texts at each check that keeps a text off numpy's reader, or that numpy's
-# reader itself must fail: cells numpy alone would read (after a separator,
-# before "#"), carriage returns outside "\r\n", a row too long or too
-# short, and cells only float() reads.
+# Texts at each check that keeps a text off the digit decoder: carriage
+# returns outside "\r\n", a row too long or too short, a quote, NUL, and
+# cells that are not digits; among them cells, unquoted labels and whole
+# rows holding characters that str.strip() strips or str.splitlines()
+# splits at, but csv.reader neither splits at nor strips (the ASCII
+# separators \x1c-\x1f, \x0b, \x85 and \u2028), or "#".
 @pytest.mark.parametrize("text", [
     "x,a\nr,\x1c5\n", "x,a\nr,5\x1f\n", "x,a\nr,5#\n", "x#,a\nr#,5\n",
     "x,a,b\rr,1,2\n", "x,a,b\r\nr,1,2\r", "x,a,b\nr,1,2,3\n",
     "x,a,b\nr,1\n", "x,a\nr,1e400\n", "x,a\nr,1_0\n", "x,a\nr,\u0661\n",
-    'x,a\n"r",1\n', "x,a\nr,1\x00\n", "x\nr\n", "x,a\n\n"])
+    'x,a\n"r",1\n', "x,a\nr,1\x00\n", "x\nr\n", "x,a\n\n",
+    "x\x1c,a\x1d,b\x1e\n\x1fr\x1c,1,2\ns\x1d\x1e,3,4\n",
+    "x,a\x0bb,\x0bc\nr\x0b,1,2\n\x0bs,3,4\n",
+    "x,a\x85b,c\x85\nr\x85s,1,2\n\x85t,3,4\n",
+    "x,a\u2028b,\u2028c\nr\u2028,1,2\ns\u2028t,3,4\n",
+    "x,a\x1f,b\nr,1,2\n\x1er,3,4\n", "x,\x1c\nr,1\n",
+    "x,a,b\nr,\x1d5,6\x1e\n", "x,a,b\nr,\x0b5,6\x0b\n",
+    "x,a,b\nr,\x855,6\x85\n", "x,a,b\nr,\u20285,6\u2028\n",
+    "x,a,b\n\x1c\nr,1,2\n\x1d\x1e\x0b\x85\u2028\n"])
 def test_parse_csv_edge_texts_match_the_per_cell_loop(text):
     assert _parsed(parse_csv, text) == _parsed(reference_parse_csv, text)
 
@@ -281,8 +283,8 @@ def test_parse_csv_reads_integer_csv_as_the_per_cell_loop(text, block):
         assert _parsed(parse_csv, text) == _parsed(reference_parse_csv, text)
 
 
-def _no_loadtxt(*args, **kwargs):
-    raise AssertionError("digit-only CSV reached np.loadtxt")
+def _no_csv_reader(handle):
+    raise AssertionError("digit-only CSV reached csv.reader")
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
@@ -293,30 +295,29 @@ def test_parse_csv_reads_digit_cells_without_loadtxt(monkeypatch, newline):
     monkeypatch.setattr(np, "loadtxt", _no_loadtxt)
     monkeypatch.setattr(infodiv.io, "_read_rows", _no_csv_reader)
     assert _parsed(parse_csv, text) == want
+    # Quoted text does reach csv.reader.
+    with pytest.raises(AssertionError, match="reached csv.reader"):
+        parse_csv(io.StringIO('x,"a"\nr,1\n'))
 
 
 def _routes(monkeypatch):
-    """The readers that parse_csv goes on to call, in order."""
+    """The calls parse_csv makes to csv.reader, one "csv" each."""
     called = []
-    loadtxt, read_rows = np.loadtxt, infodiv.io._read_rows
+    read_rows = infodiv.io._read_rows
 
-    def spy(name, real):
-        def call(*args, **kwargs):
-            called.append(name)
-            return real(*args, **kwargs)
-        return call
-    monkeypatch.setattr(np, "loadtxt", spy("loadtxt", loadtxt))
-    monkeypatch.setattr(infodiv.io, "_read_rows", spy("csv", read_rows))
+    def spy(*args, **kwargs):
+        called.append("csv")
+        return read_rows(*args, **kwargs)
+    monkeypatch.setattr(infodiv.io, "_read_rows", spy)
     return called
 
 
-# Cells one step from digit-only: `_digit_cells` declines each, numpy's
-# reader reads the ones `float` reads alike, and csv.reader the rest.
+# Cells one step from digit-only: `_digit_cells` declines each, and
+# csv.reader and `float` read the text.
 @pytest.mark.parametrize("cell, routes", [
-    ("+1", ["loadtxt"]), (" 1", ["loadtxt"]), ("1.0", ["loadtxt"]),
-    ("1e0", ["loadtxt"]), ("-0", ["loadtxt"]),
-    ("1234567890123456", ["loadtxt"]), ("", ["loadtxt", "csv"]),
-    ("\u0661", ["loadtxt", "csv"])])
+    ("+1", ["csv"]), (" 1", ["csv"]), ("1.0", ["csv"]), ("1e0", ["csv"]),
+    ("-0", ["csv"]), ("1234567890123456", ["csv"]), ("", ["csv"]),
+    ("\u0661", ["csv"])])
 def test_parse_csv_sends_near_digit_cells_to_the_old_routes(
         monkeypatch, cell, routes):
     text = f"x,a,b\nr,1,{cell}\ns,2,3\n"
@@ -343,7 +344,7 @@ def _digit_csv(rng, n_rows, n_cols):
 def test_parse_csv_block_size_does_not_change_the_result(rng, monkeypatch,
                                                          last):
     # 60 rows of 300 cells: two blocks at the default size; a "1.5" as the
-    # last cell sends the text to numpy's reader only in the last block.
+    # last cell sends the text to csv.reader only in the last block.
     text = _digit_csv(rng, 60, 300)
     if last:
         text = text[:text.rindex(",") + 1] + last + "\n"
@@ -352,7 +353,7 @@ def test_parse_csv_block_size_does_not_change_the_result(rng, monkeypatch,
     for block in (1, 7, infodiv.io._BLOCK_CELLS):
         monkeypatch.setattr(infodiv.io, "_BLOCK_CELLS", block)
         assert _parsed(parse_csv, text) == want
-    assert called == ["loadtxt"] * 3 * bool(last)
+    assert called == ["csv"] * 3 * bool(last)
 
 
 def test_csv_round_trip(rng):
