@@ -24,6 +24,9 @@ from .errors import InvalidInputError
 from .matrix import ProbabilityModel, as_indices
 
 IDENTITY_TOL = 1e-9  # bits
+# decompose sums the joint into its groups a block of at most this many
+# cells (or one row) at a time, so that its index array stays near 128 KB.
+_BLOCK_CELLS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -113,6 +116,15 @@ def _entropies(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def decompose(model: ProbabilityModel, grouping: Grouping) -> EntropyReport:
     """Entropy decomposition of the column variable under a row grouping.
 
+    The aggregated joint, cell (g, j) the sum of p(i, j) over the rows i
+    of group g, is summed by `np.add.at` on a flat buffer of m * c cells,
+    cell (i, j) of the joint going to `assign[i] * c + j`, a block of rows
+    at a time. Each cell of the buffer receives its rows' values one at a
+    time, in row order, starting from 0.0, as the 2-D
+    `np.add.at(agg, assign, joint)` adds them, so the bits are the same;
+    the 1-D index takes numpy's fast path and the blocks bound the index
+    array's size.
+
     Hg comes from one `_entropies` call on the aggregated joint; H(n), of
     the joint's column sums, and H(m) and H(n,m) from `shannon_entropy`.
     H(n) = H0 + sum_g Pg Hg and 0 <= H0 <= min(H(n), H(m)) are checked to
@@ -125,9 +137,14 @@ def decompose(model: ProbabilityModel, grouping: Grouping) -> EntropyReport:
             f"model has {model.n_rows}")
 
     assign = np.asarray(grouping.assignment)
-    # Aggregated joint over (group, column).
-    agg = np.zeros((grouping.m, model.n_cols))
-    np.add.at(agg, assign, model.joint)
+    width = model.n_cols
+    agg = np.zeros(grouping.m * width)
+    step = max(1, _BLOCK_CELLS // max(width, 1))
+    for first in range(0, model.n_rows, step):
+        rows = slice(first, first + step)
+        cells = assign[rows, None] * width + np.arange(width)
+        np.add.at(agg, cells.ravel(), model.joint[rows].ravel())
+    agg = agg.reshape(grouping.m, width)
 
     h_groups, weights = _entropies(agg)
     h_m = shannon_entropy(weights)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .cluster import Dendrogram, DendrogramNode, SplitEvaluation
 from .errors import InvalidInputError, NonFiniteValueError, ParseError
-from .matrix import LabeledMatrix, build_matrix
+from .matrix import LabeledMatrix, _validated
 from .similarity import SimilarityMatrix
 
 _CTX = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_UP)
@@ -88,14 +88,17 @@ def parse_csv(text_or_path) -> LabeledMatrix:
             text = _read(handle)
     row_labels, col_labels, cells = _digit_cells(text) or \
         _row_cells(_read_rows(io.StringIO(text, newline="")))
-    # Free the text: from here on at most two copies of the values are
-    # alive, the sorted one and build_matrix's.
+    # Free the text. The decoded cells become the matrix's values as they
+    # are; only labels out of order make a sorted copy, and the decoded
+    # cells are freed once it is made.
     del text
     r_order = sorted(range(len(row_labels)), key=row_labels.__getitem__)
     c_order = sorted(range(len(col_labels)), key=col_labels.__getitem__)
-    cells = cells[np.ix_(r_order, c_order)]
-    return build_matrix([row_labels[i] for i in r_order],
-                        [col_labels[j] for j in c_order], cells)
+    if r_order != list(range(len(r_order))) or \
+            c_order != list(range(len(c_order))):
+        cells = cells[np.ix_(r_order, c_order)]
+    return _validated([row_labels[i] for i in r_order],
+                      [col_labels[j] for j in c_order], cells)
 
 
 def _read(handle) -> str:

@@ -76,12 +76,18 @@ def _check_labels(labels, kind: str) -> tuple[str, ...]:
 
 
 def build_matrix(row_labels, col_labels, values) -> LabeledMatrix:
-    """Validate and construct a LabeledMatrix; an all-zero row raises
+    """Validate and construct a LabeledMatrix on a copy of `values`, so the
+    caller's array is never aliased or frozen; an all-zero row raises
     ZeroRowError."""
+    return _validated(row_labels, col_labels, np.array(values, dtype=float))
+
+
+def _validated(row_labels, col_labels, arr: np.ndarray) -> LabeledMatrix:
+    """build_matrix's checks on a float array that the caller owns and
+    hands over: it becomes the matrix's values and is frozen in place."""
     row_labels = _check_labels(row_labels, "row")
     col_labels = _check_labels(col_labels, "column")
 
-    arr = np.asarray(values, dtype=float)
     if arr.ndim != 2 or arr.shape != (len(row_labels), len(col_labels)):
         raise EmptyMatrixError(
             f"values shape {arr.shape} does not match "
@@ -107,7 +113,6 @@ def build_matrix(row_labels, col_labels, values) -> LabeledMatrix:
     if arr.size == 0:
         raise EmptyMatrixError("matrix grand sum is zero")
 
-    arr = arr.copy()
     arr.setflags(write=False)
     return LabeledMatrix(row_labels, col_labels, arr)
 

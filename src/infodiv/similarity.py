@@ -29,7 +29,7 @@ from .errors import (
     UndefinedCorrelation,
     UndefinedCosine,
 )
-from .matrix import LabeledMatrix, build_matrix
+from .matrix import LabeledMatrix, _validated
 
 # A sum of squares in this range has lost no small terms to underflow and
 # has not overflowed; products of two such vectors cannot overflow either.
@@ -276,7 +276,7 @@ def log_transform(matrix: LabeledMatrix) -> LabeledMatrix:
     out = np.log2(1.0 + x)
     small = (x > 0.0) & (x < 1.0)
     out[small] = np.log1p(x[small]) / np.log(2.0)
-    return build_matrix(matrix.row_labels, matrix.col_labels, out)
+    return _validated(matrix.row_labels, matrix.col_labels, out)
 
 
 def similarity_matrix(matrix: LabeledMatrix, measure: str = "pearson",

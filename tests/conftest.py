@@ -1,5 +1,6 @@
 """Shared helpers: seeded random matrices, pure-Python brute-force
 entropy computations kept independent of the library's numpy code paths,
+the group sums of the joint by one 2-D `np.add.at`,
 bipartition scoring through the public validated functions and the ranking
 kernel's masked entropy formula, reference exhaustive and greedy searches
 that score every candidate separately, the recursive restricted growth
@@ -53,6 +54,14 @@ def examples(n):
 def entropy_bits(probs):
     """Plain-Python -sum p log2 p with 0 log 0 = 0."""
     return sum(-p * math.log2(p) for p in probs if p > 0)
+
+
+def reference_group_sums(joint, assignment, m):
+    """The (group, column) sums of `joint` by the 2-D `np.add.at`: each
+    row added to its group's row in turn, in row order, from 0.0."""
+    sums = np.zeros((m, joint.shape[1]))
+    np.add.at(sums, np.asarray(assignment), joint)
+    return sums
 
 
 def brute_decompose(values, assignment):

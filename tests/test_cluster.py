@@ -345,8 +345,10 @@ def test_evaluate_bipartition_is_the_public_route_bit_for_bit(m, data):
 
 
 # Weights are not compared: on a one-column matrix numpy sums 8 or more
-# rows along axis 0 pairwise, where np.add.at adds them in turn, so a
-# group's weight can differ in the last bit. Its entropy is 0 there.
+# rows along axis 0 pairwise, where decompose's np.add.at on flat cell
+# indices adds them in turn, as the 2-D np.add.at does (test_entropy.py
+# checks the bits), so a group's weight can differ in the last bit. Its
+# entropy is 0 there.
 @given(sparse_count_matrices(max_cols=30), st.data())
 @settings(max_examples=examples(200), deadline=None)
 def test_group_entropy_is_one_float_by_every_route(m, data):

@@ -2,12 +2,15 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
+import unittest.mock
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from infodiv import (
     Grouping,
@@ -20,10 +23,11 @@ from infodiv import (
     probability_model,
     shannon_entropy,
 )
-from infodiv.matrix import check_subset
+from infodiv import entropy
+from infodiv.matrix import ProbabilityModel, check_subset
 
-from conftest import brute_decompose, entropy_bits, random_grouping, \
-    random_matrix
+from conftest import brute_decompose, entropy_bits, examples, \
+    random_grouping, random_matrix, reference_group_sums
 
 
 def test_shannon_entropy_basics():
@@ -222,3 +226,64 @@ except AssertionError:
                          capture_output=True, text=True,
                          env={"PYTHONPATH": src})
     assert out.stdout.strip() == "raised"
+
+
+@st.composite
+def grouped_models(draw):
+    """A joint of up to 60 rows and a grouping of its rows: one column in
+    a third of them; one group, one group a row, up to 3 groups (more than
+    8 rows each on the larger joints) or any number of groups."""
+    n = draw(st.integers(1, 60))
+    k = draw(st.one_of(st.just(1), st.integers(1, 30)))
+    values = draw(arrays(float, (n, k), elements=st.one_of(
+        st.sampled_from([0.0, 0.0, 1.0, 2.0, 5.0]), st.floats(0.0, 10.0))))
+    values[values.sum(axis=1) == 0, 0] = 1.0
+    kind = draw(st.sampled_from(["one", "singletons", "few", "any"]))
+    if kind == "one":
+        assignment = [0] * n
+    elif kind == "singletons":
+        assignment = list(range(n))
+    else:
+        top = 2 if kind == "few" else n - 1
+        ids: dict[int, int] = {}
+        assignment = [ids.setdefault(g, len(ids)) for g in draw(
+            st.lists(st.integers(0, top), min_size=n, max_size=n))]
+    return (probability_model(build_matrix(range(n), range(k), values)),
+            Grouping(tuple(assignment)))
+
+
+# A per-group `.sum(axis=0)` fails this on one column: numpy sums 8 or
+# more rows of one column pairwise, not in turn.
+@given(grouped_models(), st.sampled_from([1, 7, 64, entropy._BLOCK_CELLS]))
+@settings(max_examples=examples(300), deadline=None)
+def test_decompose_sums_groups_as_the_2d_add_at_bit_for_bit(case, block):
+    pm, grouping = case
+    sums = []
+    exact = entropy._entropies
+
+    def spy(rows):
+        sums.append(rows.copy())
+        return exact(rows)
+    with unittest.mock.patch.object(entropy, "_BLOCK_CELLS", block), \
+            unittest.mock.patch.object(entropy, "_entropies", spy):
+        decompose(pm, grouping)
+    want = reference_group_sums(pm.joint, grouping.assignment, grouping.m)
+    assert sums[0].shape == want.shape
+    assert sums[0].tobytes() == want.tobytes()
+
+
+def test_decompose_peak_memory_is_bounded():
+    # The group sums of 600,000 cells take their index a block at a time:
+    # a full-size cell index alone would be 4.8 MB.
+    rng = np.random.default_rng(23)
+    joint = rng.random((2000, 300))
+    joint /= joint.sum()
+    pm = ProbabilityModel(joint)
+    grouping = Grouping(tuple(i % 18 for i in range(2000)))
+    tracemalloc.start()
+    try:
+        decompose(pm, grouping)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

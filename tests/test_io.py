@@ -356,6 +356,28 @@ def test_parse_csv_block_size_does_not_change_the_result(rng, monkeypatch,
     assert called == ["csv"] * 3 * bool(last)
 
 
+@pytest.mark.parametrize("route", ["digits", "csv"])
+@pytest.mark.parametrize("shuffled", ["none", "rows", "columns", "both"])
+def test_parse_csv_sorts_shuffled_labels(rng, monkeypatch, route, shuffled):
+    # Written in shuffled label order, read back sorted by either route;
+    # a quoted corner cell sends the text to csv.reader.
+    values = rng.integers(0, 1000, (30, 12))
+    values[:, 0] += 1
+    rows = [f"r{i:02d}" for i in range(30)]
+    cols = [f"c{j:02d}" for j in range(12)]
+    r = rng.permutation(30) if shuffled in ("rows", "both") else range(30)
+    c = rng.permutation(12) if shuffled in ("columns", "both") else range(12)
+    quote = '"{}"'.format if route == "csv" else str
+    text = "\n".join([",".join([quote("x"), *(cols[j] for j in c)])] + [
+        ",".join([rows[i], *(str(values[i, j]) for j in c)]) for i in r])
+    called = _routes(monkeypatch)
+    m = parse_csv(io.StringIO(text))
+    assert called == ["csv"] * (route == "csv")
+    assert m.row_labels == tuple(rows)
+    assert m.col_labels == tuple(cols)
+    assert m.values.tolist() == values.tolist()
+
+
 def test_csv_round_trip(rng):
     m = random_matrix(rng)
     again = parse_csv(io.StringIO(write_csv(m)))

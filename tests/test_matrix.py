@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from infodiv import (
     NonFiniteValueError,
     ZeroRowError,
     build_matrix,
+    log_transform,
+    parse_csv,
     pooled_profile,
     probability_model,
 )
@@ -19,6 +23,30 @@ def test_build_valid():
     m = build_matrix(["a", "b"], ["x", "y"], [[2, 0], [0, 2]])
     assert m.grand_sum == 4
     assert m.row_labels == ("a", "b")
+
+
+def test_build_matrix_copies_the_callers_array():
+    values = np.array([[2.0, 0.0], [0.0, 2.0]])
+    m = build_matrix(["a", "b"], ["x", "y"], values)
+    assert values.flags.writeable
+    assert not m.values.flags.writeable
+    values[0, 0] = 7.0
+    assert m.values.tolist() == [[2, 0], [0, 2]]
+
+
+# Quoted text goes through csv.reader, the others through the digit
+# decoder, with labels in order or not.
+@pytest.mark.parametrize("text", ["x,a,b\nr1,2,0\nr2,0,2\n",
+                                  "x,b,a\nr2,1,2\nr1,3,4\n",
+                                  'x,a,b\n"r1",2,0\nr2,0,2\n'])
+def test_parse_csv_and_log_transform_return_read_only_values(text):
+    m = parse_csv(io.StringIO(text))
+    logged = log_transform(m)
+    for values in m.values, logged.values:
+        assert not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[0, 0] = 1.0
+    assert not np.shares_memory(m.values, logged.values)
 
 
 def test_negative_value_rejected():
