@@ -13,8 +13,9 @@ plain text whose every cell is 1 to 15 ASCII digits is decoded exactly by
 numpy a block of lines at a time, and everything else goes through
 `csv.reader` and `float` (see `parse_csv`).
 
-The CSV writer screens a whole matrix with numpy in one pass, then writes
-it a row at a time. Each cell is written by Python's "{:.12g}" where that
+The CSV writer formats each distinct value of a matrix once, after
+screening them all with numpy in one pass, and builds each row by looking
+up its cells' texts. A value is written by Python's "{:.12g}" where that
 provably gives format_number's text, and by format_number itself where
 the screens say it might not: -0.0, values below 1e-4 or from 1e11 up,
 non-finite values, and 13-digit ties (see `_screens`).
@@ -288,17 +289,28 @@ class _Echo:
 
 
 def _csv(row_labels, col_labels, values) -> str:
+    # Each distinct bit pattern is formatted once, and each row is built by
+    # looking its cells' texts up. Cells with equal bits have equal text;
+    # 0.0 and -0.0, equal but not in bits, both get "0.0". In a similarity
+    # matrix every value off the diagonal appears twice.
+    values = np.asarray(values, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        # Raises naming the first NaN or infinity in row-major order, which
+        # np.unique, ordering by bits, would not find first.
+        format_number(values[~finite][0])
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    distinct = bits.view(float)
+    integral, plain = _screens(distinct)
+    texts = np.array(list(map("{:.12g}".format, distinct.tolist())),
+                     dtype=object)
+    texts[integral] += ".0"
+    for k in np.flatnonzero(~(integral | plain)).tolist():
+        texts[k] = format_number(distinct[k])
     line = csv.writer(_Echo(), lineterminator="\n").writerow
-    integral, plain = _screens(values)
     lines = [line(["", *col_labels])]
-    for label, row, ints, slow in zip(row_labels, values, integral,
-                                      ~(integral | plain)):
-        floats = row.tolist()
-        cells = list(map("{:.12g}".format, floats))
-        for k in np.flatnonzero(ints).tolist():
-            cells[k] += ".0"
-        for k in np.flatnonzero(slow).tolist():  # raises on NaN and inf
-            cells[k] = format_number(floats[k])
+    for label, cells in zip(row_labels,
+                            texts[inverse].reshape(values.shape).tolist()):
         # The label quoted as csv.writer quotes a field, then the cells,
         # which hold only digits, "-" and "." and need no quoting.
         lines.append(line((label, ""))[:-1] + ",".join(cells) + "\n")

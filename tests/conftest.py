@@ -1,6 +1,6 @@
-"""Shared helpers: seeded random matrices, pure-Python brute-force
-entropy computations kept independent of the library's numpy code paths,
-the group sums of the joint by one 2-D `np.add.at`,
+"""Shared helpers: seeded random and cocitation matrices, pure-Python
+brute-force entropy computations kept independent of the library's numpy
+code paths, the group sums of the joint by one 2-D `np.add.at`,
 bipartition scoring through the public validated functions and the ranking
 kernel's masked entropy formula, reference exhaustive and greedy searches
 that score every candidate separately, the recursive restricted growth
@@ -109,6 +109,17 @@ def random_matrix(rng, max_rows=10, max_cols=8, min_rows=2, min_cols=2):
     rows = [f"r{i:02d}" for i in range(n)]
     cols = [f"c{j:02d}" for j in range(k)]
     return build_matrix(rows, cols, vals)
+
+
+def cocitation_matrix(rng, n):
+    """Symmetric Poisson counts in four author groups, positive diagonal."""
+    member = rng.integers(0, 4, size=n)
+    rate = np.where(member[:, None] == member[None, :], 6.0, 1.5)
+    upper = np.triu(rng.poisson(rate), 1)
+    counts = (upper + upper.T).astype(float)
+    counts[np.arange(n), np.arange(n)] = counts.max(axis=1) + 1
+    labels = [f"au{i:02d}" for i in range(n)]
+    return build_matrix(labels, labels, counts)
 
 
 def random_grouping(rng, n_rows):

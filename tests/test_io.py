@@ -4,6 +4,7 @@ import io
 import json
 import re
 import struct
+import tracemalloc
 import unittest.mock
 import xml.etree.ElementTree as ET
 
@@ -39,6 +40,7 @@ from infodiv.io import _scan_json, canonical_json
 from infodiv.render import _NOT_XML
 
 from conftest import (
+    cocitation_matrix,
     examples,
     random_matrix,
     reference_format_number,
@@ -480,6 +482,88 @@ def test_csv_cells_at_the_seams(x, text):
     assert write_csv(LabeledMatrix(labels, labels, np.array([[x]]))) == \
         similarity_csv(SimilarityMatrix(labels, np.array([[x]]))) == \
         f",a\na,{text}\n"
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@st.composite
+def repeated_values(draw):
+    """A matrix whose cells repeat a few SEAM_FLOATS, 0.0 and -0.0, an
+    integer, a value below 1e-4 that format_number writes, and in most
+    matrices one or two of inf, -inf and NaN."""
+    pool = draw(st.lists(SEAM_FLOATS, min_size=1, max_size=4)) + \
+        [0.0, -0.0, 3.0, -2e-05] + \
+        draw(st.lists(st.sampled_from([INF, -INF, NAN]), max_size=2))
+    rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    cells = draw(st.lists(st.sampled_from(pool), min_size=rows * width,
+                          max_size=rows * width))
+    return np.array(cells).reshape(rows, width)
+
+
+@given(repeated_values(), LABELS)
+@settings(max_examples=examples(300), deadline=None)
+def test_write_csv_of_repeated_values_matches_the_decimal_reference(values,
+                                                                    labels):
+    rows, cols = tuple(labels[:len(values)]), tuple(labels[:values.shape[1]])
+    try:
+        want = reference_write_csv(rows, cols, values)
+    except NonFiniteValueError as exc:
+        with pytest.raises(NonFiniteValueError, match=re.escape(str(exc))):
+            write_csv(LabeledMatrix(rows, cols, values))
+        return
+    assert write_csv(LabeledMatrix(rows, cols, values)) == want
+
+
+@pytest.mark.parametrize("values, first", [
+    ([[0.5, INF], [NAN, 1.0]], "inf"),
+    ([[0.5, NAN], [INF, 1.0]], "nan"),
+    ([[NAN, 0.5], [-INF, INF]], "nan"),
+    ([[-0.5, NAN], [-INF, 1.0]], "nan"),
+    ([[-0.5, -2.0], [INF, -INF]], "inf"),
+    ([[-0.5, 0.0], [-INF, NAN]], "-inf"),
+])
+def test_csv_names_the_first_non_finite_cell_in_row_major_order(values,
+                                                                first):
+    labels, values = ("a", "b"), np.array(values)
+    for matrix, write in [(LabeledMatrix(labels, labels, values), write_csv),
+                          (SimilarityMatrix(labels, values), similarity_csv)]:
+        with pytest.raises(NonFiniteValueError, match=re.escape(
+                f"cannot write the non-finite number {first}")):
+            write(matrix)
+
+
+_SQUARE = np.array([[1.0, 0.25, -0.5], [0.25, 1.0, 1e-05],
+                    [-0.5, 1e-05, 1.0]]) + np.array([[0.0], [0.0], [2.0]])
+
+
+@pytest.mark.parametrize("values", [
+    np.array([[5, 0, 2], [0, 7, 2], [2, 2, 9]]),
+    _SQUARE.T,
+    np.asfortranarray(_SQUARE),
+    np.array([[1.0]]),
+    np.empty((0, 0)),
+], ids=["int", "transposed", "fortran", "1x1", "empty"])
+def test_csv_writes_any_array_layout_as_its_values(values):
+    labels = ("a", "b", "c")[:len(values)]
+    want = reference_write_csv(labels, labels, values)
+    assert write_csv(LabeledMatrix(labels, labels, values)) == want
+    assert similarity_csv(SimilarityMatrix(labels, values)) == want
+
+
+def test_similarity_csv_memory_is_bounded():
+    # An 80 x 80 Pearson matrix holds about 3200 distinct values. Their
+    # texts, the index of each cell's value and the output text are what
+    # the writer keeps; 660 KB was measured.
+    sim = similarity_matrix(cocitation_matrix(np.random.default_rng(5), 80),
+                            "pearson")
+    tracemalloc.start()
+    try:
+        similarity_csv(sim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_export_json_block():

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import examples, reference_pair, reference_similarity_matrix
+from conftest import (
+    cocitation_matrix,
+    examples,
+    reference_pair,
+    reference_similarity_matrix,
+)
 from infodiv import (
     InfodivError,
     InvalidInputError,
@@ -400,17 +405,6 @@ for _row in _HARD_ROWS.values():
         test_exact_sums_are_fsum)
 
 
-def _cocitation(rng, n):
-    """Symmetric Poisson counts in four author groups, positive diagonal."""
-    member = rng.integers(0, 4, size=n)
-    rate = np.where(member[:, None] == member[None, :], 6.0, 1.5)
-    upper = np.triu(rng.poisson(rate), 1)
-    counts = (upper + upper.T).astype(float)
-    counts[np.arange(n), np.arange(n)] = counts.max(axis=1) + 1
-    labels = [f"au{i:02d}" for i in range(n)]
-    return build_matrix(labels, labels, counts)
-
-
 # A chunk of three rows of cells splits most rows' pairs across chunks; one
 # of n - 1 cells holds a single pair, and `_exact_sums` then sums one row
 # per block.
@@ -422,7 +416,7 @@ def _cocitation(rng, n):
 def test_small_chunks_match_the_per_pair_loop(monkeypatch, seed,
                                               chunk_cells):
     rng = np.random.default_rng(seed)
-    matrix = _cocitation(rng, int(rng.integers(20, 41)))
+    matrix = cocitation_matrix(rng, int(rng.integers(20, 41)))
     monkeypatch.setattr(similarity, "_CHUNK_CELLS",
                         chunk_cells(matrix.n_rows))
     for args in itertools.product(
@@ -438,7 +432,7 @@ def test_similarity_matrix_memory_is_bounded(diagonal_mode):
     # rows and their squares are O(n^2), about 2.7 MB at n = 300; every
     # other temporary is bounded by the chunk size (3.2 MB in all was
     # measured for include, 2.4 MB for missing).
-    matrix = _cocitation(np.random.default_rng(4), 300)
+    matrix = cocitation_matrix(np.random.default_rng(4), 300)
     tracemalloc.start()
     try:
         similarity_matrix(matrix, "pearson", diagonal_mode)
