@@ -1,24 +1,24 @@
 """CSV ingestion and writing, canonical dendrogram exports, and their JSON
 reader (`dendrogram_from_json` on `load_json`). The drawings are in `render`.
 
-Numbers in all text formats are written with 12 significant digits, rounded
-half away from zero, as `format_number` defines, so golden files are
-byte-exact across platforms and runs. JSON export uses sorted keys and a
-trailing newline for the same reason. Row and column labels are sorted
-lexicographically at ingestion, which makes clustering output independent
-of the input row order.
+Numbers in all text formats are written as `format_number` defines: the
+double's exact value rounded once to 12 significant digits, ties to even,
+so golden files are byte-exact across platforms and runs. JSON export uses
+sorted keys and a trailing newline for the same reason. Row and column
+labels are sorted lexicographically at ingestion, which makes clustering
+output independent of the input row order.
 
 The CSV reader has two routes, each giving the doubles `float` gives:
 plain text whose every cell is 1 to 15 ASCII digits is decoded exactly by
 numpy a block of lines at a time, and everything else goes through
 `csv.reader` and `float` (see `parse_csv`).
 
-The CSV writer formats each distinct value of a matrix once, after
-screening them all with numpy in one pass, and builds each row by looking
-up its cells' texts. A value is written by Python's "{:.12g}" where that
-provably gives format_number's text, and by format_number itself where
-the screens say it might not: -0.0, values below 1e-4 or from 1e11 up,
-non-finite values, and 13-digit ties (see `_screens`).
+The CSV writer formats each distinct value of a matrix once and builds
+each row by looking up its cells' texts. "{:.12g}" rounds as format_number
+does, so `_screens` only picks the values it also writes in format_number's
+notation; format_number writes the rest: -0.0, values below 1e-4 or, other
+than integers below 1e12, from 1e11 up, and values near an integer, which
+may round to one.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import InvalidInputError, NonFiniteValueError, ParseError
 from .matrix import LabeledMatrix, _validated
 from .similarity import SimilarityMatrix
 
-_CTX = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_UP)
+_CTX = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_EVEN)
 _NEWICK_PLAIN = re.compile(r"[^\s()\[\]':;,_]*")
 # The fields of an export's "split" object and their kinds for `_field`,
 # in the order `dendrogram_from_json` checks them.
@@ -49,14 +49,15 @@ _SPLIT_KEYS = sorted(_SPLIT_FIELDS)  # the order an export writes them in
 
 
 def format_number(x: float) -> str:
-    """Decimal rendering at 12 significant digits, half away from zero, in
-    fixed-point notation; an integer that rounds to below 1e15 keeps ".0".
-    NaN and infinities have no such rendering: NonFiniteValueError."""
+    """The exact value of the double x rounded once to 12 significant
+    digits, ties to even, in fixed-point notation; a result that is an
+    integer below 1e15 keeps ".0". NaN and infinities have no such
+    rendering: NonFiniteValueError."""
     if not math.isfinite(x):
         raise NonFiniteValueError(f"cannot write the non-finite number "
                                   f"{float(x)!r}")
-    d = _CTX.create_decimal(repr(float(x))).normalize(_CTX)
-    if x == int(x) and abs(d) < 10 ** 15:
+    d = _CTX.create_decimal(float(x)).normalize(_CTX)  # exact, then rounded
+    if d == d.to_integral_value() and abs(d) < 10 ** 15:
         return f"{int(d)}.0"
     return format(d, "f")
 
@@ -237,45 +238,26 @@ def _raise_first_error(body, width: int, col_labels) -> None:
                     f"malformed number {cell!r}") from None
 
 
-# The floats nearest 10^k, k = -4 .. 11. Those below 1 lie just above
-# 10^k, so a float is at least 10^k exactly when it is at least its entry,
-# and searchsorted(side="right") gives each cell's decade exactly: i for
-# [10^(i-5), 10^(i-4)).
-_DECADES = np.array([float(f"1e{k}") for k in range(-4, 12)])
-# 10^(17-i), exact in binary: it scales a cell of decade i to 13 digits
-# before the point.
-_TO_13_DIGITS = np.array([float(f"1e{17 - i}") for i in range(17)])
-
-
 def _screens(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the cells of `values` that "{:.12g}" writes as
-    format_number does: the integers, once ".0" is appended, and the
-    other cells. Every cell outside both must go to format_number.
+    """Masks of the finite cells of `values` that "{:.12g}", which rounds
+    as format_number does, writes in its notation: the integers, once
+    ".0" is appended, and the other cells. Every cell outside both goes
+    to format_number.
 
     - An integer below 1e12 in magnitude has at most 12 digits, which
-      ".12g" writes exactly and without an exponent.
+      ".12g" writes exactly and without an exponent; -0.0 is left out.
     - Any other cell from 1e-4 up to below 1e11 in magnitude rounds to a
-      value ".12g" writes in fixed point, without trailing zeros as
-      `normalize` leaves it, unless its repr is a 13-digit midpoint of the
-      12-digit grid (one ending in 5). Only there can ".12g"'s rounding
-      of the binary value and format_number's half-up rounding of repr(x)
-      differ: a midpoint between x and repr(x) lies in x's round-trip
-      interval, where the shortest repr(x) then is that midpoint. Scaled
-      to 13 digits such an x lies within 0.003 of an integer ending in 5
-      (half an ulp of x plus the rounding of the scaling), so every cell
-      within 0.01 of one is left out.
-    - Left out too: -0.0 (written "0.0"), values below 1e-4 (".12g" takes
-      an exponent), from 1e11 up, and NaN and infinities.
+      value ".12g" writes in fixed point, without trailing zeros, unless
+      it rounds to an integer r, which takes ".0". Such a cell lies within
+      half a unit of r's 12th digit of r, at most 5e-12 * |r|, which is
+      under |x| * 1e-11; every cell that near an integer is left out.
     """
     size = np.abs(values)
-    with np.errstate(invalid="ignore"):  # trunc of a signaling NaN
-        integral = (size < 1e12) & (np.trunc(values) == values) & \
-            ~((values == 0) & np.signbit(values))
-    decade = np.searchsorted(_DECADES, size, side="right")
-    plain = (decade > 0) & (decade < len(_DECADES)) & ~integral
-    scaled = np.where(plain, size, 0.0) * _TO_13_DIGITS[decade]
-    nearest = np.rint(scaled)
-    plain &= (np.abs(scaled - nearest) >= 0.01) | (nearest % 10 != 5)
+    nearest = np.rint(values)
+    integral = (size < 1e12) & (nearest == values) & \
+        ~((values == 0) & np.signbit(values))
+    plain = (size >= 1e-4) & (size < 1e11) & \
+        (np.abs(values - nearest) > size * 1e-11)
     return integral, plain
 
 

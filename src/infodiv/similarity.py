@@ -112,10 +112,13 @@ def _prepared(measure: str, rows: np.ndarray, space
 def _scores(measure: str, x: np.ndarray, sxx: np.ndarray, y: np.ndarray,
             syy: np.ndarray, space, name=None) -> np.ndarray:
     """`measure` of each pair k of rows x[k] and y[k] from `_prepared`,
-    whose sums of squares are sxx[k] and syy[k]: sum(xy) / sqrt(sum(x^2) *
-    sum(y^2)), clipped to [-1, 1] for Pearson. The products overwrite x,
-    and are summed in `space`. The first undefined pair raises,
-    its message followed by name(k) when `name` is given."""
+    whose sums of squares are sxx[k] and syy[k]: sum(xy) / (sqrt(sxx) *
+    sqrt(syy)), clipped to [-1, 1], which the rounding of the divisor can
+    leave by an ulp (equal rows can score 1.0000000000000002). The square
+    roots are taken one at a time because sums of squares up to _SQ_HI =
+    2^960 are kept, and the product of two would overflow. The products
+    overwrite x, and are summed in `space`. The first undefined pair
+    raises, its message followed by name(k) when `name` is given."""
     # Centered values past the float range leave a sum of squares that is
     # not finite, even after scaling.
     finite = np.isfinite(sxx) & np.isfinite(syy)
@@ -126,7 +129,7 @@ def _scores(measure: str, x: np.ndarray, sxx: np.ndarray, y: np.ndarray,
         raise error(what if name is None else f"{what} {name(k)}")
     r = _exact_sums(np.multiply(x, y, out=x), space) / \
         (np.sqrt(sxx) * np.sqrt(syy))
-    return np.clip(r, -1.0, 1.0) if measure == "pearson" else r
+    return np.clip(r, -1.0, 1.0)
 
 
 def _scaled_rows(rows: np.ndarray, space) -> tuple[np.ndarray, np.ndarray]:

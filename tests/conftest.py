@@ -273,7 +273,7 @@ def reference_pair(measure, x, y):
             error, what = _UNDEFINED[measure]
             raise error(what)
         r = math.fsum((x * y).tolist()) / (math.sqrt(sxx) * math.sqrt(syy))
-    return min(1.0, max(-1.0, r)) if measure == "pearson" else r
+    return min(1.0, max(-1.0, r))
 
 
 def reference_scaled_rows(rows):
@@ -325,18 +325,20 @@ def reference_similarity_matrix(matrix, measure="pearson",
     return vals
 
 
-_HALF_UP_12 = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_UP)
+_HALF_EVEN_12 = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_EVEN)
 
 
 def reference_format_number(x):
-    """format_number through `decimal` alone: repr(x) rounded half up to 12
-    significant digits, in fixed point, with ".0" on an integer that
-    rounds to below 1e15."""
+    """format_number through `decimal` alone: the exact value of the
+    double, Decimal(float(x)), rounded half to even to 12 significant
+    digits, in fixed point, with ".0" on a result that is an integer below
+    1e15."""
     if not math.isfinite(x):
         raise NonFiniteValueError(f"cannot write the non-finite number "
                                   f"{float(x)!r}")
-    d = _HALF_UP_12.create_decimal(repr(float(x))).normalize(_HALF_UP_12)
-    if x == int(x) and abs(d) < 10 ** 15:
+    d = _HALF_EVEN_12.plus(decimal.Decimal(float(x)))
+    d = d.normalize(_HALF_EVEN_12)
+    if d == int(d) and abs(d) < 10 ** 15:
         return f"{int(d)}.0"
     return format(d, "f")
 

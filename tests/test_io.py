@@ -2,6 +2,7 @@ import csv
 import decimal
 import io
 import json
+import math
 import re
 import struct
 import tracemalloc
@@ -401,6 +402,10 @@ def test_format_number():
     assert format_number(-123456789012345.0) == "-123456789012000.0"
     assert format_number(999999999999999.0) == "1000000000000000"
     assert format_number(1e15) == "1000000000000000"
+    # ".0" goes on every result that is an integer below 1e15, whether or
+    # not the double is one.
+    assert format_number(0.9999999999999998) == "1.0"
+    assert format_number(123456789012.6) == "123456789013.0"
 
 
 def test_format_number_writes_tiny_values_in_fixed_point():
@@ -426,8 +431,10 @@ def _signed(floats):
 
 # Floats at each seam of the CSV cell writer: 13-digit numbers ending in 5
 # (midpoints of the 12-digit grid), integers around 1e12-1e15, numbers
-# that round up to a power of ten, values just under 1e-4, subnormals,
-# -0.0 and random bit patterns (NaN and infinities among them).
+# that round up to a power of ten, numbers within 2e-11 of an integer
+# relative to their size (the writer's screen cuts at 1e-11), values just
+# under 1e-4, subnormals, -0.0 and random bit patterns (NaN and infinities
+# among them).
 SEAM_FLOATS = st.one_of(
     _signed(st.builds(lambda m, e: float(f"{10 * m + 5}e{e}"),
                       st.integers(10 ** 11, 10 ** 12 - 1),
@@ -436,6 +443,8 @@ SEAM_FLOATS = st.one_of(
     _signed(st.builds(lambda n, d, e: float(f"{'9' * n}{d}e{e}"),
                       st.integers(11, 14), st.integers(5, 9),
                       st.integers(-28, 3))),
+    _signed(st.builds(lambda k, f: k * (1 + f), st.integers(1, 10 ** 11),
+                      st.floats(-2e-11, 2e-11))),
     _signed(st.floats(5e-5, 1e-4)),
     _signed(st.integers(1, 2 ** 53).map(lambda k: k * 5e-324)),
     st.just(-0.0),
@@ -463,12 +472,18 @@ def test_write_csv_matches_the_decimal_reference(xs, width, rows, cols):
 
 
 @pytest.mark.parametrize("x, text", [
-    (999999999999.53, "1000000000000"),  # "{:.12g}" gives 1e+12
-    (999999999999.6, "1000000000000"),
-    (9.9999999999996, "10"),
-    (1234567890.125, "1234567890.13"),  # an exact tie: ".12g" rounds to even
-    (0.1000000000005, "0.100000000001"),  # repr a tie, the binary value below
-    (0.9999999999995, "1"),
+    # Rounds to the integer 1e12, which takes ".0"; "{:.12g}" gives 1e+12.
+    (999999999999.53, "1000000000000.0"),
+    (999999999999.6, "1000000000000.0"),
+    (9.9999999999996, "10.0"),  # rounds to the integer 10
+    # The double is exactly 1234567890.125, a tie: rounded to even.
+    (1234567890.125, "1234567890.12"),
+    # The double lies below the midpoint 0.1000000000005 that its repr
+    # shows, so it rounds down.
+    (0.1000000000005, "0.1"),
+    # The double lies below the midpoint 0.9999999999995, so it rounds
+    # down, short of 1.
+    (0.9999999999995, "0.999999999999"),
     (5e-05, "0.00005"),
     (9.999999999999999e-05, "0.0001"),
     (-0.0, "0.0"),
@@ -482,6 +497,32 @@ def test_csv_cells_at_the_seams(x, text):
     assert write_csv(LabeledMatrix(labels, labels, np.array([[x]]))) == \
         similarity_csv(SimilarityMatrix(labels, np.array([[x]]))) == \
         f",a\na,{text}\n"
+
+
+FINITE_FLOATS = SEAM_FLOATS.filter(math.isfinite) | \
+    st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(FINITE_FLOATS)
+@settings(max_examples=examples(300), deadline=None)
+def test_format_number_is_a_fixed_point_of_float(x):
+    # The text is the 12-digit decimal nearest the double; read back, it
+    # gives the double nearest that decimal, which rounds to it again.
+    text = format_number(x)
+    assert format_number(float(text)) == text
+
+
+@given(st.lists(FINITE_FLOATS.map(abs), min_size=1, max_size=12),
+       st.integers(1, 3))
+@settings(max_examples=examples(300), deadline=None)
+def test_write_csv_is_a_fixed_point_of_parse_csv(xs, width):
+    # A last column of 1.0 keeps every row's sum positive.
+    values = np.array(xs + [1.0] * (-len(xs) % width)).reshape(-1, width)
+    values = np.hstack([values, np.ones((len(values), 1))])
+    labels = [f"r{i:02d}" for i in range(len(values))]
+    text = write_csv(build_matrix(
+        labels, [f"c{j}" for j in range(values.shape[1])], values))
+    assert write_csv(parse_csv(io.StringIO(text))) == text
 
 
 INF, NAN = float("inf"), float("nan")

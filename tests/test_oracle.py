@@ -201,6 +201,32 @@ def test_verify_greedy_block_and_forced():
     assert rep2.gap == pytest.approx(0.0, abs=1e-12)
 
 
+def test_verify_greedy_reports_no_gap_for_the_same_split():
+    # Greedy grows the left half {3, 4, 5, 7}, the exhaustive search's
+    # right half. Pooled in their own orders, the two scores of that split
+    # differ by 2^-51: subtracted, they would give a gap of -4.4e-16, as if
+    # greedy beat the exhaustive search.
+    counts = [[0, 27, 7, 4, 3, 25, 3, 47, 3, 0, 34, 4],
+              [1, 3, 1, 0, 0, 7, 2, 9, 2, 0, 4, 1],
+              [0, 13, 2, 1, 1, 13, 0, 27, 3, 1, 11, 3],
+              [5, 76, 15, 11, 10, 4, 2, 0, 1, 18, 28, 1],
+              [0, 11, 5, 1, 1, 2, 0, 0, 0, 4, 4, 0],
+              [1, 19, 7, 3, 2, 0, 1, 0, 0, 6, 12, 0],
+              [2, 20, 1, 2, 0, 11, 4, 39, 5, 0, 23, 6],
+              [8, 52, 14, 9, 14, 1, 2, 1, 0, 19, 26, 0]]
+    model = probability_model(build_matrix(
+        [f"r{i}" for i in range(8)], [f"c{j}" for j in range(12)], counts))
+    all_rows = tuple(range(8))
+    greedy = greedy_bisect(model, all_rows,
+                           cluster.ClusterOptions(stop_rule="full"))
+    exact = exhaustive_bisect(model, all_rows)
+    assert set(greedy.left) == set(exact.right) == {3, 4, 5, 7}
+    assert greedy.local_h0 != exact.local_h0
+    rep = verify_greedy(model)
+    assert rep.greedy_h0 == rep.best_h0 == exact.local_h0
+    assert rep.gap == 0.0
+
+
 def test_verify_greedy_random_suite(rng):
     equal = 0
     for _ in range(20):

@@ -24,6 +24,7 @@ from infodiv import (
     cosine,
     log_transform,
     pearson,
+    similarity_csv,
     similarity_matrix,
 )
 from infodiv import similarity
@@ -201,6 +202,21 @@ def test_similarity_matrix_cosine_identity_like():
     sim = similarity_matrix(m, measure="cosine")
     assert sim.values[0, 1] == 0.0
     assert sim.values[0, 0] == sim.values[1, 1] == 1.0
+
+
+@pytest.mark.parametrize("measure", ["pearson", "cosine"])
+def test_equal_rows_are_written_as_exactly_one(measure):
+    # Rows a and b are equal. The divisor sqrt(sxx) * sqrt(syy) rounds, so
+    # cosine gives 1.0000000000000002 and Pearson 0.9999999999999998
+    # before the clip to [-1, 1] and the 12-digit rounding; both are
+    # written "1.0", as an exact 1 is.
+    m = build_matrix(list("abc"), list("abc"),
+                     [[2, 3, 0], [2, 3, 0], [1, 1, 5]])
+    assert cosine([2, 3, 0], [2, 3, 0]) == 1.0
+    sim = similarity_matrix(m, measure=measure)
+    assert sim.values.max() <= 1.0
+    assert similarity_csv(sim).splitlines()[1].split(",")[:3] == \
+        ["a", "1.0", "1.0"]
 
 
 def test_similarity_matrix_symmetric_and_bounded():
