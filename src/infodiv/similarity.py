@@ -7,13 +7,36 @@ exactly and zero handling is never silent: undefined cases (constant or
 all-zero vectors, NaN or infinite coordinates) raise instead of producing
 NaN.
 
-Every sum of squares or products is rounded once, from its exact value, by
-`_exact_sums`: a vectorised error-free summation whose result is certified
-a posteriori, with `math.fsum` only for the rows the certificate does not
-cover. `pearson` and `cosine` are the one-pair case of the body that
-`similarity_matrix` runs on each chunk of at most `_CHUNK_CELLS` matrix
-cells, so the matrix gives, bit for bit, what they give on each pair by
-construction.
+A pair of vectors of width w is scored by one of two routes, chosen by the
+two vectors alone:
+
+- the integer route, when every coordinate is an integer and each vector's
+  absolute coordinates sum to at most isqrt(2^62 // w). With sx = sum(x),
+  sxx = sum(x^2) and sxy = sum(xy), w*sxx, w*sxy, sx^2 and sx*sy are then
+  at most 2^62 in magnitude, and Pearson's numerator at most 1.5 * 2^62,
+  so every sum and form below is an exact int64 value. Cosine is
+  sxy / (sqrt(sxx) * sqrt(syy)) and Pearson (w*sxy - sx*sy) /
+  (sqrt(w*sxx - sx^2) * sqrt(w*syy - sy^2)), each numerator and radicand
+  an exact integer converted to float once;
+- the float route, for every other pair: Pearson centers both vectors in
+  float first, and every sum of squares or products is rounded once, from
+  its exact value, by `_exact_sums`, a vectorised error-free summation
+  whose result is certified a posteriori, with `math.fsum` only for the
+  rows the certificate does not cover.
+
+Where the float route's products are exact (each |x_k * y_k| and x_k^2
+at most 2^53), both routes divide the same correctly rounded sums, so
+their cosines are equal (the integer route writes +0.0 for -0.0). Pearson
+can differ in the last bits: the integer route does not center in float.
+
+`pearson` and `cosine` test their pair, and `similarity_matrix` tests each
+pair, pair i, j under "missing" without positions i and j. The matrix
+scores its integer pairs from an int64 Gram matrix of its rows, a block of
+rows at a time, and the others through the body that scores one float
+pair, a chunk of at most `_CHUNK_CELLS` matrix cells at a time. So the
+matrix gives, bit for bit, what `pearson` or `cosine` give on each pair,
+and raises for the same first undefined pair in row-major order, whichever
+route scored it.
 """
 
 from __future__ import annotations
@@ -51,6 +74,9 @@ _OVERFLOW = (NonFiniteValueError,
 _CHUNK_CELLS = 2 ** 14
 # _exact_sums certifies a row only if its sum is at most this in magnitude.
 _CERT_MAX = 2.0 ** 1000
+# A vector of width w takes the integer route only if it is integral and its
+# absolute coordinates sum to at most isqrt(_INT_RANGE // w).
+_INT_RANGE = 2 ** 62
 
 
 @dataclass(frozen=True)
@@ -72,10 +98,11 @@ def cosine(x, y) -> float:
 
 
 def _pair(measure: str, x, y) -> float:
-    """`measure` of the vectors x and y: the one-pair case of `_scores`.
+    """`measure` of the vectors x and y: the one-pair case of
+    `_integer_scores` or of `_scores`, as the module docstring's test picks.
 
-    Exactly rounded sums make the result invariant under appending
-    coordinates that are zero in both vectors.
+    Exact sums make the result invariant under appending coordinates that
+    are zero in both vectors.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -84,10 +111,62 @@ def _pair(measure: str, x, y) -> float:
     if not np.isfinite(pair).all():
         raise NonFiniteValueError(f"{measure} undefined for a vector with "
                                   "NaN or infinite coordinates")
-    space = _sum_space(2, len(x))
+    width = len(x)
+    kept, bound = _integer_cells(pair, width)
+    # Kept cells are integers of at most 2^31 / sqrt(w), summed exactly.
+    if kept.all() and (np.abs(pair).sum(axis=1) <= bound).all():
+        ints = pair.astype(np.int64)
+        gram = ints @ ints.T
+        sums = ints.sum(axis=1)
+        r, undefined = _integer_scores(measure, width, gram[:1, 1],
+                                       gram[:1, 0], gram[1:, 1], sums[:1],
+                                       sums[1:])
+        if undefined[0]:
+            _raise_undefined(measure)
+        return float(r[0])
+    space = _sum_space(2, width)
     rows, ss = _prepared(measure, pair, space)
     return float(_scores(measure, rows[:1], ss[:1], rows[1:], ss[1:],
                          space)[0])
+
+
+def _integer_cells(rows: np.ndarray, width: int) -> tuple[np.ndarray, int]:
+    """The mask of the cells of the float array `rows` that are integers of
+    magnitude at most `bound` = isqrt(_INT_RANGE // width), and `bound`. A
+    vector of `width` cells takes the integer route if every cell is in the
+    mask and the cells' magnitudes sum to at most `bound` (a cell past
+    `bound` would take the sum past it on its own)."""
+    bound = math.isqrt(_INT_RANGE // width)
+    kept = np.floor(rows) == rows
+    kept &= np.abs(rows) <= bound
+    return kept, bound
+
+
+def _integer_scores(measure: str, width: int, sxy: np.ndarray,
+                    sxx: np.ndarray, syy: np.ndarray, sx: np.ndarray,
+                    sy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`measure` of the pairs of integer vectors of `width` with the int64
+    sums sxy, sxx, syy, sx and sy (arrays that broadcast together), clipped
+    to [-1, 1], and the mask of the undefined pairs. Under the integer
+    route's test every value formed here is exact; where a pair fails the
+    test its sums may have wrapped around, and its score means nothing."""
+    if measure == "pearson":
+        sxy = width * sxy - sx * sy
+        sxx = width * sxx - sx * sx
+        syy = width * syy - sy * sy
+    undefined = (sxx == 0) | (syy == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = sxy.astype(float)
+        r /= np.sqrt(sxx.astype(float)) * np.sqrt(syy.astype(float))
+    return np.clip(r, -1.0, 1.0, out=r), undefined
+
+
+def _raise_undefined(measure: str, where: str | None = None,
+                     overflow: bool = False):
+    """Raise what `measure` raises for an undefined pair, its message
+    followed by `where` when given."""
+    error, what = _OVERFLOW if overflow else _UNDEFINED[measure]
+    raise error(what if where is None else f"{what} {where}")
 
 
 def _check_vectors(measure: str, x_shape: tuple, y_shape: tuple) -> None:
@@ -125,8 +204,8 @@ def _scores(measure: str, x: np.ndarray, sxx: np.ndarray, y: np.ndarray,
     bad = np.flatnonzero(~finite | (sxx == 0) | (syy == 0))
     if len(bad):
         k = int(bad[0])
-        error, what = _UNDEFINED[measure] if finite[k] else _OVERFLOW
-        raise error(what if name is None else f"{what} {name(k)}")
+        _raise_undefined(measure, None if name is None else name(k),
+                         overflow=not finite[k])
     r = _exact_sums(np.multiply(x, y, out=x), space) / \
         (np.sqrt(sxx) * np.sqrt(syy))
     return np.clip(r, -1.0, 1.0)
@@ -301,24 +380,114 @@ def similarity_matrix(matrix: LabeledMatrix, measure: str = "pearson",
 
     n = matrix.n_rows
     labels, values = matrix.row_labels, matrix.values
-    width = n if diagonal_mode == "include" else n - 2
+    missing = diagonal_mode == "missing"
+    width = n - 2 if missing else n
+    vals = np.eye(n)
     if n > 1:
         _check_vectors(measure, (width,), (width,))
-    # All pairs i < j in row-major order, a chunk at a time, each scored by
-    # the body that scores pearson(x, y) or cosine(x, y).
-    vals = np.eye(n)
-    first, second = np.triu_indices(n, 1)
-    chunk = max(1, _CHUNK_CELLS // n)
+        fits, stop = _integer_pairs(measure, values, width, missing, vals)
+        # The other pairs i < j, in row-major order, up to the first
+        # undefined integer pair: an undefined one among them comes first.
+        first, second = np.triu_indices(n, 1) if fits is None \
+            else np.nonzero(np.triu(~fits, 1))
+        if stop is not None:
+            before = first * n + second < stop[0] * n + stop[1]
+            first, second = first[before], second[before]
+        if len(first):
+            _float_pairs(measure, values, first, second, missing, vals,
+                         labels)
+        if stop is not None:
+            _raise_undefined(measure, _pair_name(labels, *stop))
+    vals.setflags(write=False)
+    return SimilarityMatrix(labels=labels, values=vals)
+
+
+def _pair_name(labels, i, j) -> str:
+    return f"(pair {labels[i]!r}, {labels[j]!r})"
+
+
+def _integer_pairs(measure: str, values: np.ndarray, width: int,
+                   missing: bool, vals: np.ndarray):
+    """Score into `vals` every pair of rows of the square non-negative
+    `values` that takes the integer route, from an int64 Gram matrix of the
+    rows, a block of rows at a time. Return the symmetric mask of those
+    pairs (None if there are none), and the first of them i < j, in
+    row-major order, that is undefined, or None; that pair and the ones
+    after it are not scored.
+
+    Under `missing` the diagonal is set to 0, which no pair's vectors hold,
+    and pair i, j subtracts positions i and j from each sum (one of the
+    two is then 0): sxy is the Gram entry itself, and sxx and sx lose
+    x_j^2 and x_j. The sums of all n cells may wrap around in int64, but a
+    pair's own sums are exact wherever the pair passes the test."""
+    n = len(values)
+    kept, bound = _integer_cells(values, width)
+    lost = n - np.count_nonzero(kept, axis=1)  # cells not kept, per row
+    if missing:
+        lost -= ~kept.diagonal()
+    if (lost > missing).all():  # no row fits, as on most --log input
+        return None, None
+    ints = np.zeros((n, n), dtype=np.int64)
+    np.copyto(ints, values, casting="unsafe", where=kept)
+    if missing:
+        np.fill_diagonal(ints, 0)
+    size = ints.sum(axis=1)  # the cells are non-negative
+    if missing:
+        # Row i without position j fits if it lost no cell but that one
+        # and its other cells sum to at most `bound`.
+        fits = (lost == 0)[:, None] | ((lost == 1)[:, None] & ~kept)
+        fits &= ints >= (size - bound)[:, None]
+        fits &= fits.T
+    else:
+        row_fits = (lost == 0) & (size <= bound)
+        fits = row_fits[:, None] & row_fits
+    squares = np.einsum("ij,ij->i", ints, ints)
+    block = max(1, _CHUNK_CELLS // n)
+    for a in range(0, n - 1, block):
+        # Rows i in [a, b) against rows j in [a, n), of which the pairs
+        # i < j are kept.
+        b = min(a + block, n - 1)
+        scored = np.triu(fits[a:b, a:], 1)
+        if not scored.any():
+            continue
+        sxy = ints[a:b] @ ints[a:].T
+        if missing:
+            xj, yi = ints[a:b, a:], ints[a:, a:b].T
+            r, undefined = _integer_scores(
+                measure, width, sxy, squares[a:b, None] - xj * xj,
+                squares[a:] - yi * yi, size[a:b, None] - xj, size[a:] - yi)
+        else:
+            r, undefined = _integer_scores(
+                measure, width, sxy, squares[a:b, None], squares[a:],
+                size[a:b, None], size[a:])
+        undefined &= scored
+        if undefined.any():
+            i, j = np.unravel_index(np.argmax(undefined), undefined.shape)
+            return fits, (a + int(i), a + int(j))
+        np.copyto(vals[a:b, a:], r, where=scored)
+        np.copyto(vals.T[a:b, a:], r, where=scored)
+    return fits, None
+
+
+def _float_pairs(measure: str, values: np.ndarray, first: np.ndarray,
+                 second: np.ndarray, missing: bool, vals: np.ndarray,
+                 labels) -> None:
+    """Score into `vals` the pairs of rows first[k] < second[k] of
+    `values`, given in row-major order, a chunk at a time, each by the
+    body that scores pearson(x, y) or cosine(x, y) on the float route."""
+    n = len(values)
+    width = n - 2 if missing else n
+    chunk = max(1, min(len(first), _CHUNK_CELLS // n))
     # Every chunk is summed, and for include gathered, in the same working
     # arrays, allocated once: a fresh set per chunk made the heap top grow
     # and shrink, with a page fault for each page it grew by.
     space = _sum_space(chunk, n)
-    if diagonal_mode == "include":  # the vectors do not depend on the pair
+    if not missing:  # the vectors do not depend on the pair
         rows, ss = _prepared(measure, values.copy(), space)
         x_rows, y_rows = np.empty((chunk, n)), np.empty((chunk, n))
     for start in range(0, len(first), chunk):
         i, j = first[start:start + chunk], second[start:start + chunk]
-        if diagonal_mode == "include":
+        if not missing:
             # take's default mode writes `out` through a temporary; the
             # indices are in range, so "clip" changes nothing else.
             x = np.take(rows, i, axis=0, out=x_rows[:len(i)], mode="clip")
@@ -337,6 +506,4 @@ def similarity_matrix(matrix: LabeledMatrix, measure: str = "pearson",
                                space)
         vals[i, j] = vals[j, i] = _scores(
             measure, x, sxx, y, syy, space,
-            lambda k: f"(pair {labels[i[k]]!r}, {labels[j[k]]!r})")
-    vals.setflags(write=False)
-    return SimilarityMatrix(labels=labels, values=vals)
+            lambda k: _pair_name(labels, i[k], j[k]))

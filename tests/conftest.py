@@ -5,9 +5,9 @@ bipartition scoring through the public validated functions and the ranking
 kernel's masked entropy formula, reference exhaustive and greedy searches
 that score every candidate separately, the recursive restricted growth
 string generator, the similarity matrix computed one pair at a time with
-`math.fsum` sums, the CSV reader that converts one cell at a time, and the
-canonical number formatter through `decimal` alone with the CSV writer
-built on it.
+sums in Python ints or `math.fsum` sums, the CSV reader that converts one
+cell at a time, and the canonical number formatter through `decimal` alone
+with the CSV writer built on it.
 
 Registers the hypothesis profile "thorough" (`--hypothesis-profile
 thorough`), under which the properties that size their runs with
@@ -252,16 +252,54 @@ def reference_restricted_growth_strings(n, max_groups):
 
 
 def reference_pair(measure, x, y):
-    """pearson or cosine of x and y with every sum a `math.fsum` of a list
-    of Python floats, as the library computed them before its vectorised
-    exact sums."""
+    """pearson or cosine of x and y: `reference_integer_pair` when both
+    vectors are integral with absolute coordinates summing to at most
+    isqrt(2^62 // width), else `reference_float_pair`."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     min_width = 2 if measure == "pearson" else 1
     if x.shape != y.shape or x.ndim != 1 or len(x) < min_width:
         raise InvalidInputError(f"{measure} needs two equal-length "
                                 f"vectors, length >= {min_width}")
-    pair = np.stack([x, y])
+    bound = math.isqrt(2 ** 62 // len(x))
+    vectors = x.tolist(), y.tolist()
+    if all(math.isfinite(v) and v.is_integer() for vec in vectors
+           for v in vec) and \
+            all(sum(abs(int(v)) for v in vec) <= bound for vec in vectors):
+        return reference_integer_pair(measure, x, y)
+    return reference_float_pair(measure, x, y)
+
+
+def reference_integer_pair(measure, x, y):
+    """pearson or cosine of the integral vectors x and y from their sums in
+    Python ints, each numerator and radicand converted to float once."""
+    num, rx, ry = reference_integer_forms(measure, x, y)
+    if rx == 0 or ry == 0:
+        error, what = _UNDEFINED[measure]
+        raise error(what)
+    r = float(num) / (math.sqrt(float(rx)) * math.sqrt(float(ry)))
+    return min(1.0, max(-1.0, r))
+
+
+def reference_integer_forms(measure, x, y):
+    """The numerator and the two radicands of `measure` for the integral
+    vectors x and y, as Python ints: sum(xy), sum(x^2), sum(y^2) for
+    cosine; w*sum(xy) - sum(x)*sum(y), w*sum(x^2) - sum(x)^2 and
+    w*sum(y^2) - sum(y)^2 for Pearson."""
+    x, y = [int(v) for v in x], [int(v) for v in y]
+    sxy = sum(a * b for a, b in zip(x, y))
+    sxx, syy = sum(a * a for a in x), sum(b * b for b in y)
+    if measure == "cosine":
+        return sxy, sxx, syy
+    w, sx, sy = len(x), sum(x), sum(y)
+    return w * sxy - sx * sy, w * sxx - sx * sx, w * syy - sy * sy
+
+
+def reference_float_pair(measure, x, y):
+    """pearson or cosine of x and y with every sum a `math.fsum` of a list
+    of Python floats, as the library computed them before its vectorised
+    exact sums."""
+    pair = np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         if measure == "pearson":
             pair = reference_centered(pair)

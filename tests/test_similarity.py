@@ -1,7 +1,9 @@
+import decimal
 import itertools
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,9 @@ from hypothesis import strategies as st
 from conftest import (
     cocitation_matrix,
     examples,
+    reference_float_pair,
+    reference_integer_forms,
+    reference_integer_pair,
     reference_pair,
     reference_similarity_matrix,
 )
@@ -442,16 +447,20 @@ def test_small_chunks_match_the_per_pair_loop(monkeypatch, seed,
         assert got.tobytes() == reference_similarity_matrix(*args).tobytes()
 
 
-@pytest.mark.parametrize("diagonal_mode", ["include", "missing"])
-def test_similarity_matrix_memory_is_bounded(diagonal_mode):
-    # The result, the row-major pair index and, for include, the scaled
-    # rows and their squares are O(n^2), about 2.7 MB at n = 300; every
-    # other temporary is bounded by the chunk size (3.2 MB in all was
-    # measured for include, 2.4 MB for missing).
+@pytest.mark.parametrize("diagonal_mode, measure", [
+    pytest.param(diagonal_mode, measure, id=diagonal_mode + suffix)
+    for measure, suffix in [("pearson", ""), ("cosine", "-cosine")]
+    for diagonal_mode in ("include", "missing")])
+def test_similarity_matrix_memory_is_bounded(diagonal_mode, measure):
+    # Counts take the integer route. The result, the int64 cells and a
+    # float temporary of the route's test are O(n^2), 0.7 MB each at
+    # n = 300; every other temporary is bounded by the block size (2.9 MB
+    # in all was measured for Pearson under missing). The float route's
+    # peak is 3.1 MB for include and 2.3 MB for missing.
     matrix = cocitation_matrix(np.random.default_rng(4), 300)
     tracemalloc.start()
     try:
-        similarity_matrix(matrix, "pearson", diagonal_mode)
+        similarity_matrix(matrix, measure, diagonal_mode)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -478,3 +487,207 @@ def test_similarity_pair_matches_the_fsum_reference(xy, measure):
         assert got == expected
     else:
         assert type(got) is float and got.hex() == expected.hex()
+
+
+def _float_route(fn, *args):
+    """fn(*args) with every pair on the float route: under a guard of 0
+    only all-zero vectors would pass, and they are undefined on either
+    route."""
+    with mock.patch.object(similarity, "_INT_RANGE", 0):
+        return _outcome(fn, *args)
+
+
+_EXACT = decimal.Context(prec=50)
+
+
+def _pearson_error(matrix, diagonal_mode, values):
+    """|values[i, j] - r| for each pair i < j, r the exact Pearson r of the
+    pair's vectors to 50 digits; and whether values[i, j] is the double
+    nearest r."""
+    n = matrix.n_rows
+    errors, nearest = [], []
+    for i, j in itertools.combinations(range(n), 2):
+        keep = [k for k in range(n)
+                if diagonal_mode == "include" or k not in (i, j)]
+        num, rx, ry = reference_integer_forms(
+            "pearson", matrix.values[i, keep], matrix.values[j, keep])
+        exact = _EXACT.divide(num, _EXACT.multiply(rx, ry).sqrt(_EXACT))
+        errors.append(abs(decimal.Decimal(values[i, j]) - exact))
+        nearest.append(values[i, j] == float(exact))
+    return errors, nearest
+
+
+@st.composite
+def integer_square_matrices(draw):
+    """A square count matrix of 2 to 7 rows whose rows all pass the integer
+    route's test: cells up to 4, 1000, 2^26 (where every product of two is
+    exact in float) or a row's share of the guard, isqrt(2^62 // n) // n;
+    in half of them some rows are constant."""
+    n = draw(st.integers(2, 7))
+    top = draw(st.sampled_from([4, 1000, 2 ** 26,
+                                math.isqrt(2 ** 62 // n) // n]))
+    values = np.array(draw(st.lists(
+        st.lists(st.integers(0, top), min_size=n, max_size=n),
+        min_size=n, max_size=n)), dtype=float)
+    for i in range(n):
+        if draw(st.integers(0, 5)) == 0:
+            values[i] = values[i, 0]
+        values[i, i] = max(values[i, i], 1.0)  # no all-zero row
+    labels = [f"a{i}" for i in range(n)]
+    return build_matrix(labels, labels, values)
+
+
+@given(integer_square_matrices(), st.sampled_from(["include", "missing"]))
+@example(build_matrix(list("abc"), list("abc"),
+                      [[1, 2 ** 30, 2 ** 30], [3, 2 ** 29, 2], [1, 2, 5]]),
+         "include")
+@settings(max_examples=examples(300), deadline=None)
+def test_integer_route_cosine_and_pearson_accuracy(matrix, diagonal_mode):
+    # Cosine: where every product is exact in float both routes divide the
+    # same correctly rounded sums. Pearson: the numerator and radicands are
+    # exact, then seven roundings of at most 2^-53 relative each (the two
+    # radicands' conversions at half weight under their square roots)
+    # bound the error by 6 * 2^-53 * |r|; most of them must be near their
+    # extremes at once to pass 2 * 2^-52 (1.24 * 2^-52 was the largest of
+    # 79,303 random pairs). An undefined pair raises on either route.
+    got = _outcome(similarity_matrix, matrix, "cosine", diagonal_mode)
+    if matrix.values.max() <= 2 ** 26:
+        expected = _float_route(similarity_matrix, matrix, "cosine",
+                                diagonal_mode)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert got.values.tobytes() == expected.values.tobytes()
+    got = _outcome(similarity_matrix, matrix, "pearson", diagonal_mode)
+    if isinstance(got, tuple):
+        assert got == _float_route(similarity_matrix, matrix, "pearson",
+                                   diagonal_mode)
+        return
+    errors, _ = _pearson_error(matrix, diagonal_mode, got.values)
+    assert max(errors, default=0) <= 2 * 2.0 ** -52
+
+
+def test_integer_route_pearson_is_nearer_than_the_float_route():
+    # Over the pairs of three cocitation matrices under both diagonal modes
+    # (3476), the integer route's Pearson r is more often the double
+    # nearest the exact r, and nearer in total (measured: 2150 against 1676
+    # nearest; total error 366 against 456 units of 2^-52). It is not so
+    # pair by pair: one rounding of a float centering can land nearer.
+    totals = {"integer": [0, 0], "float": [0, 0]}
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        matrix = cocitation_matrix(rng, int(rng.integers(20, 41)))
+        for diagonal_mode in ("include", "missing"):
+            for route, sim in [
+                    ("integer", similarity_matrix(matrix, "pearson",
+                                                  diagonal_mode)),
+                    ("float", _float_route(similarity_matrix, matrix,
+                                           "pearson", diagonal_mode))]:
+                errors, nearest = _pearson_error(matrix, diagonal_mode,
+                                                 sim.values)
+                totals[route][0] += sum(errors)
+                totals[route][1] += sum(nearest)
+    assert totals["integer"][0] < totals["float"][0]
+    assert totals["integer"][1] > totals["float"][1]
+
+
+@pytest.mark.parametrize("measure", ["pearson", "cosine"])
+@pytest.mark.parametrize("diagonal_mode", ["include", "missing"])
+def test_integer_route_ends_at_its_guard(measure, diagonal_mode):
+    # In every row the cells that pair (a, b) compares (under missing, all
+    # but positions a and b) sum to the guard of width 4, isqrt(2^62 // 4)
+    # = 2^30; then row a's sum is one past it. Pair (a, b) takes the
+    # integer route at the guard and the float route past it. Seed 1648
+    # draws counts on which the two routes differ in all eight cases, so
+    # that the test tells them apart.
+    n, kept = (4, slice(0, 4)) if diagonal_mode == "include" \
+        else (6, slice(2, 6))
+    values = np.random.default_rng(1648).integers(1, 2 ** 28, (n, n))
+    values[:, kept.stop - 1] = 2 ** 30 - values[:, kept.start:kept.stop - 1] \
+        .sum(axis=1)
+    labels = list("abcdef"[:n])
+    fn = pearson if measure == "pearson" else cosine
+    for extra, route, other in [(0, reference_integer_pair,
+                                 reference_float_pair),
+                                (1, reference_float_pair,
+                                 reference_integer_pair)]:
+        values[0, kept.stop - 1] += extra
+        x, y = values[0, kept].astype(float), values[1, kept].astype(float)
+        expected = route(measure, x, y)
+        assert expected != other(measure, x, y)
+        assert fn(x, y).hex() == expected.hex()
+        matrix = build_matrix(labels, labels, values.astype(float))
+        got = similarity_matrix(matrix, measure, diagonal_mode).values
+        assert got[0, 1].hex() == expected.hex()
+        assert got.tobytes() == reference_similarity_matrix(
+            matrix, measure, diagonal_mode).tobytes()
+
+
+@pytest.mark.parametrize("measure", ["pearson", "cosine"])
+def test_integer_route_skips_the_diagonal_under_missing(measure):
+    # No pair's vectors hold a diagonal cell under missing, so non-integer
+    # and huge cells there leave every pair on the integer route; under
+    # include they put every pair on the float route.
+    matrix = cocitation_matrix(np.random.default_rng(5), 12)
+    values = matrix.values.copy()
+    np.fill_diagonal(values, [0.5, 1e300, 2.0 ** 63, 7.25, 2.0 ** 40, 1e-300,
+                              3.5, 2.0 ** 31, 1e17, 0.25, 9.75, 2.0 ** 62])
+    matrix = build_matrix(matrix.row_labels, matrix.col_labels, values)
+    for diagonal_mode, route in [("missing", reference_integer_pair),
+                                 ("include", reference_float_pair)]:
+        got = similarity_matrix(matrix, measure, diagonal_mode).values
+        assert got.tobytes() == reference_similarity_matrix(
+            matrix, measure, diagonal_mode).tobytes()
+        for i, j in itertools.combinations(range(12), 2):
+            keep = [k for k in range(12)
+                    if diagonal_mode == "include" or k not in (i, j)]
+            assert got[i, j] == route(measure, values[i, keep],
+                                      values[j, keep])
+
+
+# Square matrices whose pairs take different routes, with constant rows
+# (Pearson) or rows that are zero but for two positions (cosine under
+# missing), so that undefined pairs fall on both routes; and the first
+# undefined pair in row-major order, which the float route alone also
+# names. The key says which route that pair takes.
+_MIXED = {
+    "integer-first": ("pearson", "include", [
+        [4, 1, 2, 0, 5], [0.5, 3, 1, 2, 2], [2, 2, 2, 2, 2],
+        [1.5, 1.5, 1.5, 1.5, 1.5], [1, 0, 3, 2, 6]], ("a", "c")),
+    "float-first": ("pearson", "include", [
+        [4.5, 1, 2, 0, 5], [1, 3, 1, 2, 2], [2.5, 2.5, 2.5, 2.5, 2.5],
+        [3, 3, 3, 3, 3], [1, 0, 3, 2, 6]], ("a", "c")),
+    "float-before-integer": ("pearson", "include", [
+        [4, 1, 2, 0, 5], [2.5, 2.5, 2.5, 2.5, 2.5], [3, 3, 3, 3, 3],
+        [1, 0, 3, 2, 6], [0.5, 3, 1, 2, 2]], ("a", "b")),
+    "missing-integer-first": ("cosine", "missing", [
+        [4, 1, 2, 0, 5], [1, 3, 1, 2, 2], [0, 3, 5, 0, 0],
+        [1, 0.5, 3, 2, 6], [0, 0, 0, 2.5, 7]], ("b", "c")),
+    "missing-float-first": ("cosine", "missing", [
+        [4, 1, 2, 0, 5], [0.5, 3, 0, 2.5, 0], [1, 2, 5, 0, 3],
+        [0, 1.5, 0, 2, 0], [0, 0, 4, 0, 7]], ("b", "d")),
+    # Rows a and b hold non-integer cells at positions a and b alone.
+    "missing-integer-in-float-rows": ("cosine", "missing", [
+        [2.5, 0.5, 0, 0, 0], [1.5, 3, 1, 2, 2], [1, 2, 5, 0, 3],
+        [1, 2, 0.5, 3, 0], [0, 0, 0, 1, 4]], ("a", "b")),
+}
+
+
+@pytest.mark.parametrize("chunk_cells", [None, 1], ids=["one-block",
+                                                        "row-blocks"])
+@pytest.mark.parametrize("case", list(_MIXED))
+def test_mixed_routes_raise_for_the_first_undefined_pair(monkeypatch, case,
+                                                         chunk_cells):
+    measure, diagonal_mode, values, (first, second) = _MIXED[case]
+    if chunk_cells is not None:
+        monkeypatch.setattr(similarity, "_CHUNK_CELLS", chunk_cells)
+    matrix = build_matrix(list("abcde"), list("abcde"), values)
+    error = UndefinedCorrelation if measure == "pearson" else UndefinedCosine
+    with pytest.raises(error, match=re.escape(
+            f"(pair {first!r}, {second!r})")):
+        similarity_matrix(matrix, measure, diagonal_mode)
+    got = _outcome(similarity_matrix, matrix, measure, diagonal_mode)
+    assert got == _outcome(reference_similarity_matrix, matrix, measure,
+                           diagonal_mode)
+    assert got == _float_route(similarity_matrix, matrix, measure,
+                               diagonal_mode)
