@@ -21,10 +21,12 @@ one kernel on pooled row sums; only the winner goes through
 sum in row 0 and then the left and right halves of all of its candidates,
 and scores every row in one `_entropies` call. The greedy seed is the
 first move, from an empty left; only it computes the divisive flags
-(under the "divisive" stop rule). Both searches take every entropy from
-`entropy._entropies`, but the kernel subtracts the left half's sum from the
-group's where `evaluate_bipartition` pools the right half's rows, so a
-kernel score and the reported `local_h0` can differ in the last bits.
+(under the "divisive" stop rule). Everything is pooled from the raw
+values (see `matrix`), and both searches and `evaluate_bipartition` score
+a split by one formula, with every entropy from `entropy._entropies`. The
+kernel subtracts the left half's sum from the group's where
+`evaluate_bipartition` pools the right half's rows; on count input both
+are the same exact sum, so a kernel score is the reported `local_h0`.
 """
 
 from __future__ import annotations
@@ -124,9 +126,10 @@ def evaluate_bipartition(model: ProbabilityModel, subtree: RowSubset,
                          left: RowSubset) -> SplitEvaluation:
     """Score one bipartition of `subtree` into `left` and its complement.
 
-    The arguments are validated once. The rows of the subtree, of `left`
-    and of the right half are pooled as `pooled_profile` pools them, and
-    the three sums are scored in one `_entropies` call."""
+    The arguments are validated once. The raw rows of the subtree, of
+    `left` and of the right half are pooled as `pooled_profile` pools them,
+    and the three sums are scored in one `_entropies` call. Each weight is
+    a pooled total over the grand sum."""
     subtree = check_subset(model, subtree)
     left = check_subset(model, left)
     left_set = set(left)
@@ -135,12 +138,13 @@ def evaluate_bipartition(model: ProbabilityModel, subtree: RowSubset,
     right = tuple(i for i in subtree if i not in left_set)
 
     # One gather of the three groups' rows, each summed along axis 0.
-    rows = model.joint[list(subtree + left + right)]
+    rows = model.values[list(subtree + left + right)]
     ends = (0, len(subtree), len(subtree) + len(left), len(rows))
     sums = np.empty((3, rows.shape[1]))
     for g in range(3):
         rows[ends[g]:ends[g + 1]].sum(axis=0, out=sums[g])
     h, w = _entropies(sums)
+    w /= model.total
     (h_agg, h_l, h_r), (w_sub, w_l, w_r) = h.tolist(), w.tolist()
     # Zero rows are rejected at ingestion, so every weight is positive.
     if not min(w_sub, w_l, w_r) > 0:
@@ -155,19 +159,22 @@ def evaluate_bipartition(model: ProbabilityModel, subtree: RowSubset,
                            global_delta=w_sub * local_h0, divisive=divisive)
 
 
-def _split_scores(sums: np.ndarray, divisive_only: bool = False
-                  ) -> np.ndarray:
+def _split_scores(sums: np.ndarray, total: float,
+                  divisive_only: bool = False) -> np.ndarray:
     """local_h0 of k bipartitions of one group, as in evaluate_bipartition
     but unvalidated; -inf for one that is not divisive if `divisive_only`.
-    Row 0 of `sums` sums the group's rows of `model.joint`, rows 1..k the
+    Row 0 of `sums` sums the group's rows of `model.values`, rows 1..k the
     rows of proper left halves; rows k+1..2k are overwritten with the sums
     of the right halves. All 2k + 1 rows are scored in one `_entropies`
-    call."""
+    call, and each row weighted by its pooled total over `total`, the
+    grand sum."""
     k = len(sums) // 2
     right = np.subtract(sums[0], sums[1:k + 1], out=sums[k + 1:])
-    # Rounding can leave a right half's sum below zero where it is zero.
+    # Off count input, rounding can leave a right half's sum below zero
+    # where it is zero.
     np.maximum(right, 0.0, out=right)
     h, w = _entropies(sums)
+    w /= total
     wh = w * h
     scores = np.maximum(h[0] - (wh[1:k + 1] + wh[k + 1:]) / w[0], 0.0)
     if divisive_only:
@@ -223,7 +230,7 @@ def greedy_bisect(model: ProbabilityModel, subtree: RowSubset,
     subtree = check_subset(model, subtree)
     if len(subtree) < 2:
         raise InvalidInputError("cannot bisect fewer than 2 rows")
-    rows = model.joint[list(subtree)]
+    rows = model.values[list(subtree)]
     # A move from `left` scores the m rows outside it: row 0 of `sums`
     # holds the group's row sum, rows 1..m the m candidate left halves and
     # rows m+1..2m their right halves. The first move, from an empty left,
@@ -242,7 +249,8 @@ def greedy_bisect(model: ProbabilityModel, subtree: RowSubset,
     while len(out) >= 2:
         m = len(out)
         np.add(left_sum, rows[out], out=sums[1:m + 1])
-        scores = _split_scores(sums[:2 * m + 1], divisive_only and not left)
+        scores = _split_scores(sums[:2 * m + 1], model.total,
+                               divisive_only and not left)
         k, floor = _first_best(scores, floor)
         if k is None:
             break
@@ -286,14 +294,14 @@ def exhaustive_bisect(model: ProbabilityModel,
     masks = np.delete(masks, n - 1)  # the full set, after {0}, {0, 1}, ...
     if len(masks) != 2 ** (n - 1) - 1:
         raise AssertionError(f"{len(masks)} candidates for {n} rows")
-    rows = model.joint[list(subtree)]
+    rows = model.values[list(subtree)]
     total = rows.sum(axis=0)
     best, floor = None, -np.inf
     for chunk, sums in _pooled_subsets(rows[1:], masks):
         halves = np.empty((2 * len(sums) + 1, sums.shape[1]))
         halves[0] = total
         np.add(rows[0], sums, out=halves[1:len(sums) + 1])
-        k, floor = _first_best(_split_scores(halves), floor)
+        k, floor = _first_best(_split_scores(halves, model.total), floor)
         if k is not None:
             best = int(chunk[k])
     left = (subtree[0],) + tuple(row for b, row in enumerate(subtree[1:])

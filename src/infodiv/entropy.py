@@ -24,9 +24,9 @@ from .errors import InvalidInputError
 from .matrix import ProbabilityModel, as_indices
 
 IDENTITY_TOL = 1e-9  # bits
-# decompose sums the joint into its groups a block of at most this many
-# cells (or one row) at a time, so that its index array stays near 128 KB.
-_BLOCK_CELLS = 2 ** 14
+# decompose sums each group's rows a block of at most this many cells (or
+# one row) at a time, so that no gathered block passes 512 KB.
+_BLOCK_CELLS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -116,20 +116,25 @@ def _entropies(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def decompose(model: ProbabilityModel, grouping: Grouping) -> EntropyReport:
     """Entropy decomposition of the column variable under a row grouping.
 
-    The aggregated joint, cell (g, j) the sum of p(i, j) over the rows i
-    of group g, is summed by `np.add.at` on a flat buffer of m * c cells,
-    cell (i, j) of the joint going to `assign[i] * c + j`, a block of rows
-    at a time. Each cell of the buffer receives its rows' values one at a
-    time, in row order, starting from 0.0, as the 2-D
-    `np.add.at(agg, assign, joint)` adds them, so the bits are the same;
-    the 1-D index takes numpy's fast path and the blocks bound the index
-    array's size.
+    The rows of each group are gathered from the model's raw values, a
+    block of at most `_BLOCK_CELLS` cells at a time, in row order, and
+    each block is summed with `.sum(axis=0)` into the group's row of the
+    m x c aggregate: the first block's sum is written there and each later
+    one added. On count input every such sum is exact (see `matrix`), so
+    the report depends only on the partition; other input is summed the
+    same way, deterministically. No pass after this one reads the whole
+    matrix.
 
-    Hg comes from one `_entropies` call on the aggregated joint; H(n), of
-    the joint's column sums, and H(m) and H(n,m) from `shannon_entropy`.
-    H(n) = H0 + sum_g Pg Hg and 0 <= H0 <= min(H(n), H(m)) are checked to
-    within 1e-9 bits. A violation indicates a bug, not bad data, so it
-    raises AssertionError, also under `python -O`.
+    Hg and the group totals come from one `_entropies` call on the
+    aggregate. The grand sum is the sum of the group totals (the model's
+    on count input, and the one group's total for a one-group grouping on
+    any input, whose weight is then 1.0). Pg is a group's total over it,
+    the joint the aggregate divided by it once, and the column marginal
+    the aggregate's column totals over it; H(m), H(n,m) and H(n) are the
+    `shannon_entropy` of these. H(n) = H0 + sum_g Pg Hg and
+    0 <= H0 <= min(H(n), H(m)) are checked to within 1e-9 bits. A
+    violation indicates a bug, not bad data, so it raises AssertionError,
+    also under `python -O`.
     """
     if len(grouping.assignment) != model.n_rows:
         raise InvalidInputError(
@@ -137,19 +142,26 @@ def decompose(model: ProbabilityModel, grouping: Grouping) -> EntropyReport:
             f"model has {model.n_rows}")
 
     assign = np.asarray(grouping.assignment)
-    width = model.n_cols
-    agg = np.zeros(grouping.m * width)
-    step = max(1, _BLOCK_CELLS // max(width, 1))
-    for first in range(0, model.n_rows, step):
-        rows = slice(first, first + step)
-        cells = assign[rows, None] * width + np.arange(width)
-        np.add.at(agg, cells.ravel(), model.joint[rows].ravel())
-    agg = agg.reshape(grouping.m, width)
+    # The rows of group g are order[ends[g - 1]:ends[g]], in row order.
+    order = np.argsort(assign, kind="stable")
+    ends = np.cumsum(np.bincount(assign, minlength=grouping.m)).tolist()
+    step = max(1, _BLOCK_CELLS // max(model.n_cols, 1))
+    agg = np.empty((grouping.m, model.n_cols))
+    first = 0
+    for g, end in enumerate(ends):
+        model.values[order[first:min(first + step, end)]].sum(
+            axis=0, out=agg[g])
+        for block in range(first + step, end, step):
+            agg[g] += model.values[order[block:min(block + step, end)]].sum(
+                axis=0)
+        first = end
 
-    h_groups, weights = _entropies(agg)
+    h_groups, totals = _entropies(agg)
+    total = totals.sum()
+    weights = totals / total
     h_m = shannon_entropy(weights)
-    h_n = shannon_entropy(model.joint.sum(axis=0))
-    h_joint = shannon_entropy(agg)
+    h_n = shannon_entropy(agg.sum(axis=0) / total)
+    h_joint = shannon_entropy(agg / total)
     h_cond = h_joint - h_m
     h0 = h_n + h_m - h_joint
     groups = tuple(zip(weights.tolist(), h_groups.tolist()))

@@ -1,9 +1,18 @@
 """Labeled nonnegative matrices and the probability model derived from them.
 
 The matrix holds raw counts (or any nonnegative reals, e.g. log-transformed
-counts). Dividing by the grand sum turns it into a joint probability
-distribution over (row, column); all entropy computations read from that
-model, never from the raw counts.
+counts). Divided by its grand sum it is a joint probability distribution
+over (row, column), but nothing divides the cells: the model holds the raw
+values and their grand sum, every group quantity pools raw values, and a
+pooled total becomes a probability by one divide by the grand sum, before
+it multiplies an entropy. So nothing overflows where the probabilities
+would not.
+
+Exactness: on count input, every cell an integer and the grand sum below
+2^53, every pooled sum is an integer below 2^53, exact in float64 in any
+order of its rows and under any BLAS. So the numbers of a split or a
+grouping depend only on its row sets. Other input is pooled the same way,
+deterministically, without that claim.
 """
 
 from __future__ import annotations
@@ -52,18 +61,27 @@ class LabeledMatrix:
 
 @dataclass(frozen=True)
 class ProbabilityModel:
-    """The joint distribution p(i, j) of a LabeledMatrix's cells. Every
-    marginal and group quantity is a sum over it, taken where it is used."""
+    """The joint distribution p(i, j) = values[i, j] / total of a
+    LabeledMatrix's cells, kept as the raw values and their grand sum.
+    Every marginal and group quantity pools raw values where it is used."""
 
-    joint: np.ndarray  # p[i, j], read-only, sums to 1
+    values: np.ndarray  # the matrix's values, shared, read-only
+    total: float        # their grand sum, finite and positive
 
     @property
     def n_rows(self) -> int:
-        return self.joint.shape[0]
+        return self.values.shape[0]
 
     @property
     def n_cols(self) -> int:
-        return self.joint.shape[1]
+        return self.values.shape[1]
+
+    @property
+    def joint(self) -> np.ndarray:
+        """p(i, j) as a new read-only array, divided on each access."""
+        joint = self.values / self.total
+        joint.setflags(write=False)
+        return joint
 
 
 def _check_labels(labels, kind: str) -> tuple[str, ...]:
@@ -118,16 +136,13 @@ def _validated(row_labels, col_labels, arr: np.ndarray) -> LabeledMatrix:
 
 
 def probability_model(matrix: LabeledMatrix) -> ProbabilityModel:
-    """Divide the matrix by its grand sum: the joint distribution, with no
-    other reduction. Raises NonFiniteValueError when the grand sum
-    overflows the float range."""
+    """The matrix's values, shared, not copied, and their grand sum. Raises
+    NonFiniteValueError when the grand sum overflows the float range."""
     total = matrix.grand_sum
     if not math.isfinite(total):
         raise NonFiniteValueError("matrix grand sum overflows the float "
                                   "range")
-    joint = matrix.values / total
-    joint.setflags(write=False)
-    return ProbabilityModel(joint)
+    return ProbabilityModel(matrix.values, total)
 
 
 def as_indices(values, what: str) -> tuple[int, ...]:
@@ -161,12 +176,14 @@ def pooled_profile(model: ProbabilityModel,
     """Weight and pooled column distribution of a group of rows.
 
     Returns (weight, profile): weight is the total row-marginal probability
-    of the subset, profile the column distribution conditional on the group.
+    of the subset, its pooled raw total over the grand sum, and profile the
+    column distribution conditional on the group, the pooled raw values
+    over that total.
     """
     subset = check_subset(model, subset)
-    pooled = model.joint[list(subset)].sum(axis=0)
-    weight = float(pooled.sum())
-    # Zero rows are rejected at ingestion, so the weight is always positive.
-    if not weight > 0:
+    pooled = model.values[list(subset)].sum(axis=0)
+    total = float(pooled.sum())
+    # Zero rows are rejected at ingestion, so the total is always positive.
+    if not total > 0:
         raise AssertionError(f"row subset {subset} has zero total probability")
-    return weight, pooled / weight
+    return total / model.total, pooled / total

@@ -75,9 +75,9 @@ def exhaustive_partition(model: ProbabilityModel,
                                 f"got {max_groups}")
 
     cost = np.zeros(1 << n)
-    for chunk, sums in _pooled_subsets(model.joint, np.arange(1, 1 << n)):
+    for chunk, sums in _pooled_subsets(model.values, np.arange(1, 1 << n)):
         h, w = _entropies(sums)
-        cost[chunk] = w * h
+        cost[chunk] = w / model.total * h
     cost = cost.tolist()
     h_n = cost[-1]
     # rest[i]: the singleton costs of rows i..n-1, the least they can add.
@@ -140,9 +140,10 @@ def verify_greedy(model: ProbabilityModel) -> OracleReport:
     """Compare greedy and exhaustive bisection at the root of the model.
 
     When greedy finds the exhaustive bipartition, as a pair of row sets,
-    it reports the exhaustive score and a gap of 0.0: the two searches
-    pool the halves' rows in different orders, so their scores of the
-    same split can differ in the last bit, either way."""
+    it reports the exhaustive score and a gap of 0.0. On count input the
+    two scores of one split are equal (see `matrix`); on other input the
+    searches pool the halves' rows in different orders, so the scores can
+    differ in the last bit, either way."""
     all_rows = tuple(range(model.n_rows))
     exact = exhaustive_bisect(model, all_rows)
     greedy = greedy_bisect(model, all_rows, ClusterOptions(stop_rule="full"))

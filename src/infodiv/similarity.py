@@ -24,6 +24,9 @@ two vectors alone:
   whose result is certified a posteriori, with `math.fsum` only for the
   rows the certificate does not cover.
 
+On both routes the divisor of two equal radicands is the radicand itself,
+not the product of its square roots, which can miss it by an ulp.
+
 Where the float route's products are exact (each |x_k * y_k| and x_k^2
 at most 2^53), both routes divide the same correctly rounded sums, so
 their cosines are equal (the integer route writes +0.0 for -0.0). Pearson
@@ -157,8 +160,16 @@ def _integer_scores(measure: str, width: int, sxy: np.ndarray,
     undefined = (sxx == 0) | (syy == 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = sxy.astype(float)
-        r /= np.sqrt(sxx.astype(float)) * np.sqrt(syy.astype(float))
+        r /= _divisor(sxx.astype(float), syy.astype(float))
     return np.clip(r, -1.0, 1.0, out=r), undefined
+
+
+def _divisor(sxx: np.ndarray, syy: np.ndarray) -> np.ndarray:
+    """sqrt(sxx * syy) as sqrt(sxx) * sqrt(syy), or sxx itself where the
+    two radicands are equal: sqrt(6) * sqrt(6) rounds to 5.999999999999999.
+    The square roots are taken one at a time because sums of squares up to
+    _SQ_HI = 2^960 are kept, and the product of two would overflow."""
+    return np.where(sxx == syy, sxx, np.sqrt(sxx) * np.sqrt(syy))
 
 
 def _raise_undefined(measure: str, where: str | None = None,
@@ -191,13 +202,11 @@ def _prepared(measure: str, rows: np.ndarray, space
 def _scores(measure: str, x: np.ndarray, sxx: np.ndarray, y: np.ndarray,
             syy: np.ndarray, space, name=None) -> np.ndarray:
     """`measure` of each pair k of rows x[k] and y[k] from `_prepared`,
-    whose sums of squares are sxx[k] and syy[k]: sum(xy) / (sqrt(sxx) *
-    sqrt(syy)), clipped to [-1, 1], which the rounding of the divisor can
-    leave by an ulp (equal rows can score 1.0000000000000002). The square
-    roots are taken one at a time because sums of squares up to _SQ_HI =
-    2^960 are kept, and the product of two would overflow. The products
-    overwrite x, and are summed in `space`. The first undefined pair
-    raises, its message followed by name(k) when `name` is given."""
+    whose sums of squares are sxx[k] and syy[k]: sum(xy) / `_divisor`,
+    clipped to [-1, 1], which the rounding of the divisor can leave by an
+    ulp. The products overwrite x, and are summed in `space`. The first
+    undefined pair raises, its message followed by name(k) when `name` is
+    given."""
     # Centered values past the float range leave a sum of squares that is
     # not finite, even after scaling.
     finite = np.isfinite(sxx) & np.isfinite(syy)
@@ -206,8 +215,7 @@ def _scores(measure: str, x: np.ndarray, sxx: np.ndarray, y: np.ndarray,
         k = int(bad[0])
         _raise_undefined(measure, None if name is None else name(k),
                          overflow=not finite[k])
-    r = _exact_sums(np.multiply(x, y, out=x), space) / \
-        (np.sqrt(sxx) * np.sqrt(syy))
+    r = _exact_sums(np.multiply(x, y, out=x), space) / _divisor(sxx, syy)
     return np.clip(r, -1.0, 1.0)
 
 

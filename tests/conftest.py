@@ -1,6 +1,6 @@
 """Shared helpers: seeded random and cocitation matrices, pure-Python
 brute-force entropy computations kept independent of the library's numpy
-code paths, the group sums of the joint by one 2-D `np.add.at`,
+code paths, the group sums of the raw values a gather of rows at a time,
 bipartition scoring through the public validated functions and the ranking
 kernel's masked entropy formula, reference exhaustive and greedy searches
 that score every candidate separately, the recursive restricted growth
@@ -15,6 +15,7 @@ thorough`), under which the properties that size their runs with
 
 import csv
 import decimal
+import functools
 import io
 import itertools
 import math
@@ -44,6 +45,10 @@ from infodiv.similarity import _OVERFLOW, _SQ_HI, _SQ_LO, _UNDEFINED
 
 settings.register_profile("thorough", max_examples=3000)
 
+# Counts whose probabilities round, so that a sum of those depends on its
+# order, while every sum of the counts themselves is exact.
+ROUNDING_COUNTS = (0, 0, 1, 2, 5, 97, 65537, 2 ** 40 + 3)
+
 
 def examples(n):
     """max_examples for a property: n, or the loaded profile's count if
@@ -56,12 +61,17 @@ def entropy_bits(probs):
     return sum(-p * math.log2(p) for p in probs if p > 0)
 
 
-def reference_group_sums(joint, assignment, m):
-    """The (group, column) sums of `joint` by the 2-D `np.add.at`: each
-    row added to its group's row in turn, in row order, from 0.0."""
-    sums = np.zeros((m, joint.shape[1]))
-    np.add.at(sums, np.asarray(assignment), joint)
-    return sums
+def reference_group_sums(values, assignment, m, step):
+    """The (group, column) sums of `values`: each group's rows, in row
+    order, gathered `step` rows at a time, each gather summed along axis 0,
+    the first sum taken as it is and each later one added to it."""
+    sums = []
+    for g in range(m):
+        rows = [i for i, a in enumerate(assignment) if a == g]
+        blocks = [values[rows[first:first + step]].sum(axis=0)
+                  for first in range(0, len(rows), step)]
+        sums.append(functools.reduce(np.add, blocks))
+    return np.array(sums)
 
 
 def brute_decompose(values, assignment):
@@ -132,8 +142,10 @@ def random_grouping(rng, n_rows):
 
 
 def reference_evaluate_bipartition(model, subtree, left):
-    """evaluate_bipartition with each group pooled by pooled_profile and
-    its entropy taken by shannon_entropy, every call validating again."""
+    """evaluate_bipartition with each group's raw rows pooled by
+    pooled_profile, its weight (pooled total over the grand sum) and
+    profile taken from there and its entropy by shannon_entropy, every
+    call validating again."""
     subtree = check_subset(model, subtree)
     left = check_subset(model, left)
     if not set(left) < set(subtree):
@@ -159,12 +171,14 @@ def reference_entropies(sums):
     return np.maximum(-plogp.sum(axis=-1), 0.0), weights
 
 
-def reference_split_scores(total, left_sums):
+def reference_split_scores(total, left_sums, grand):
     """local_h0 and divisive flags of bipartitions of one group, with the
-    group and each half scored by its own reference_entropies call."""
+    group and each half scored by its own reference_entropies call, each
+    weight divided by the grand sum `grand`."""
     h_agg, w_sub = reference_entropies(total)
     h_l, w_l = reference_entropies(left_sums)
     h_r, w_r = reference_entropies(np.maximum(total - left_sums, 0.0))
+    w_sub, w_l, w_r = w_sub / grand, w_l / grand, w_r / grand
     local_h0 = np.maximum(h_agg - (w_l * h_l + w_r * h_r) / w_sub, 0.0)
     divisive = (h_l < h_agg - STRICT_TOL) & (h_r < h_agg - STRICT_TOL)
     return local_h0, divisive
@@ -277,8 +291,14 @@ def reference_integer_pair(measure, x, y):
     if rx == 0 or ry == 0:
         error, what = _UNDEFINED[measure]
         raise error(what)
-    r = float(num) / (math.sqrt(float(rx)) * math.sqrt(float(ry)))
+    r = float(num) / reference_divisor(float(rx), float(ry))
     return min(1.0, max(-1.0, r))
+
+
+def reference_divisor(rx, ry):
+    """sqrt(rx) * sqrt(ry) for the float radicands rx and ry, or rx itself
+    where they are equal."""
+    return rx if rx == ry else math.sqrt(rx) * math.sqrt(ry)
 
 
 def reference_integer_forms(measure, x, y):
@@ -310,7 +330,7 @@ def reference_float_pair(measure, x, y):
         if sxx == 0 or syy == 0:
             error, what = _UNDEFINED[measure]
             raise error(what)
-        r = math.fsum((x * y).tolist()) / (math.sqrt(sxx) * math.sqrt(syy))
+        r = math.fsum((x * y).tolist()) / reference_divisor(sxx, syy)
     return min(1.0, max(-1.0, r))
 
 

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import re
+import warnings
 
 import pytest
 
@@ -349,6 +351,38 @@ def test_grand_sum_past_the_float_range_exits_2(tmp_path, capsys, command):
     assert captured.out == ""
     assert captured.err == \
         "error: matrix grand sum overflows the float range\n"
+
+
+COUNTS = [[3, 1, 0], [1, 3, 1], [3, 1, 0], [0, 2, 5], [1, 0, 4], [2, 2, 2]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cluster", "--stop", "full"],
+    ["cluster", "--stop", "full", "--mode", "exhaustive"],
+    ["oracle"], ["entropy"]])
+def test_counts_near_the_float_maximum_stay_finite(tmp_path, capsys, argv):
+    # The counts times 4e306: every cell and the grand sum, 1.24e308, are
+    # finite, and pooled sums of them times an entropy would not be. Each
+    # weight is divided by the grand sum first, so every command writes
+    # what it writes for the counts themselves, to 1e-12, without a
+    # RuntimeWarning.
+    groups = tmp_path / "groups.json"
+    groups.write_text('{"a": "x", "b": "y", "c": "x", "d": "z", "e": "z",'
+                      ' "f": "y"}')
+    numbers = []
+    for scale in 1.0, 4e306:
+        p = tmp_path / "m.csv"
+        p.write_text("x,u,v,w\n" + "".join(
+            f"{r},{','.join(repr(c * scale) for c in row)}\n"
+            for r, row in zip("abcdef", COUNTS)))
+        extra = ["--groups", str(groups)] if argv == ["entropy"] else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli([argv[0], str(p), *argv[1:], *extra]) == 0
+        out = capsys.readouterr().out
+        numbers.append([float(x) for x in re.findall(r"-?\d+\.\d+", out)])
+        assert "inf" not in out.lower() and "nan" not in out.lower()
+    assert numbers[1] == pytest.approx(numbers[0], rel=0, abs=1e-12)
 
 
 def test_similarity_accepts_a_grand_sum_past_the_float_range(tmp_path,

@@ -28,8 +28,8 @@ from infodiv.cluster import _ARGMAX_MIN, STRICT_TOL, _first_best, \
 from infodiv.entropy import _entropies
 from infodiv.io import export_dendrogram, parse_csv
 
-from conftest import brute_local_h0, examples, random_matrix, \
-    reference_entropies, reference_evaluate_bipartition, \
+from conftest import ROUNDING_COUNTS, brute_local_h0, examples, \
+    random_matrix, reference_entropies, reference_evaluate_bipartition, \
     reference_exhaustive_bisect, reference_greedy_bisect, \
     reference_split_scores
 
@@ -224,12 +224,12 @@ def test_identical_profile_rows_merge_equivalence():
 
 
 @st.composite
-def sparse_count_matrices(draw, max_cols=5):
-    """Small count matrices with many zero cells and some exactly repeated
-    rows, whose candidate splits tie exactly."""
+def sparse_count_matrices(draw, max_cols=5, cells=(0, 0, 0, 1, 2, 5)):
+    """Small count matrices of `cells` with many zero cells and some
+    exactly repeated rows, whose candidate splits tie exactly."""
     n = draw(st.integers(2, 10))
     k = draw(st.integers(1, max_cols))
-    cell = st.sampled_from([0, 0, 0, 1, 2, 5])
+    cell = st.sampled_from(cells)
     rows = []
     for _ in range(n):
         if rows and draw(st.integers(0, 3)) == 0:
@@ -344,11 +344,47 @@ def test_evaluate_bipartition_is_the_public_route_bit_for_bit(m, data):
     assert _float_bits(ev) == _float_bits(ref)
 
 
-# Weights are not compared: on a one-column matrix numpy sums 8 or more
-# rows along axis 0 pairwise, where decompose's np.add.at on flat cell
-# indices adds them in turn, as the 2-D np.add.at does (test_entropy.py
-# checks the bits), so a group's weight can differ in the last bit. Its
-# entropy is 0 there.
+def _split_bits(ev):
+    """A split's numbers, bit for bit, by row set rather than by side."""
+    sides = {frozenset(ev.left): ev.h_left.hex(),
+             frozenset(ev.right): ev.h_right.hex()}
+    return sides, [x.hex() for x in (ev.h_aggregate, ev.local_h0,
+                                     ev.global_delta)], ev.divisive
+
+
+@given(sparse_count_matrices(max_cols=12, cells=ROUNDING_COUNTS),
+       st.data())
+@settings(max_examples=examples(200), deadline=None)
+def test_exact_pooling_split_numbers_depend_only_on_row_sets(m, data):
+    # On count input every pooled sum is exact, so a split scores the same
+    # whatever the order of its rows, whichever half is `left`, and
+    # whichever search found it; the kernel's score is its local_h0.
+    pm = probability_model(m)
+    order = data.draw(st.permutations(range(m.n_rows)))
+    subtree = tuple(order[:data.draw(st.integers(2, m.n_rows))])
+    left = tuple(data.draw(st.permutations(subtree))
+                 [:data.draw(st.integers(1, len(subtree) - 1))])
+    ev = evaluate_bipartition(pm, subtree, left)
+    for other in ((tuple(sorted(subtree)), tuple(sorted(left))),
+                  (subtree[::-1], left[::-1]), (subtree, ev.right)):
+        assert _split_bits(evaluate_bipartition(pm, *other)) == \
+            _split_bits(ev)
+    sums = np.zeros((3, m.n_cols))
+    sums[0] = m.values[list(subtree)].sum(axis=0)
+    sums[1] = m.values[list(left)].sum(axis=0)
+    assert _split_scores(sums, pm.total)[0] == ev.local_h0
+
+    greedy = greedy_bisect(pm, subtree, ClusterOptions(stop_rule="full"))
+    exact = exhaustive_bisect(pm, subtree)
+    if set(greedy.left) in (set(exact.left), set(exact.right)):
+        assert _split_bits(greedy) == _split_bits(exact)
+    for found in greedy, exact:
+        assert _split_bits(found) == \
+            _split_bits(evaluate_bipartition(pm, subtree[::-1], found.right))
+
+
+# Each route pools the group's raw rows with one `.sum(axis=0)`, so the
+# group's weight is one float too.
 @given(sparse_count_matrices(max_cols=30), st.data())
 @settings(max_examples=examples(200), deadline=None)
 def test_group_entropy_is_one_float_by_every_route(m, data):
@@ -361,10 +397,11 @@ def test_group_entropy_is_one_float_by_every_route(m, data):
     report = decompose(pm, grouping)
     for g in range(grouping.m):
         members = grouping.members(g)
-        routes = [report.groups[g][1],
-                  shannon_entropy(pooled_profile(pm, members)[1]),
-                  float(_entropies(pm.joint[list(members)].sum(axis=0))[0])]
+        weight, profile = pooled_profile(pm, members)
+        bits, total = _entropies(pm.values[list(members)].sum(axis=0))
+        routes = [report.groups[g][1], shannon_entropy(profile), float(bits)]
         assert {h.hex() for h in routes} == {routes[0].hex()}
+        assert report.groups[g][0] == weight == float(total) / pm.total
 
 
 def test_zero_weight_group_raises_even_under_python_O():
@@ -374,7 +411,7 @@ def test_zero_weight_group_raises_even_under_python_O():
 import numpy as np
 from infodiv import evaluate_bipartition
 from infodiv.matrix import ProbabilityModel
-pm = ProbabilityModel(joint=np.array([[.5, .5], [0, 0]]))
+pm = ProbabilityModel(np.array([[.5, .5], [0, 0]]), 1.0)
 for left in (0,), (1,):
     try:
         evaluate_bipartition(pm, (0, 1), left)
@@ -388,7 +425,7 @@ for left in (0,), (1,):
     assert out.stdout.split() == ["raised", "raised"]
 
 
-# Probabilities as the kernel sees them: mostly zero, some subnormal.
+# Pooled values as the kernel sees them: mostly zero, some subnormal.
 CELL = st.sampled_from([0.0, 0.0, 0.0, 5e-324, 3e-310, 1e-300, 0.125, 0.3,
                         1.0])
 
@@ -403,16 +440,18 @@ def test_entropies_equal_the_masked_formula_bit_for_bit(m, c, data):
         for got, want in zip(_entropies(sums), reference_entropies(sums)):
             assert got.tobytes() == want.tobytes()
     # The one call on the group's sum and both halves against one call per
-    # half, on a group of positive weight; with divisive_only, a split that
-    # is not divisive scores -inf.
+    # half, on a group of positive weight after the divide by the grand
+    # sum; with divisive_only, a split that is not divisive scores -inf.
     total = halves[0].sum(axis=0) + halves[1].sum(axis=0)
-    assume(total.sum() > 0)
+    grand = data.draw(st.sampled_from([1.0, 0.75, 3.0]))
+    assume(total.sum() / grand > 0)
     left_sums = np.minimum(halves[0], total)
-    scores, divisive = reference_split_scores(total, left_sums)
+    scores, divisive = reference_split_scores(total, left_sums, grand)
     for divisive_only in (False, True):
         want = np.where(divisive, scores, -np.inf) if divisive_only else scores
         sums = np.concatenate([total[None], left_sums, left_sums])
-        assert _split_scores(sums, divisive_only).tobytes() == want.tobytes()
+        got = _split_scores(sums, grand, divisive_only)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_entropies_of_zero_columns_and_rows():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import subprocess
@@ -26,8 +27,8 @@ from infodiv import (
 from infodiv import entropy
 from infodiv.matrix import ProbabilityModel, check_subset
 
-from conftest import brute_decompose, entropy_bits, examples, \
-    random_grouping, random_matrix, reference_group_sums
+from conftest import ROUNDING_COUNTS, brute_decompose, entropy_bits, \
+    examples, random_grouping, random_matrix, reference_group_sums
 
 
 def test_shannon_entropy_basics():
@@ -229,14 +230,15 @@ except AssertionError:
 
 
 @st.composite
-def grouped_models(draw):
-    """A joint of up to 60 rows and a grouping of its rows: one column in
-    a third of them; one group, one group a row, up to 3 groups (more than
-    8 rows each on the larger joints) or any number of groups."""
+def grouped_models(draw, cells=st.one_of(
+        st.sampled_from([0.0, 0.0, 1.0, 2.0, 5.0]), st.floats(0.0, 10.0))):
+    """A model of up to 60 rows of `cells` and a grouping of its rows: one
+    column in a third of them; one group, one group a row, up to 3 groups
+    (more than 8 rows each on the larger models) or any number of
+    groups."""
     n = draw(st.integers(1, 60))
     k = draw(st.one_of(st.just(1), st.integers(1, 30)))
-    values = draw(arrays(float, (n, k), elements=st.one_of(
-        st.sampled_from([0.0, 0.0, 1.0, 2.0, 5.0]), st.floats(0.0, 10.0))))
+    values = draw(arrays(float, (n, k), elements=cells))
     values[values.sum(axis=1) == 0, 0] = 1.0
     kind = draw(st.sampled_from(["one", "singletons", "few", "any"]))
     if kind == "one":
@@ -252,11 +254,12 @@ def grouped_models(draw):
             Grouping(tuple(assignment)))
 
 
-# A per-group `.sum(axis=0)` fails this on one column: numpy sums 8 or
-# more rows of one column pairwise, not in turn.
+# The group sums pool the raw values, each group's rows a gather of at most
+# `_BLOCK_CELLS` cells at a time. On integer cells every order of the rows
+# gives the same sums, the 2-D np.add.at's among them.
 @given(grouped_models(), st.sampled_from([1, 7, 64, entropy._BLOCK_CELLS]))
 @settings(max_examples=examples(300), deadline=None)
-def test_decompose_sums_groups_as_the_2d_add_at_bit_for_bit(case, block):
+def test_decompose_pools_raw_rows_block_by_block_bit_for_bit(case, block):
     pm, grouping = case
     sums = []
     exact = entropy._entropies
@@ -267,23 +270,56 @@ def test_decompose_sums_groups_as_the_2d_add_at_bit_for_bit(case, block):
     with unittest.mock.patch.object(entropy, "_BLOCK_CELLS", block), \
             unittest.mock.patch.object(entropy, "_entropies", spy):
         decompose(pm, grouping)
-    want = reference_group_sums(pm.joint, grouping.assignment, grouping.m)
+    step = max(1, block // pm.n_cols)
+    want = reference_group_sums(pm.values, grouping.assignment, grouping.m,
+                                step)
     assert sums[0].shape == want.shape
     assert sums[0].tobytes() == want.tobytes()
+    if (np.floor(pm.values) == pm.values).all():
+        added = np.zeros_like(want)
+        np.add.at(added, np.asarray(grouping.assignment), pm.values)
+        assert added.tobytes() == want.tobytes()
 
 
 def test_decompose_peak_memory_is_bounded():
-    # The group sums of 600,000 cells take their index a block at a time:
-    # a full-size cell index alone would be 4.8 MB.
+    # Each group's rows are gathered a block of at most 2^16 cells (0.5 MB)
+    # at a time: the rows of one group of all 600,000 cells, gathered at
+    # once, would be 4.8 MB, as would the divided joint.
     rng = np.random.default_rng(23)
-    joint = rng.random((2000, 300))
-    joint /= joint.sum()
-    pm = ProbabilityModel(joint)
-    grouping = Grouping(tuple(i % 18 for i in range(2000)))
-    tracemalloc.start()
-    try:
-        decompose(pm, grouping)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 ** 20
+    values = rng.random((2000, 300))
+    pm = ProbabilityModel(values, float(values.sum()))
+    for assignment in [i % 18 for i in range(2000)], [0] * 2000:
+        grouping = Grouping(tuple(assignment))
+        tracemalloc.start()
+        try:
+            decompose(pm, grouping)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
+def _report_bits(report):
+    """Each float of an EntropyReport, bit for bit."""
+    return [x.hex() for x in (report.h_n, report.h_m, report.h_joint,
+                              report.h_cond, report.h0, report.h0_ratio,
+                              *itertools.chain(*report.groups))]
+
+
+@given(grouped_models(st.sampled_from(ROUNDING_COUNTS).map(float)),
+       st.data(), st.sampled_from([1, 7, 64, entropy._BLOCK_CELLS]))
+@settings(max_examples=examples(200), deadline=None)
+def test_exact_pooling_decompose_depends_only_on_the_partition(case, data,
+                                                               block):
+    # The same counts, each row kept in its group, with the rows in
+    # another order and summed a block of another size at a time: on count
+    # input every group sum is exact, so every number is the same float.
+    pm, grouping = case
+    order = data.draw(st.permutations(range(pm.n_rows)))
+    moved = probability_model(build_matrix(
+        range(pm.n_rows), range(pm.n_cols), pm.values[order]))
+    regrouped = Grouping(tuple(grouping.assignment[i] for i in order))
+    report = decompose(pm, grouping)
+    with unittest.mock.patch.object(entropy, "_BLOCK_CELLS", block):
+        assert _report_bits(decompose(moved, regrouped)) == \
+            _report_bits(report)

@@ -84,6 +84,13 @@ def test_probability_model_symmetric():
     assert not pm.joint.flags.writeable
 
 
+def test_probability_model_shares_the_matrix_values():
+    m = build_matrix(["a", "b"], ["x", "y"], [[3, 1], [1, 3]])
+    pm = probability_model(m)
+    assert pm.values is m.values and pm.total == 8.0
+    assert np.shares_memory(pm.values, m.values)
+
+
 def test_probability_model_uniform():
     pm = probability_model(build_matrix(["a", "b"], ["x", "y"],
                                         [[1, 1], [1, 1]]))

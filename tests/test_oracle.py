@@ -1,7 +1,10 @@
 import itertools
 import math
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,9 +206,9 @@ def test_verify_greedy_block_and_forced():
 
 def test_verify_greedy_reports_no_gap_for_the_same_split():
     # Greedy grows the left half {3, 4, 5, 7}, the exhaustive search's
-    # right half. Pooled in their own orders, the two scores of that split
-    # differ by 2^-51: subtracted, they would give a gap of -4.4e-16, as if
-    # greedy beat the exhaustive search.
+    # right half. Pooled from probabilities in their own orders, the two
+    # scores of that split differed by 2^-51; pooled from the counts, each
+    # sum is exact, and the scores are equal.
     counts = [[0, 27, 7, 4, 3, 25, 3, 47, 3, 0, 34, 4],
               [1, 3, 1, 0, 0, 7, 2, 9, 2, 0, 4, 1],
               [0, 13, 2, 1, 1, 13, 0, 27, 3, 1, 11, 3],
@@ -221,7 +224,7 @@ def test_verify_greedy_reports_no_gap_for_the_same_split():
                            cluster.ClusterOptions(stop_rule="full"))
     exact = exhaustive_bisect(model, all_rows)
     assert set(greedy.left) == set(exact.right) == {3, 4, 5, 7}
-    assert greedy.local_h0 != exact.local_h0
+    assert greedy.local_h0 == exact.local_h0
     rep = verify_greedy(model)
     assert rep.greedy_h0 == rep.best_h0 == exact.local_h0
     assert rep.gap == 0.0
@@ -329,3 +332,35 @@ def test_exhaustive_memory_is_bounded_for_wide_matrices(search):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+
+
+POOLED_DIGEST = """
+import hashlib
+import numpy as np
+from infodiv import oracle
+rng = np.random.default_rng(7)
+digest = hashlib.sha256()
+for _ in range(30):
+    n, c = int(rng.integers(10, 13)), int(rng.integers(4, 40))
+    rows = (rng.poisson(3.0, size=(n, c)) +
+            rng.integers(0, 2 ** 30, size=(n, c))).astype(float)
+    for chunk, sums in oracle._pooled_subsets(rows, np.arange(1, 1 << n)):
+        digest.update(sums.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_pooled_subsets_do_not_depend_on_the_blas_settings():
+    # The subset sums are a float matmul through BLAS. On counts every sum
+    # is an integer below 2^53, exact in whatever order the BLAS adds, so
+    # the bytes are the same under any thread count or kernel. (The same
+    # matrices divided by their grand sums gave other bytes under
+    # OPENBLAS_CORETYPE=Prescott than by default.)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = {subprocess.run([sys.executable, "-c", POOLED_DIGEST],
+                              check=True, capture_output=True, text=True,
+                              env={"PYTHONPATH": src, **setting}).stdout
+               for setting in ({"OPENBLAS_NUM_THREADS": "1"},
+                               {"OPENBLAS_NUM_THREADS": "2"},
+                               {"OPENBLAS_CORETYPE": "Prescott"})}
+    assert len(digests) == 1 and len(digests.pop()) == 65

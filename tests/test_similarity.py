@@ -211,10 +211,11 @@ def test_similarity_matrix_cosine_identity_like():
 
 @pytest.mark.parametrize("measure", ["pearson", "cosine"])
 def test_equal_rows_are_written_as_exactly_one(measure):
-    # Rows a and b are equal. The divisor sqrt(sxx) * sqrt(syy) rounds, so
-    # cosine gives 1.0000000000000002 and Pearson 0.9999999999999998
-    # before the clip to [-1, 1] and the 12-digit rounding; both are
-    # written "1.0", as an exact 1 is.
+    # Rows a and b are equal. Their radicands are equal, so the divisor is
+    # the radicand itself: sqrt(sxx) * sqrt(syy) rounded, and cosine gave
+    # 1.0000000000000002 and Pearson 0.9999999999999998 before the clip to
+    # [-1, 1] and the 12-digit rounding. Both are written "1.0", as an
+    # exact 1 is.
     m = build_matrix(list("abc"), list("abc"),
                      [[2, 3, 0], [2, 3, 0], [1, 1, 5]])
     assert cosine([2, 3, 0], [2, 3, 0]) == 1.0
@@ -222,6 +223,20 @@ def test_equal_rows_are_written_as_exactly_one(measure):
     assert sim.values.max() <= 1.0
     assert similarity_csv(sim).splitlines()[1].split(",")[:3] == \
         ["a", "1.0", "1.0"]
+
+
+def test_equal_radicands_divide_by_the_radicand_itself():
+    # Both radicands are 6 (Pearson) or 5 (cosine) on the integer route,
+    # 1.5 or 1.25 on the float route: sqrt(6) * sqrt(6) rounds to
+    # 5.999999999999999, which made r 0.5000000000000001.
+    assert pearson([1, 2, 0], [2, 1, 0]) == 0.5
+    assert cosine([1, 2, 0], [2, 1, 0]) == 0.8
+    assert pearson([0.5, 1, 0], [1, 0.5, 0]) == 0.5
+    assert cosine([0.5, 1, 0], [1, 0.5, 0]) == 0.8
+    m = build_matrix(list("abc"), list("abc"), [[1, 2, 0], [2, 1, 0],
+                                                [1, 1, 5]])
+    assert similarity_matrix(m).values[0, 1] == 0.5
+    assert similarity_matrix(m, "cosine").values[0, 1] == 0.8
 
 
 def test_similarity_matrix_symmetric_and_bounded():
