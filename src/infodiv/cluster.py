@@ -15,18 +15,14 @@ default stop rule such splits are rejected.
 The greedy search per group: try every single row as a seed subgroup, keep
 the admissible seeds, start from the one with the highest transmission,
 then repeatedly move in the single best outside row while that strictly
-increases the transmission. It and the exhaustive search rank candidates by
-one kernel on pooled row sums; only the winner goes through
-`evaluate_bipartition`. The kernel takes one buffer per move, the group's
-sum in row 0 and then the left and right halves of all of its candidates,
-and scores every row in one `_entropies` call. The greedy seed is the
-first move, from an empty left; only it computes the divisive flags
-(under the "divisive" stop rule). Everything is pooled from the raw
-values (see `matrix`), and both searches and `evaluate_bipartition` score
-a split by one formula, with every entropy from `entropy._entropies`. The
-kernel subtracts the left half's sum from the group's where
-`evaluate_bipartition` pools the right half's rows; on count input both
-are the same exact sum, so a kernel score is the reported `local_h0`.
+increases the transmission. Both searches rank candidates by one kernel,
+`_split_scores`, which scores the group's raw row sum and both halves of
+every candidate of a move in one `_entropies` call, each right half as
+the group's sum minus the left's. `_scored_split` reports a split from
+the pooled sums of its group and both halves: for `evaluate_bipartition`,
+and for the greedy winner from the search's own sums. On count input all
+these sums are exact (see `matrix`), so a kernel score is the reported
+`local_h0`.
 """
 
 from __future__ import annotations
@@ -128,31 +124,35 @@ def evaluate_bipartition(model: ProbabilityModel, subtree: RowSubset,
 
     The arguments are validated once. The raw rows of the subtree, of
     `left` and of the right half are pooled as `pooled_profile` pools them,
-    and the three sums are scored in one `_entropies` call. Each weight is
-    a pooled total over the grand sum."""
+    and the three sums are scored by `_scored_split`."""
     subtree = check_subset(model, subtree)
     left = check_subset(model, left)
     left_set = set(left)
     if not left_set < set(subtree):
         raise InvalidInputError("left must be a proper subset of subtree")
     right = tuple(i for i in subtree if i not in left_set)
-
     # One gather of the three groups' rows, each summed along axis 0.
     rows = model.values[list(subtree + left + right)]
     ends = (0, len(subtree), len(subtree) + len(left), len(rows))
     sums = np.empty((3, rows.shape[1]))
     for g in range(3):
         rows[ends[g]:ends[g + 1]].sum(axis=0, out=sums[g])
+    return _scored_split(sums, model.total, left, right)
+
+
+def _scored_split(sums: np.ndarray, total: float, left: RowSubset,
+                  right: RowSubset) -> SplitEvaluation:
+    """A group's split into `left` and `right` from the raw sums of the
+    group and both halves, rows 0-2 of `sums`, in one `_entropies` call;
+    each weight is a pooled total over `total`, the grand sum."""
     h, w = _entropies(sums)
-    w /= model.total
+    w /= total
     (h_agg, h_l, h_r), (w_sub, w_l, w_r) = h.tolist(), w.tolist()
     # Zero rows are rejected at ingestion, so every weight is positive.
     if not min(w_sub, w_l, w_r) > 0:
-        raise AssertionError(f"a group of {subtree} has zero probability")
-
+        raise AssertionError(f"a group of {left + right} has zero probability")
     # Within-subtree weights; the chain rule wants global_delta = w_sub * h0.
-    local_h0 = h_agg - (w_l * h_l + w_r * h_r) / w_sub
-    local_h0 = max(local_h0, 0.0)
+    local_h0 = max(h_agg - (w_l * h_l + w_r * h_r) / w_sub, 0.0)
     divisive = (h_l < h_agg - STRICT_TOL) and (h_r < h_agg - STRICT_TOL)
     return SplitEvaluation(left=left, right=right, h_aggregate=h_agg,
                            h_left=h_l, h_right=h_r, local_h0=local_h0,
@@ -161,13 +161,12 @@ def evaluate_bipartition(model: ProbabilityModel, subtree: RowSubset,
 
 def _split_scores(sums: np.ndarray, total: float,
                   divisive_only: bool = False) -> np.ndarray:
-    """local_h0 of k bipartitions of one group, as in evaluate_bipartition
-    but unvalidated; -inf for one that is not divisive if `divisive_only`.
-    Row 0 of `sums` sums the group's rows of `model.values`, rows 1..k the
-    rows of proper left halves; rows k+1..2k are overwritten with the sums
-    of the right halves. All 2k + 1 rows are scored in one `_entropies`
-    call, and each row weighted by its pooled total over `total`, the
-    grand sum."""
+    """local_h0 of k bipartitions of one group, as `_scored_split` scores
+    one but unvalidated; -inf for one not divisive if `divisive_only`.
+    Row 0 of `sums` sums the group's rows of `model.values`, rows 1..k
+    those of proper left halves; rows k+1..2k are overwritten with the
+    right halves' sums. All 2k + 1 rows are scored in one `_entropies`
+    call, each weight a pooled total over `total`, the grand sum."""
     k = len(sums) // 2
     right = np.subtract(sums[0], sums[1:k + 1], out=sums[k + 1:])
     # Off count input, rounding can leave a right half's sum below zero
@@ -225,46 +224,49 @@ def greedy_bisect(model: ProbabilityModel, subtree: RowSubset,
     """Best bipartition of `subtree` by seed-and-grow hill climbing.
 
     Returns None (no split) when no admissible seed exists, or when the
-    grown bipartition is not divisive under the "divisive" stop rule.
+    grown bipartition is not divisive under the "divisive" stop rule, and
+    otherwise what `evaluate_bipartition` reports for the grown `left`.
+    A group of two rows is not searched: its one bipartition is reported
+    with the first row as `left`.
     """
     subtree = check_subset(model, subtree)
     if len(subtree) < 2:
         raise InvalidInputError("cannot bisect fewer than 2 rows")
-    rows = model.values[list(subtree)]
-    # A move from `left` scores the m rows outside it: row 0 of `sums`
-    # holds the group's row sum, rows 1..m the m candidate left halves and
-    # rows m+1..2m their right halves. The first move, from an empty left,
-    # picks the seed: the best admissible single row, ties to the first in
-    # `subtree`; only it needs the divisive flags. Each later move adds the
-    # outside row that raises the transmission most, while one raises it
-    # more than STRICT_TOL. `left_sum` adds the rows of `left` in order to
-    # 0.0, as rows[left].sum(axis=0) does.
-    sums = np.empty((2 * len(rows) + 1, rows.shape[1]))
-    rows.sum(axis=0, out=sums[0])
-    left: list[int] = []
-    left_sum = np.zeros(rows.shape[1])
-    out = list(range(len(rows)))
     divisive_only = options.stop_rule == "divisive"
-    floor = -np.inf
+    if len(subtree) == 2:  # both seeds pool equal numbers: the first wins
+        best = evaluate_bipartition(model, subtree, subtree[:1])
+        return None if divisive_only and not best.divisive else best
+    # A move scores the m rows outside `left`, cand[:m] in `subtree` order:
+    # row 0 of `sums` holds the group's row sum, rows 1..m their left
+    # halves and rows m+1..2m their right halves. The seed, from an empty
+    # left, is the best admissible row (ties to the first in `subtree`);
+    # only it needs the divisive flags. Each later move adds the best row
+    # while that raises the transmission by more than STRICT_TOL.
+    cand = model.values[list(subtree)]
+    sums = np.empty((2 * len(cand) + 1, cand.shape[1]))
+    cand.sum(axis=0, out=sums[0])
+    left_sum = np.zeros(cand.shape[1])
+    left, out, floor = [], list(subtree), -np.inf
     while len(out) >= 2:
         m = len(out)
-        np.add(left_sum, rows[out], out=sums[1:m + 1])
+        np.add(left_sum, cand[:m], out=sums[1:m + 1])
         scores = _split_scores(sums[:2 * m + 1], model.total,
                                divisive_only and not left)
         k, floor = _first_best(scores, floor)
         if k is None:
             break
         left.append(out.pop(k))
-        left_sum += rows[left[-1]]
+        left_sum += cand[k]
+        cand[k:m - 1] = cand[k + 1:m]
     if not left:
         return None
-
-    # The divisive flag of the final, grown bipartition governs acceptance.
-    best = evaluate_bipartition(model, subtree,
-                                tuple(subtree[i] for i in left))
-    if divisive_only and not best.divisive:
-        return None
-    return best
+    # The winner's report; its divisive flag governs acceptance. From two
+    # columns up `left_sum` is rows[left].sum(axis=0) bit for bit (up to
+    # -0.0); with one column numpy sums pairwise, but every entropy is 0.
+    sums[1] = left_sum
+    cand[:len(out)].sum(axis=0, out=sums[2])
+    best = _scored_split(sums[:3], model.total, tuple(left), tuple(out))
+    return None if divisive_only and not best.divisive else best
 
 
 def exhaustive_bisect(model: ProbabilityModel,
@@ -325,9 +327,7 @@ def divisive_cluster(matrix: LabeledMatrix,
         if method == "greedy":
             return greedy_bisect(model, subtree, options)
         ev = exhaustive_bisect(model, subtree)
-        if options.stop_rule == "divisive" and not ev.divisive:
-            return None
-        return ev
+        return ev if ev.divisive or options.stop_rule == "full" else None
 
     # Split the groups in pre-order, left child first, then build the
     # nodes from the last one back, so that no level costs a stack frame.

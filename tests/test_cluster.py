@@ -2,6 +2,7 @@ import io
 import itertools
 import subprocess
 import sys
+import unittest.mock
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from infodiv import (
     ClusterOptions,
     Grouping,
     build_matrix,
+    cluster,
     decompose,
     divisive_cluster,
     evaluate_bipartition,
@@ -266,6 +268,21 @@ def two_scale_matrices(draw):
                         [rows[i] for i in order])
 
 
+@st.composite
+def float_matrices(draw, max_cols=12):
+    """Matrices of non-integer cells at several scales, some zero, whose
+    pooled sums round."""
+    n = draw(st.integers(2, 14))
+    k = draw(st.integers(1, max_cols))
+    cell = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    rows = [draw(st.lists(cell, min_size=k, max_size=k)) for _ in range(n)]
+    for row in rows:
+        if not any(row):
+            row[0] = 0.7
+    return build_matrix([f"r{i}" for i in range(n)],
+                        [f"c{j}" for j in range(k)], rows)
+
+
 @given(st.one_of(sparse_count_matrices(), two_scale_matrices()), st.data())
 @settings(max_examples=examples(200), deadline=None)
 def test_bisect_searches_match_per_candidate_reference(m, data):
@@ -277,6 +294,43 @@ def test_bisect_searches_match_per_candidate_reference(m, data):
             reference_greedy_bisect(pm, subtree, stop)
     assert exhaustive_bisect(pm, subtree) == \
         reference_exhaustive_bisect(pm, subtree)
+
+
+@given(st.one_of(sparse_count_matrices(max_cols=12), two_scale_matrices(),
+                 float_matrices(), float_matrices(max_cols=1)), st.data())
+@settings(max_examples=examples(200), deadline=None)
+def test_greedy_reports_what_evaluate_bipartition_reports(m, data):
+    # The search scores its winner from its own sums: the group's, the left
+    # half's added in join order, and the right half's rows pooled.
+    pm = probability_model(m)
+    order = data.draw(st.permutations(range(m.n_rows)))
+    subtree = tuple(order[:data.draw(st.integers(2, m.n_rows))])
+    for stop in ("divisive", "full"):
+        greedy = greedy_bisect(pm, subtree, ClusterOptions(stop_rule=stop))
+        if greedy is not None:
+            ev = evaluate_bipartition(pm, subtree, greedy.left)
+            assert greedy == ev
+            assert _split_bits(greedy) == _split_bits(ev)
+
+
+@given(st.one_of(sparse_count_matrices(), two_scale_matrices()), st.data())
+@settings(max_examples=examples(100), deadline=None)
+def test_two_row_greedy_calls_no_kernel(m, data):
+    pm = probability_model(m)
+    pair = tuple(data.draw(st.permutations(range(m.n_rows)))[:2])
+    calls = []
+
+    def spy(sums, *args):
+        calls.append(len(sums))
+        return _split_scores(sums, *args)
+    with unittest.mock.patch.object(cluster, "_split_scores", spy):
+        for stop in ("divisive", "full"):
+            assert greedy_bisect(pm, pair, ClusterOptions(stop_rule=stop)) \
+                == reference_greedy_bisect(pm, pair, stop)
+        assert calls == []
+        if m.n_rows > 2:  # the spy sees the kernel of a larger group
+            greedy_bisect(pm, tuple(range(m.n_rows)))
+            assert calls[0] == 2 * m.n_rows + 1
 
 
 @given(sparse_count_matrices())
@@ -406,23 +460,30 @@ def test_group_entropy_is_one_float_by_every_route(m, data):
 
 def test_zero_weight_group_raises_even_under_python_O():
     # Row 1 is all zero, which build_matrix never lets through: a bug,
-    # reported even when asserts are off, whichever half it falls in.
+    # reported even when asserts are off, whichever half it falls in, by
+    # the check that evaluate_bipartition and greedy_bisect share. Among
+    # three rows of one profile every seed scores 0, so the greedy search
+    # keeps its first seed, the zero row, and reports it from its own sums.
     code = """
+import traceback
 import numpy as np
-from infodiv import evaluate_bipartition
+from infodiv import ClusterOptions, evaluate_bipartition, greedy_bisect
 from infodiv.matrix import ProbabilityModel
-pm = ProbabilityModel(np.array([[.5, .5], [0, 0]]), 1.0)
-for left in (0,), (1,):
+pm = ProbabilityModel(np.array([[.5, .5], [0, 0], [.5, .5]]), 2.0)
+full = ClusterOptions(stop_rule="full")
+for call in (lambda: evaluate_bipartition(pm, (0, 1), (0,)),
+             lambda: evaluate_bipartition(pm, (0, 1), (1,)),
+             lambda: greedy_bisect(pm, (1, 0, 2), full)):
     try:
-        evaluate_bipartition(pm, (0, 1), left)
-    except AssertionError:
-        print("raised")
+        call()
+    except AssertionError as e:
+        print(traceback.extract_tb(e.__traceback__)[-1].name)
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
                          capture_output=True, text=True,
                          env={"PYTHONPATH": src})
-    assert out.stdout.split() == ["raised", "raised"]
+    assert out.stdout.split() == ["_scored_split"] * 3
 
 
 # Pooled values as the kernel sees them: mostly zero, some subnormal.
