@@ -23,6 +23,19 @@ the pooled sums of its group and both halves: for `evaluate_bipartition`,
 and for the greedy winner from the search's own sums. On count input all
 these sums are exact (see `matrix`), so a kernel score is the reported
 `local_h0`.
+
+The exhaustive search, `exhaustive_bisect`, scores every bipartition of
+a group. On a model of at most MAX_PARTITION_ROWS (12) rows it looks each
+one up in the model's subset table: the entropy h, the weight w and w * h
+of every one of its 2^n row subsets, built on first use from two half
+tables of subset sums (Horowitz & Sahni, JACM 21, 1974), with no BLAS
+call, and kept on the model. Every node of an exhaustive tree and the
+partition oracle share it. On a larger model such a table would not pay
+(2^24 subsets of three floats are 384 MB): the left halves of a group are
+pooled a chunk at a time by a matmul and scored by `_split_scores`. On
+count input every sum is exact, so both routes give every score the
+kernel's bits; on other input the table's sums are added in their own
+order, the same whatever the BLAS build or its threads.
 """
 
 from __future__ import annotations
@@ -45,6 +58,9 @@ from .matrix import (
 
 STRICT_TOL = 1e-12  # strict ">" / "<" comparisons in bits
 MAX_BISECT_ROWS = 24
+# Rows up to which a model's every row subset is tabulated (2^12 subsets,
+# 96 KB), and up to which `oracle` searches set partitions.
+MAX_PARTITION_ROWS = 12
 _CELLS = 1 << 18  # matrix cells pooled per exhaustive kernel call
 _ARGMAX_MIN = 64  # scores from which _first_best tries the argmax
 
@@ -218,6 +234,57 @@ def _pooled_subsets(rows: np.ndarray, masks: np.ndarray
         yield chunk, (chunk[:, None] >> bits & 1).astype(float) @ rows
 
 
+def _subset_sums(rows: np.ndarray) -> np.ndarray:
+    """The sum of every subset of `rows`, indexed by bitmask (bit i selects
+    row i), built one row at a time in row order:
+    T[2^i:2^(i+1)] = T[:2^i] + row i."""
+    sums = np.zeros((1 << len(rows), rows.shape[1]))
+    for i, row in enumerate(rows):
+        np.add(sums[:1 << i], row, out=sums[1 << i:2 << i])
+    return sums
+
+
+def _tabulate_subsets(values: np.ndarray, total: float
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """h, w and w * h of every subset of the rows of `values`, indexed by
+    bitmask (bit i selects row i): the entropy in bits of the subset's
+    pooled raw rows and their total over `total`, the grand sum; all three
+    are 0 for the empty set, and read-only.
+
+    A subset's sum is the `_subset_sums` entry of its rows among the first
+    n // 2 plus that of its other rows, one add per cell, with no BLAS
+    call; on count input it is exact (see `matrix`). The sums are scored
+    in chunks of at most _CELLS cells, one `_entropies` call each, so the
+    working memory does not grow with the column count."""
+    n, c = values.shape
+    b = n // 2
+    low, high = _subset_sums(values[:b]), _subset_sums(values[b:])
+    h, w = np.zeros(1 << n), np.zeros(1 << n)
+    step = max(1, _CELLS // c)
+    for start in range(1, 1 << n, step):
+        end = min(start + step, 1 << n)
+        masks = np.arange(start, end)
+        sums = high[masks >> b]
+        sums += low[masks & (1 << b) - 1]
+        h[start:end], w[start:end] = _entropies(sums)
+    w /= total
+    table = h, w, w * h
+    for column in table:
+        column.setflags(write=False)
+    return table
+
+
+def _subset_table(model: ProbabilityModel
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_tabulate_subsets` of the model's values, built on the first call
+    and kept in `model.cache` for every later one."""
+    table = model.cache.get("subsets")
+    if table is None:
+        table = model.cache["subsets"] = _tabulate_subsets(model.values,
+                                                           model.total)
+    return table
+
+
 def greedy_bisect(model: ProbabilityModel, subtree: RowSubset,
                   options: ClusterOptions = ClusterOptions(),
                   ) -> SplitEvaluation | None:
@@ -275,7 +342,22 @@ def exhaustive_bisect(model: ProbabilityModel,
 
     Candidates are the 2^(n-1) - 1 bipartitions, enumerated as subsets
     containing the first row; ties go to the lexicographically smallest
-    such subset.
+    such subset. The winner is reported by `evaluate_bipartition`. A group
+    of two rows has one bipartition and is not searched.
+
+    On a model of at most MAX_PARTITION_ROWS rows a split of the group S
+    into B and S - B scores max(h[S] - (wh[B] + wh[S - B]) / w[S], 0), the
+    kernel's formula on lookups in the model's subset table
+    (`_subset_table`). The first call on any subtree of the model builds
+    the table for all 2^n subsets of its rows, so a single bisection of a
+    small group of a 12-row model pays for the 4096-subset table; every
+    later call, at any node of the same model, scores by lookup alone.
+    On a larger model the left halves are pooled a chunk at a time
+    (`_pooled_subsets`) and scored by `_split_scores`, each right half
+    the group's sum minus the left's. On count input every sum either
+    route takes is exact, so both give the same score bits. On other input
+    the table adds its sums in an order of its own, without BLAS, so its
+    scores do not depend on the BLAS build or its threads.
     """
     subtree = tuple(sorted(check_subset(model, subtree)))
     n = len(subtree)
@@ -285,29 +367,44 @@ def exhaustive_bisect(model: ProbabilityModel,
         raise SizeLimitError(
             f"{n} rows exceeds the exhaustive bisect limit of "
             f"{MAX_BISECT_ROWS} (2^{n - 1} - 1 candidates)")
+    if n == 2:
+        return evaluate_bipartition(model, subtree, subtree[:1])
 
-    # Subsets of the other rows as bitmasks, in lexicographic order of their
-    # sorted tuples. Those of rows j.. are the empty set, {j}, {j} with each
-    # nonempty one of rows j+1.., then those nonempty ones again.
+    # The candidates are the first row with each subset of the others but
+    # all of them, as bitmasks in the lexicographic order of their sorted
+    # tuples. A row's bit is its bit in the table, or else its place among
+    # the others. The subsets of rows j.. are the empty set, {j}, {j} with
+    # each nonempty one of rows j+1.., then those nonempty ones again.
+    table = model.n_rows <= MAX_PARTITION_ROWS
+    bits = [1 << j for j in (subtree[1:] if table else range(n - 1))]
     masks = np.zeros(1, dtype=np.int32)
-    for j in range(n - 2, -1, -1):
-        masks = np.concatenate(([0, 1 << j], masks[1:] | 1 << j, masks[1:]),
+    for bit in reversed(bits):
+        masks = np.concatenate(([0, bit], masks[1:] | bit, masks[1:]),
                                dtype=np.int32)
     masks = np.delete(masks, n - 1)  # the full set, after {0}, {0, 1}, ...
     if len(masks) != 2 ** (n - 1) - 1:
         raise AssertionError(f"{len(masks)} candidates for {n} rows")
-    rows = model.values[list(subtree)]
-    total = rows.sum(axis=0)
-    best, floor = None, -np.inf
-    for chunk, sums in _pooled_subsets(rows[1:], masks):
-        halves = np.empty((2 * len(sums) + 1, sums.shape[1]))
-        halves[0] = total
-        np.add(rows[0], sums, out=halves[1:len(sums) + 1])
-        k, floor = _first_best(_split_scores(halves, model.total), floor)
-        if k is not None:
-            best = int(chunk[k])
-    left = (subtree[0],) + tuple(row for b, row in enumerate(subtree[1:])
-                                 if best >> b & 1)
+    if table:
+        h, w, wh = _subset_table(model)
+        lefts = masks | 1 << subtree[0]
+        group = sum(bits, 1 << subtree[0])
+        scores = np.maximum(
+            h[group] - (wh[lefts] + wh[group ^ lefts]) / w[group], 0.0)
+        best = int(masks[_first_best(scores, -np.inf)[0]])
+    else:
+        rows = model.values[list(subtree)]
+        total = rows.sum(axis=0)
+        floor = -np.inf
+        for chunk, sums in _pooled_subsets(rows[1:], masks):
+            halves = np.empty((2 * len(sums) + 1, sums.shape[1]))
+            halves[0] = total
+            np.add(rows[0], sums, out=halves[1:len(sums) + 1])
+            k, floor = _first_best(_split_scores(halves, model.total),
+                                   floor)
+            if k is not None:
+                best = int(chunk[k])
+    left = subtree[:1] + tuple(row for row, bit in zip(subtree[1:], bits)
+                               if best & bit)
     return evaluate_bipartition(model, subtree, left)
 
 

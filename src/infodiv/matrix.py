@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,6 +67,11 @@ class ProbabilityModel:
 
     values: np.ndarray  # the matrix's values, shared, read-only
     total: float        # their grand sum, finite and positive
+    # Tables derived from `values` on first use, such as the subset table
+    # of `cluster._subset_table`. The values are read-only, so no entry
+    # goes stale.
+    cache: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def n_rows(self) -> int:

@@ -2,30 +2,35 @@
 
 Searching all bipartitions of n rows means 2^(n-1) - 1 candidates; all set
 partitions, Bell(n). Both explode quickly, so hard size guards raise rather
-than let a call run for hours. `exhaustive_bisect` shares the greedy
-search's scoring kernel in `cluster` and is re-exported here. Partitions are
-enumerated by one depth-first search over row bitmasks of blocks, in the
-lexicographic order of restricted growth strings (Knuth, TAOCP 4A,
-7.2.1.5), and ranked by sums of per-subset costs from the same kernel. The
-search is branch and bound: P(B) * H(B) is superadditive under merging, so a
-prefix that cannot come within a 1e-9-bit margin of the incumbent is dropped
-with all its completions. Identical rows are its worst case: every partition
-ties, nothing is pruned, and all Bell(n) leaves are scored.
+than let a call run for hours. `exhaustive_bisect` lives in `cluster` and
+is re-exported here. Up to MAX_PARTITION_ROWS (12) rows both searches read
+the model's subset table (`cluster._subset_table`): the entropy h, the
+weight w and w * h of every row subset, built once per model from two half
+tables of subset sums, with no BLAS call. So `oracle` tabulates its model
+once, for the partition search and the root bisection alike. On count
+input every subset sum is exact, so the costs have the bits of any other
+order of the rows; on other input they are the same under any BLAS build
+or thread count. Bisections of 13-24 rows pool their halves by a
+streaming matmul instead (see `cluster`). Partitions are enumerated by one
+depth-first search over row bitmasks of blocks, in the lexicographic order
+of restricted growth strings (Knuth, TAOCP 4A, 7.2.1.5), and ranked by
+sums of the table's per-subset costs w * h. The search is branch and
+bound: P(B) * H(B) is superadditive under merging, so a prefix that cannot
+come within a 1e-9-bit margin of the incumbent is dropped with all its
+completions. Identical rows are its worst case: every partition ties,
+nothing is pruned, and all Bell(n) leaves are scored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .cluster import STRICT_TOL, ClusterOptions, _pooled_subsets, \
-    exhaustive_bisect, greedy_bisect
-from .entropy import Grouping, _entropies, decompose
+from .cluster import MAX_PARTITION_ROWS, STRICT_TOL, ClusterOptions, \
+    _subset_table, exhaustive_bisect, greedy_bisect
+from .entropy import Grouping, decompose
 from .errors import InvalidInputError, SizeLimitError
 from .matrix import ProbabilityModel, as_indices
 
-MAX_PARTITION_ROWS = 12
 # Bits below the incumbent at which a prefix is pruned: far above
 # STRICT_TOL plus the rounding of the bound.
 _PRUNE_MARGIN = 1e-9
@@ -47,9 +52,10 @@ def exhaustive_partition(model: ProbabilityModel,
     """Grouping of all rows maximizing H0, over every set partition.
 
     Ties are resolved toward fewer groups, then toward the lexicographically
-    smallest restricted growth string. Each row subset B is scored once as
-    P(B) * H(B); a partition's H0 is H(n) minus the sum over its blocks.
-    Only the winner goes through `decompose`.
+    smallest restricted growth string. Each row subset B costs
+    P(B) * H(B), the w * h of the model's subset table; a partition's H0 is
+    H(n) minus the sum over its blocks. Only the winner goes through
+    `decompose`.
 
     The search is pruned by branch and bound. P(B) * H(B) is superadditive
     under merging (entropy is concave), so no completion of a prefix scores
@@ -74,11 +80,7 @@ def exhaustive_partition(model: ProbabilityModel,
         raise InvalidInputError(f"max_groups must be in 1..{n}, "
                                 f"got {max_groups}")
 
-    cost = np.zeros(1 << n)
-    for chunk, sums in _pooled_subsets(model.values, np.arange(1, 1 << n)):
-        h, w = _entropies(sums)
-        cost[chunk] = w / model.total * h
-    cost = cost.tolist()
+    cost = _subset_table(model)[2].tolist()
     h_n = cost[-1]
     # rest[i]: the singleton costs of rows i..n-1, the least they can add.
     rest = [0.0] * (n + 1)

@@ -3,11 +3,12 @@ brute-force entropy computations kept independent of the library's numpy
 code paths, the group sums of the raw values a gather of rows at a time,
 bipartition scoring through the public validated functions and the ranking
 kernel's masked entropy formula, reference exhaustive and greedy searches
-that score every candidate separately, the recursive restricted growth
-string generator, the similarity matrix computed one pair at a time with
-sums in Python ints or `math.fsum` sums, the CSV reader that converts one
-cell at a time, and the canonical number formatter through `decimal` alone
-with the CSV writer built on it.
+that score every candidate separately, the exhaustive tree built from
+them node by node, the recursive restricted growth string generator, the
+similarity matrix computed one pair at a time with sums in Python ints or
+`math.fsum` sums, the CSV reader that converts one cell at a time, and the
+canonical number formatter through `decimal` alone with the CSV writer
+built on it.
 
 Registers the hypothesis profile "thorough" (`--hypothesis-profile
 thorough`), under which the properties that size their runs with
@@ -25,6 +26,8 @@ import pytest
 from hypothesis import settings
 
 from infodiv import (
+    Dendrogram,
+    DendrogramNode,
     Grouping,
     InvalidInputError,
     NonFiniteValueError,
@@ -36,6 +39,7 @@ from infodiv import (
     decompose,
     evaluate_bipartition,
     pooled_profile,
+    probability_model,
     shannon_entropy,
 )
 from infodiv.cluster import STRICT_TOL
@@ -225,6 +229,26 @@ def reference_exhaustive_bisect(model, subtree):
         if best is None or ev.local_h0 > best.local_h0 + STRICT_TOL:
             best = ev
     return best
+
+
+def reference_exhaustive_tree(matrix, stop_rule):
+    """The divisive tree of `matrix` built node by node by recursion, each
+    group split by reference_exhaustive_bisect, kept if it is divisive or
+    the stop rule is "full"."""
+    model = probability_model(matrix)
+
+    def node(members, height):
+        split = reference_exhaustive_bisect(model, members) \
+            if len(members) >= 2 else None
+        if split is None or not (split.divisive or stop_rule == "full"):
+            return DendrogramNode(members=members, height=height)
+        child_h = height + split.global_delta
+        return DendrogramNode(members=members, height=height, split=split,
+                              children=(node(split.left, child_h),
+                                        node(split.right, child_h)))
+
+    return Dendrogram(root=node(tuple(range(matrix.n_rows)), 0.0),
+                      row_labels=matrix.row_labels)
 
 
 def reference_exhaustive_partition(model, max_groups):

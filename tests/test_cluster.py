@@ -18,6 +18,7 @@ from infodiv import (
     decompose,
     divisive_cluster,
     evaluate_bipartition,
+    exhaustive_partition,
     extract_clusters,
     greedy_bisect,
     pooled_profile,
@@ -32,7 +33,8 @@ from infodiv.io import export_dendrogram, parse_csv
 
 from conftest import ROUNDING_COUNTS, brute_local_h0, examples, \
     random_matrix, reference_entropies, reference_evaluate_bipartition, \
-    reference_exhaustive_bisect, reference_greedy_bisect, \
+    reference_exhaustive_bisect, reference_exhaustive_partition, \
+    reference_exhaustive_tree, reference_greedy_bisect, \
     reference_split_scores
 
 BLOCK = [[4, 4, 0, 0], [4, 4, 0, 0], [0, 0, 4, 4], [0, 0, 4, 4]]
@@ -226,10 +228,11 @@ def test_identical_profile_rows_merge_equivalence():
 
 
 @st.composite
-def sparse_count_matrices(draw, max_cols=5, cells=(0, 0, 0, 1, 2, 5)):
+def sparse_count_matrices(draw, max_cols=5, cells=(0, 0, 0, 1, 2, 5),
+                          max_rows=10):
     """Small count matrices of `cells` with many zero cells and some
     exactly repeated rows, whose candidate splits tie exactly."""
-    n = draw(st.integers(2, 10))
+    n = draw(st.integers(2, max_rows))
     k = draw(st.integers(1, max_cols))
     cell = st.sampled_from(cells)
     rows = []
@@ -246,12 +249,12 @@ def sparse_count_matrices(draw, max_cols=5, cells=(0, 0, 0, 1, 2, 5)):
 
 
 @st.composite
-def two_scale_matrices(draw):
+def two_scale_matrices(draw, max_rows=8):
     """Rows with cells near 1 and rows with cells near 1e-17 within the
     columns of the large rows. A group's sum minus the sum of its large rows
     then rounds to 0 in every column, so a right half of weight 0 reaches
     the masked divide of `_entropies`."""
-    n = draw(st.integers(2, 8))
+    n = draw(st.integers(2, max_rows))
     k = draw(st.integers(1, 4))
     big = draw(st.lists(st.sampled_from([0, 1, 1, 2, 5]), min_size=k,
                         max_size=k).filter(any))
@@ -269,10 +272,10 @@ def two_scale_matrices(draw):
 
 
 @st.composite
-def float_matrices(draw, max_cols=12):
+def float_matrices(draw, max_cols=12, max_rows=14):
     """Matrices of non-integer cells at several scales, some zero, whose
     pooled sums round."""
-    n = draw(st.integers(2, 14))
+    n = draw(st.integers(2, max_rows))
     k = draw(st.integers(1, max_cols))
     cell = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
     rows = [draw(st.lists(cell, min_size=k, max_size=k)) for _ in range(n)]
@@ -294,6 +297,46 @@ def test_bisect_searches_match_per_candidate_reference(m, data):
             reference_greedy_bisect(pm, subtree, stop)
     assert exhaustive_bisect(pm, subtree) == \
         reference_exhaustive_bisect(pm, subtree)
+
+
+@given(st.one_of(sparse_count_matrices(max_rows=12),
+                 two_scale_matrices(max_rows=12), float_matrices(max_rows=12)),
+       st.data())
+@settings(max_examples=examples(100), deadline=None)
+def test_subset_table_searches_match_the_references(m, data):
+    # On a model of at most 12 rows both exhaustive searches score by
+    # lookup in one subset table; the references score every candidate
+    # through evaluate_bipartition or decompose. The bisection is of a
+    # random group of the rows, as at a node of a tree.
+    pm = probability_model(m)
+    order = data.draw(st.permutations(range(m.n_rows)))
+    subtree = tuple(order[:data.draw(st.integers(2, m.n_rows))])
+    assert exhaustive_bisect(pm, subtree) == \
+        reference_exhaustive_bisect(pm, subtree)
+    for stop in ("divisive", "full"):
+        assert divisive_cluster(m, ClusterOptions(stop_rule=stop),
+                                "exhaustive") == \
+            reference_exhaustive_tree(m, stop)
+    if m.n_rows <= 7:  # the reference decomposes every partition
+        for max_groups in range(1, m.n_rows + 1):
+            assert exhaustive_partition(pm, max_groups) == \
+                reference_exhaustive_partition(pm, max_groups)
+
+
+def test_streaming_bisect_of_a_larger_model_matches_the_reference(
+        rng, monkeypatch):
+    # Above 12 rows no table is built: the left halves of a group are
+    # pooled a chunk at a time, here of a few rows of columns each.
+    for _ in range(10):
+        m = random_matrix(rng, max_rows=16, min_rows=13, max_cols=5)
+        pm = probability_model(m)
+        subtree = tuple(rng.permutation(m.n_rows)[:rng.integers(3, 8)]
+                        .tolist())
+        monkeypatch.setattr(cluster, "_CELLS", 3 * m.n_cols)
+        chunked = exhaustive_bisect(pm, subtree)
+        monkeypatch.undo()
+        assert chunked == reference_exhaustive_bisect(pm, subtree)
+        assert pm.cache == {}
 
 
 @given(st.one_of(sparse_count_matrices(max_cols=12), two_scale_matrices(),

@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 
 from infodiv import cluster
 from infodiv import (
+    ClusterOptions,
     SizeLimitError,
     build_matrix,
     decompose,
+    divisive_cluster,
     exhaustive_bisect,
     exhaustive_partition,
     greedy_bisect,
@@ -23,6 +25,7 @@ from infodiv import (
     verify_greedy,
     Grouping,
 )
+from infodiv.cli import run_cli
 
 from conftest import brute_decompose, examples, random_matrix, \
     reference_exhaustive_bisect, reference_exhaustive_partition, \
@@ -334,28 +337,81 @@ def test_exhaustive_memory_is_bounded_for_wide_matrices(search):
     assert peak < 32 * 2 ** 20
 
 
+@pytest.mark.parametrize("stop", ["divisive", "full"])
+def test_exhaustive_tree_memory_is_bounded_for_wide_matrices(stop):
+    # The subset table of 12 x 4000 cells is built a chunk of subsets at a
+    # time and keeps three floats per subset.
+    vals = np.random.default_rng(7).poisson(2.0, size=(12, 4000))
+    vals[vals.sum(axis=1) == 0, 0] = 1
+    m = build_matrix([f"r{i:02d}" for i in range(12)],
+                     [f"c{j:04d}" for j in range(4000)], vals)
+    tracemalloc.start()
+    try:
+        divisive_cluster(m, ClusterOptions(stop_rule=stop), "exhaustive")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
+def test_twelve_row_runs_build_one_subset_table(tmp_path, monkeypatch,
+                                               capsys):
+    # `cluster --mode exhaustive --stop full` bisects every group of a
+    # 12-row tree, and `oracle` searches the partitions and bisects the
+    # root: each run tabulates its model's subsets once and pools none
+    # by matmul.
+    vals = np.random.default_rng(3).poisson(4.0, size=(12, 6)) + \
+        np.eye(12, 6, dtype=int)
+    path = tmp_path / "m.csv"
+    path.write_text("row," + ",".join(f"c{j}" for j in range(6)) + "\n" +
+                    "".join(f"r{i:02d}," + ",".join(map(str, row)) + "\n"
+                            for i, row in enumerate(vals.tolist())))
+    builds = []
+    tabulate_subsets = cluster._tabulate_subsets
+
+    def tabulate(*args):
+        builds.append(len(args[0]))
+        return tabulate_subsets(*args)
+
+    def pooled(*args):
+        raise AssertionError("pooled subsets by matmul")
+
+    monkeypatch.setattr(cluster, "_tabulate_subsets", tabulate)
+    monkeypatch.setattr(cluster, "_pooled_subsets", pooled)
+    for argv in (["cluster", str(path), "--mode", "exhaustive", "--stop",
+                  "full"], ["oracle", str(path)]):
+        builds.clear()
+        assert run_cli(argv) == 0, capsys.readouterr().err
+        assert builds == [12]
+
+
 POOLED_DIGEST = """
 import hashlib
 import numpy as np
-from infodiv import oracle
+from infodiv import cluster
 rng = np.random.default_rng(7)
 digest = hashlib.sha256()
 for _ in range(30):
     n, c = int(rng.integers(10, 13)), int(rng.integers(4, 40))
     rows = (rng.poisson(3.0, size=(n, c)) +
             rng.integers(0, 2 ** 30, size=(n, c))).astype(float)
-    for chunk, sums in oracle._pooled_subsets(rows, np.arange(1, 1 << n)):
+    for chunk, sums in cluster._pooled_subsets(rows, np.arange(1, 1 << n)):
         digest.update(sums.tobytes())
+    for values in (rng.random((n, c)) * 100, np.log2(1 + rows)):
+        h, w, _ = cluster._tabulate_subsets(values, float(values.sum()))
+        digest.update(h.tobytes() + w.tobytes())
 print(digest.hexdigest())
 """
 
 
 def test_pooled_subsets_do_not_depend_on_the_blas_settings():
-    # The subset sums are a float matmul through BLAS. On counts every sum
-    # is an integer below 2^53, exact in whatever order the BLAS adds, so
-    # the bytes are the same under any thread count or kernel. (The same
-    # matrices divided by their grand sums gave other bytes under
-    # OPENBLAS_CORETYPE=Prescott than by default.)
+    # The streaming subset sums are a float matmul through BLAS. On counts
+    # every sum is an integer below 2^53, exact in whatever order the BLAS
+    # adds, so the bytes are the same under any thread count or kernel.
+    # (The same matrices divided by their grand sums gave other bytes under
+    # OPENBLAS_CORETYPE=Prescott than by default.) The subset table adds
+    # its sums without BLAS, so its entropies and weights keep their bytes
+    # on non-integer cells too: uniform floats and log2(1 + counts).
     src = str(Path(__file__).resolve().parents[1] / "src")
     digests = {subprocess.run([sys.executable, "-c", POOLED_DIGEST],
                               check=True, capture_output=True, text=True,
