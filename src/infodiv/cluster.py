@@ -15,27 +15,33 @@ default stop rule such splits are rejected.
 The greedy search per group: try every single row as a seed subgroup, keep
 the admissible seeds, start from the one with the highest transmission,
 then repeatedly move in the single best outside row while that strictly
-increases the transmission. Both searches rank candidates by one kernel,
+increases the transmission. It ranks candidates by one kernel,
 `_split_scores`, which scores the group's raw row sum and both halves of
-every candidate of a move in one `_entropies` call, each right half as
-the group's sum minus the left's. `_scored_split` reports a split from
-the pooled sums of its group and both halves: for `evaluate_bipartition`,
-and for the greedy winner from the search's own sums. On count input all
-these sums are exact (see `matrix`), so a kernel score is the reported
-`local_h0`.
+every candidate of a move in one `_weighted_bits` call, each right half as
+the group's sum minus the left's. The kernel ranks by X H = X log2 X -
+sum x log2 x of the raw sums (Theil 1972), with no divide; on count input
+each x log2 x is looked up in a per-model table (`entropy._xlog2x_table`).
+So a kernel score is the reported `local_h0` to within about 1e-13 bits,
+not bit for bit. `_scored_split` reports a split from the pooled sums of
+its group and both halves through `_entropies`, which divides each row by
+its total first and so keeps its relative accuracy as an entropy
+approaches 0: for `evaluate_bipartition`, and for the greedy winner from
+the search's own sums. On count input all these sums are exact (see
+`matrix`), so a split's score and its report depend only on its row sets.
 
 The exhaustive search, `exhaustive_bisect`, scores every bipartition of
 a group. On a model of at most MAX_PARTITION_ROWS (12) rows it looks each
 one up in the model's subset table: the entropy h, the weight w and w * h
-of every one of its 2^n row subsets, built on first use from two half
-tables of subset sums (Horowitz & Sahni, JACM 21, 1974), with no BLAS
-call, and kept on the model. Every node of an exhaustive tree and the
-partition oracle share it. On a larger model such a table would not pay
-(2^24 subsets of three floats are 384 MB): the left halves of a group are
-pooled a chunk at a time by a matmul and scored by `_split_scores`. On
-count input every sum is exact, so both routes give every score the
-kernel's bits; on other input the table's sums are added in their own
-order, the same whatever the BLAS build or its threads.
+of every one of its 2^n row subsets by `_entropies`, built on first use
+from two half tables of subset sums (Horowitz & Sahni, JACM 21, 1974),
+with no BLAS call, and kept on the model. Every node of an exhaustive tree
+and the partition oracle share it; the oracle breaks its ties against
+`decompose`'s bits, so the table keeps the reported form. On a larger
+model such a table would not pay (2^24 subsets of three floats are
+384 MB): the left halves of a group are pooled a chunk at a time by a
+matmul and ranked by `_split_scores`, within about 1e-13 bits of the
+reported scores. On other input the table's sums are added in their own order,
+the same whatever the BLAS build or its threads.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .entropy import _entropies
+from .entropy import _entropies, _weighted_bits, _xlog2x_table
 from .errors import InvalidInputError, SizeLimitError
 from .matrix import (
     LabeledMatrix,
@@ -175,24 +181,28 @@ def _scored_split(sums: np.ndarray, total: float, left: RowSubset,
                            global_delta=w_sub * local_h0, divisive=divisive)
 
 
-def _split_scores(sums: np.ndarray, total: float,
+def _split_scores(sums: np.ndarray, table: np.ndarray | None,
                   divisive_only: bool = False) -> np.ndarray:
-    """local_h0 of k bipartitions of one group, as `_scored_split` scores
-    one but unvalidated; -inf for one not divisive if `divisive_only`.
-    Row 0 of `sums` sums the group's rows of `model.values`, rows 1..k
-    those of proper left halves; rows k+1..2k are overwritten with the
-    right halves' sums. All 2k + 1 rows are scored in one `_entropies`
-    call, each weight a pooled total over `total`, the grand sum."""
+    """local_h0 of k bipartitions of one group, to within about 1e-13
+    bits of what `_scored_split` reports, unvalidated; -inf for one not
+    divisive if `divisive_only`. Row 0 of `sums` sums the group's rows of
+    `model.values`, rows 1..k those of proper left halves; rows k+1..2k
+    are overwritten with the right halves' sums. All 2k + 1 rows are
+    ranked by one `_weighted_bits` call with the model's `_xlog2x_table`:
+    a split scores (XH[group] - (XH[left] + XH[right])) / X[group], with
+    no divide by the grand sum, and the same whichever half is the left.
+    The divisive flags divide each row's X H by its X once."""
     k = len(sums) // 2
     right = np.subtract(sums[0], sums[1:k + 1], out=sums[k + 1:])
-    # Off count input, rounding can leave a right half's sum below zero
-    # where it is zero.
-    np.maximum(right, 0.0, out=right)
-    h, w = _entropies(sums)
-    w /= total
-    wh = w * h
-    scores = np.maximum(h[0] - (wh[1:k + 1] + wh[k + 1:]) / w[0], 0.0)
+    if table is None:
+        # Off count input, rounding can leave a right half's sum below
+        # zero where it is zero.
+        np.maximum(right, 0.0, out=right)
+    xh, x = _weighted_bits(sums, table)
+    scores = np.maximum((xh[0] - (xh[1:k + 1] + xh[k + 1:])) / x[0], 0.0)
     if divisive_only:
+        # A right half of total 0 (off count input) has X H 0 and entropy 0.
+        h = xh / (x + (x == 0))
         divisive = (h[1:k + 1] < h[0] - STRICT_TOL) & \
             (h[k + 1:] < h[0] - STRICT_TOL)
         scores = np.where(divisive, scores, -np.inf)
@@ -314,10 +324,11 @@ def greedy_bisect(model: ProbabilityModel, subtree: RowSubset,
     cand.sum(axis=0, out=sums[0])
     left_sum = np.zeros(cand.shape[1])
     left, out, floor = [], list(subtree), -np.inf
+    table = _xlog2x_table(model)
     while len(out) >= 2:
         m = len(out)
         np.add(left_sum, cand[:m], out=sums[1:m + 1])
-        scores = _split_scores(sums[:2 * m + 1], model.total,
+        scores = _split_scores(sums[:2 * m + 1], table,
                                divisive_only and not left)
         k, floor = _first_best(scores, floor)
         if k is None:
@@ -347,17 +358,16 @@ def exhaustive_bisect(model: ProbabilityModel,
 
     On a model of at most MAX_PARTITION_ROWS rows a split of the group S
     into B and S - B scores max(h[S] - (wh[B] + wh[S - B]) / w[S], 0), the
-    kernel's formula on lookups in the model's subset table
+    reported form on lookups in the model's subset table
     (`_subset_table`). The first call on any subtree of the model builds
     the table for all 2^n subsets of its rows, so a single bisection of a
     small group of a 12-row model pays for the 4096-subset table; every
     later call, at any node of the same model, scores by lookup alone.
     On a larger model the left halves are pooled a chunk at a time
-    (`_pooled_subsets`) and scored by `_split_scores`, each right half
-    the group's sum minus the left's. On count input every sum either
-    route takes is exact, so both give the same score bits. On other input
-    the table adds its sums in an order of its own, without BLAS, so its
-    scores do not depend on the BLAS build or its threads.
+    (`_pooled_subsets`) and ranked by `_split_scores`, each right half
+    the group's sum minus the left's, by the kernel's X H form. On other
+    input the table adds its sums in an order of its own, without BLAS,
+    so its scores do not depend on the BLAS build or its threads.
     """
     subtree = tuple(sorted(check_subset(model, subtree)))
     n = len(subtree)
@@ -394,13 +404,12 @@ def exhaustive_bisect(model: ProbabilityModel,
     else:
         rows = model.values[list(subtree)]
         total = rows.sum(axis=0)
-        floor = -np.inf
+        table, floor = _xlog2x_table(model), -np.inf
         for chunk, sums in _pooled_subsets(rows[1:], masks):
             halves = np.empty((2 * len(sums) + 1, sums.shape[1]))
             halves[0] = total
             np.add(rows[0], sums, out=halves[1:len(sums) + 1])
-            k, floor = _first_best(_split_scores(halves, model.total),
-                                   floor)
+            k, floor = _first_best(_split_scores(halves, table), floor)
             if k is not None:
                 best = int(chunk[k])
     left = subtree[:1] + tuple(row for row, bit in zip(subtree[1:], bits)

@@ -16,6 +16,7 @@ every decomposition. All entropies are in bits (base-2 logarithms).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,12 @@ IDENTITY_TOL = 1e-9  # bits
 # decompose sums each group's rows a block of at most this many cells (or
 # one row) at a time, so that no gathered block passes 512 KB.
 _BLOCK_CELLS = 2 ** 16
+# The largest column total that `_xlog2x_table` tabulates: 2^16 + 1
+# entries, 512 KB.
+_TABLE_MAX = 2 ** 16
+# Off the table, `_weighted_bits` scales rows whose largest total lies
+# outside [1 / _SCALE_RANGE, _SCALE_RANGE].
+_SCALE_RANGE = 2.0 ** 64
 
 
 @dataclass(frozen=True)
@@ -91,13 +98,65 @@ def shannon_entropy(dist) -> float:
 
 
 def _entropy_bits(p: np.ndarray) -> np.ndarray:
-    """Bits of each distribution along the last axis of `p`, unvalidated.
-    Adding 1 where p is 0 gives 0 log2 0 = 0 without a warning and leaves
-    every other p log2 p as it is."""
-    plogp = p + (p == 0)
-    np.log2(plogp, out=plogp)
-    plogp *= p
-    return np.maximum(-plogp.sum(axis=-1), 0.0)
+    """Bits of each distribution along the last axis of `p`, unvalidated."""
+    return np.maximum(-_xlog2x(p).sum(axis=-1), 0.0)
+
+
+def _xlog2x(x: np.ndarray) -> np.ndarray:
+    """x log2 x of each element of `x` (nonnegative) as a new array.
+    Adding 1 where x is 0 gives 0 log2 0 = 0 without a warning and leaves
+    every other x log2 x as it is."""
+    out = x + (x == 0)
+    np.log2(out, out=out)
+    out *= x
+    return out
+
+
+def _xlog2x_table(model: ProbabilityModel) -> np.ndarray | None:
+    """x log2 x of x = 0, 1, ..., the largest column total of the model's
+    values, read-only, when these are counts (see `matrix`) whose largest
+    column total is at most _TABLE_MAX; None otherwise. Every pooled sum
+    of count rows is then an index into it. Built on the first call and
+    kept in `model.cache` for every later one."""
+    if "xlog2x" not in model.cache:
+        top = model.values.sum(axis=0).max()
+        table = None
+        if top <= _TABLE_MAX and (model.values % 1 == 0).all():
+            table = _xlog2x(np.arange(int(top) + 1, dtype=float))
+            table.setflags(write=False)
+        model.cache["xlog2x"] = table
+    return model.cache["xlog2x"]
+
+
+def _weighted_bits(sums: np.ndarray, table: np.ndarray | None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """X H of each row of `sums` (nonnegative) in bits, where X is the
+    row's total and H the entropy of the row once normalized, and X: on
+    the raw sums, X H = X log2 X - sum_j x_j log2 x_j (Theil 1972), with
+    no divide and one log2 per cell. With a `_xlog2x_table` that covers
+    the sums, each x_j log2 x_j is looked up in it, which gives the bits
+    of the log2 route.
+
+    Off the table, rows whose largest total lies outside [2^-64, 2^64]
+    are first scaled by one power of two, which brings it into [1/2, 1):
+    X log2 X then does not overflow near the float maximum, and does not
+    lose its bits to subnormals near 0. X H is then that of the scaled
+    rows, and so is X; their ratio H is unchanged.
+
+    The form cancels as H approaches 0, where the terms, about X log2 X,
+    are many times their difference: H keeps an absolute error of a few
+    ulps of log2 X, not a relative one. It ranks splits; reported
+    entropies come from `_entropies`."""
+    totals = sums.sum(axis=-1)
+    if table is not None:
+        xlogx = table[sums.astype(np.intp)]
+    else:
+        top = totals.max(initial=0.0)
+        if top > _SCALE_RANGE or 0 < top < 1 / _SCALE_RANGE:
+            sums = np.ldexp(sums, -math.frexp(top)[1])
+            totals = sums.sum(axis=-1)
+        xlogx = _xlog2x(sums)
+    return _xlog2x(totals) - xlogx.sum(axis=-1), totals
 
 
 def _entropies(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

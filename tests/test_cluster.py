@@ -1,7 +1,9 @@
 import io
 import itertools
+import math
 import subprocess
 import sys
+import tracemalloc
 import unittest.mock
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from infodiv import (
     cluster,
     decompose,
     divisive_cluster,
+    entropy,
     evaluate_bipartition,
     exhaustive_partition,
     extract_clusters,
@@ -28,7 +31,7 @@ from infodiv import (
 
 from infodiv.cluster import _ARGMAX_MIN, STRICT_TOL, _first_best, \
     _split_scores, exhaustive_bisect
-from infodiv.entropy import _entropies
+from infodiv.entropy import _entropies, _xlog2x_table
 from infodiv.io import export_dendrogram, parse_csv
 
 from conftest import ROUNDING_COUNTS, brute_local_h0, examples, \
@@ -336,7 +339,7 @@ def test_streaming_bisect_of_a_larger_model_matches_the_reference(
         chunked = exhaustive_bisect(pm, subtree)
         monkeypatch.undo()
         assert chunked == reference_exhaustive_bisect(pm, subtree)
-        assert pm.cache == {}
+        assert "subsets" not in pm.cache
 
 
 @given(st.one_of(sparse_count_matrices(max_cols=12), two_scale_matrices(),
@@ -455,7 +458,7 @@ def _split_bits(ev):
 def test_exact_pooling_split_numbers_depend_only_on_row_sets(m, data):
     # On count input every pooled sum is exact, so a split scores the same
     # whatever the order of its rows, whichever half is `left`, and
-    # whichever search found it; the kernel's score is its local_h0.
+    # whichever search found it.
     pm = probability_model(m)
     order = data.draw(st.permutations(range(m.n_rows)))
     subtree = tuple(order[:data.draw(st.integers(2, m.n_rows))])
@@ -466,10 +469,20 @@ def test_exact_pooling_split_numbers_depend_only_on_row_sets(m, data):
                   (subtree[::-1], left[::-1]), (subtree, ev.right)):
         assert _split_bits(evaluate_bipartition(pm, *other)) == \
             _split_bits(ev)
-    sums = np.zeros((3, m.n_cols))
-    sums[0] = m.values[list(subtree)].sum(axis=0)
-    sums[1] = m.values[list(left)].sum(axis=0)
-    assert _split_scores(sums, pm.total)[0] == ev.local_h0
+    # The kernel ranks by another form of the same number: within 1e-13
+    # bits of local_h0, and one float for every order of the rows and
+    # either half as `left`.
+    def kernel(group, half):
+        sums = np.zeros((3, m.n_cols))
+        sums[0] = m.values[list(group)].sum(axis=0)
+        sums[1] = m.values[list(half)].sum(axis=0)
+        return _split_scores(sums, _xlog2x_table(pm))[0].hex()
+
+    score = kernel(subtree, left)
+    assert abs(float.fromhex(score) - ev.local_h0) <= 1e-13
+    for other in ((sorted(subtree), sorted(left)),
+                  (subtree[::-1], left[::-1]), (subtree, ev.right)):
+        assert kernel(*other) == score
 
     greedy = greedy_bisect(pm, subtree, ClusterOptions(stop_rule="full"))
     exact = exhaustive_bisect(pm, subtree)
@@ -543,19 +556,116 @@ def test_entropies_equal_the_masked_formula_bit_for_bit(m, c, data):
     for sums in (halves, halves[0], halves[0, 0]):
         for got, want in zip(_entropies(sums), reference_entropies(sums)):
             assert got.tobytes() == want.tobytes()
-    # The one call on the group's sum and both halves against one call per
-    # half, on a group of positive weight after the divide by the grand
-    # sum; with divisive_only, a split that is not divisive scores -inf.
+    # The kernel ranks by X H of the raw sums: its scores lie within 1e-13
+    # bits of one reference call per half, and with divisive_only a split
+    # that is not divisive scores -inf, wherever no half's entropy lies
+    # within 1e-13 of that boundary. No score changes when every sum is
+    # scaled by a power of two, so the reference scores the sums scaled to
+    # a group total near 1, where its weights are not subnormal.
     total = halves[0].sum(axis=0) + halves[1].sum(axis=0)
-    grand = data.draw(st.sampled_from([1.0, 0.75, 3.0]))
-    assume(total.sum() / grand > 0)
+    assume(total.any())
     left_sums = np.minimum(halves[0], total)
-    scores, divisive = reference_split_scores(total, left_sums, grand)
+    scale = -math.frexp(total.sum())[1]
+    total_ref, left_ref = np.ldexp(total, scale), np.ldexp(left_sums, scale)
+    grand = data.draw(st.sampled_from([1.0, 0.75, 3.0]))
+    scores, divisive = reference_split_scores(total_ref, left_ref, grand)
+    boundary = reference_entropies(total_ref)[0] - STRICT_TOL
+    clear = np.ones(len(left_sums), dtype=bool)
+    for half in left_ref, np.maximum(total_ref - left_ref, 0.0):
+        clear &= abs(reference_entropies(half)[0] - boundary) > 1e-13
     for divisive_only in (False, True):
-        want = np.where(divisive, scores, -np.inf) if divisive_only else scores
         sums = np.concatenate([total[None], left_sums, left_sums])
-        got = _split_scores(sums, grand, divisive_only)
-        assert got.tobytes() == want.tobytes()
+        got = _split_scores(sums, None, divisive_only)
+        if divisive_only:
+            assert (np.isinf(got) == ~divisive)[clear].all()
+            kept = ~np.isinf(got)
+            got, want = got[kept], scores[kept]
+        else:
+            want = scores
+        assert np.abs(got - want).max(initial=0.0) <= 1e-13
+
+
+def _kernel_scores(pm, subtree, lefts, divisive_only):
+    """The kernel's scores, as bytes, of the splits of `subtree` into each
+    of `lefts` and the rest, with the model's x log2 x table."""
+    sums = np.empty((2 * len(lefts) + 1, pm.n_cols))
+    sums[0] = pm.values[list(subtree)].sum(axis=0)
+    for i, left in enumerate(lefts, 1):
+        sums[i] = pm.values[list(left)].sum(axis=0)
+    return _split_scores(sums, _xlog2x_table(pm), divisive_only).tobytes()
+
+
+@given(st.one_of(sparse_count_matrices(cells=(0, 1, 2, 97, 400, 4093)),
+                 sparse_count_matrices(), two_scale_matrices()), st.data())
+@settings(max_examples=examples(200), deadline=None)
+def test_xlog2x_table_is_a_memo_of_the_log2_route(m, data):
+    # Every prefix of a random order of the group is a left half. The
+    # table and np.log2 give each x log2 x the same bits, so every score.
+    order = data.draw(st.permutations(range(m.n_rows)))
+    subtree = tuple(order[:data.draw(st.integers(2, m.n_rows))])
+    lefts = [subtree[:i] for i in range(1, len(subtree))]
+    tabled = probability_model(m)
+    with unittest.mock.patch.object(entropy, "_TABLE_MAX", -1):
+        logged = probability_model(m)
+        assert _xlog2x_table(logged) is None
+    counts = (m.values % 1 == 0).all()
+    assert (_xlog2x_table(tabled) is not None) == counts
+    for divisive_only in (False, True):
+        assert _kernel_scores(tabled, subtree, lefts, divisive_only) == \
+            _kernel_scores(logged, subtree, lefts, divisive_only)
+
+
+@pytest.mark.parametrize("top", [2 ** 16, 2 ** 16 + 1])
+def test_xlog2x_table_at_its_guard(top, rng):
+    # A largest column total of 2^16 is tabulated, one of 2^16 + 1 is not;
+    # either way the scores are those of the log2 route.
+    vals = rng.integers(0, 40, size=(9, 6)).astype(float)
+    vals[:, 0] += 1
+    vals[0, 2] += top - vals[:, 2].sum()
+    m = build_matrix([f"r{i}" for i in range(9)],
+                     [f"c{j}" for j in range(6)], vals)
+    pm = probability_model(m)
+    table = _xlog2x_table(pm)
+    if top == 2 ** 16:
+        assert len(table) == top + 1 and not table.flags.writeable
+        assert table[top] == top * 16.0 and table[0] == 0.0
+    else:
+        assert table is None
+    subtree = tuple(rng.permutation(9).tolist())
+    lefts = [subtree[:i] for i in range(1, 9)]
+    with unittest.mock.patch.object(entropy, "_TABLE_MAX", -1):
+        logged = probability_model(m)
+        assert _xlog2x_table(logged) is None
+    for divisive_only in (False, True):
+        assert _kernel_scores(pm, subtree, lefts, divisive_only) == \
+            _kernel_scores(logged, subtree, lefts, divisive_only)
+    assert greedy_bisect(pm, subtree) == greedy_bisect(logged, subtree)
+
+
+def test_xlog2x_table_memory():
+    # Cells near 1e6 put every column total past the guard: no table, and
+    # nothing the size of the values is allocated to find that out. A
+    # corpus-sized model, 60 x 40 counts up to 400, builds a table of at
+    # most 60 * 400 + 1 floats.
+    rng = np.random.default_rng(3)
+    for cells, bound in ((rng.integers(10 ** 6 - 100, 10 ** 6, (60, 40)),
+                          2 ** 12),
+                         (rng.integers(1, 401, (60, 40)), 2 ** 19)):
+        pm = probability_model(build_matrix(
+            [f"r{i}" for i in range(60)], [f"c{j}" for j in range(40)],
+            cells))
+        tracemalloc.start()
+        try:
+            table = _xlog2x_table(pm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+        if cells.max() > 400:
+            assert table is None
+        else:
+            assert len(table) == cells.sum(axis=0).max() + 1
+            assert table.nbytes <= 8 * (60 * 400 + 1)
 
 
 def test_entropies_of_zero_columns_and_rows():
