@@ -166,15 +166,21 @@ def _scored_split(sums: np.ndarray, total: float, left: RowSubset,
                   right: RowSubset) -> SplitEvaluation:
     """A group's split into `left` and `right` from the raw sums of the
     group and both halves, rows 0-2 of `sums`, in one `_entropies` call;
-    each weight is a pooled total over `total`, the grand sum."""
-    h, w = _entropies(sums)
-    w /= total
+    each weight is a pooled total over `total`, the grand sum. Where a
+    weight underflows to 0, local_h0 is formed from the raw totals, whose
+    ratios it needs alone."""
+    h, x = _entropies(sums)
+    w = x / total
     (h_agg, h_l, h_r), (w_sub, w_l, w_r) = h.tolist(), w.tolist()
-    # Zero rows are rejected at ingestion, so every weight is positive.
-    if not min(w_sub, w_l, w_r) > 0:
-        raise AssertionError(f"a group of {left + right} has zero probability")
     # Within-subtree weights; the chain rule wants global_delta = w_sub * h0.
-    local_h0 = max(h_agg - (w_l * h_l + w_r * h_r) / w_sub, 0.0)
+    a_sub, a_l, a_r = w_sub, w_l, w_r
+    if not min(w_sub, w_l, w_r) > 0:
+        a_sub, a_l, a_r = x.tolist()
+        # Zero rows are rejected at ingestion, so every total is positive.
+        if not min(a_sub, a_l, a_r) > 0:
+            raise AssertionError(
+                f"a group of {left + right} has zero probability")
+    local_h0 = max(h_agg - (a_l * h_l + a_r * h_r) / a_sub, 0.0)
     divisive = (h_l < h_agg - STRICT_TOL) and (h_r < h_agg - STRICT_TOL)
     return SplitEvaluation(left=left, right=right, h_aggregate=h_agg,
                            h_left=h_l, h_right=h_r, local_h0=local_h0,
@@ -363,7 +369,8 @@ def exhaustive_bisect(model: ProbabilityModel,
     the table for all 2^n subsets of its rows, so a single bisection of a
     small group of a 12-row model pays for the 4096-subset table; every
     later call, at any node of the same model, scores by lookup alone.
-    On a larger model the left halves are pooled a chunk at a time
+    On a larger model, and for a group whose weight in the table underflows
+    to 0, the left halves are pooled a chunk at a time
     (`_pooled_subsets`) and ranked by `_split_scores`, each right half
     the group's sum minus the left's, by the kernel's X H form. On other
     input the table adds its sums in an order of its own, without BLAS,
@@ -386,6 +393,12 @@ def exhaustive_bisect(model: ProbabilityModel,
     # the others. The subsets of rows j.. are the empty set, {j}, {j} with
     # each nonempty one of rows j+1.., then those nonempty ones again.
     table = model.n_rows <= MAX_PARTITION_ROWS
+    if table:
+        h, w, wh = _subset_table(model)
+        group = sum(1 << j for j in subtree)
+        # A group whose weight underflows to 0 has no scores in the table;
+        # its raw rows are ranked as on a larger model.
+        table = w[group] > 0
     bits = [1 << j for j in (subtree[1:] if table else range(n - 1))]
     masks = np.zeros(1, dtype=np.int32)
     for bit in reversed(bits):
@@ -395,9 +408,7 @@ def exhaustive_bisect(model: ProbabilityModel,
     if len(masks) != 2 ** (n - 1) - 1:
         raise AssertionError(f"{len(masks)} candidates for {n} rows")
     if table:
-        h, w, wh = _subset_table(model)
         lefts = masks | 1 << subtree[0]
-        group = sum(bits, 1 << subtree[0])
         scores = np.maximum(
             h[group] - (wh[lefts] + wh[group ^ lefts]) / w[group], 0.0)
         best = int(masks[_first_best(scores, -np.inf)[0]])

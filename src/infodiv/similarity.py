@@ -7,44 +7,63 @@ exactly and zero handling is never silent: undefined cases (constant or
 all-zero vectors, NaN or infinite coordinates) raise instead of producing
 NaN.
 
-A pair of vectors of width w is scored by one of two routes, chosen by the
-two vectors alone:
+One exact route scores a pair of vectors of width w. With sx = sum(x),
+sxx = sum(x^2) and sxy = sum(xy), its numerator and two radicands are
+sxy, sxx and syy for cosine, and w*sxy - sx*sy, w*sxx - sx^2 and
+w*syy - sy^2 for Pearson; each is formed exactly and rounded to nearest
+once, and r is the numerator over sqrt(rx) * sqrt(ry), clipped to [-1, 1]
+(+0.0 for a zero numerator). Where the radicands are equal the divisor is
+the radicand itself, not the product of its square roots, which can miss
+it by an ulp.
 
-- the integer route, when every coordinate is an integer and each vector's
-  absolute coordinates sum to at most isqrt(2^62 // w). With sx = sum(x),
-  sxx = sum(x^2) and sxy = sum(xy), w*sxx, w*sxy, sx^2 and sx*sy are then
-  at most 2^62 in magnitude, and Pearson's numerator at most 1.5 * 2^62,
-  so every sum and form below is an exact int64 value. Cosine is
-  sxy / (sqrt(sxx) * sqrt(syy)) and Pearson (w*sxy - sx*sy) /
-  (sqrt(w*sxx - sx^2) * sqrt(w*syy - sy^2)), each numerator and radicand
-  an exact integer converted to float once;
-- the float route, for every other pair: Pearson centers both vectors in
-  float first, and every sum of squares or products is rounded once, from
-  its exact value, by `_exact_sums`, a vectorised error-free summation
-  whose result is certified a posteriori, with `math.fsum` only for the
-  rows the certificate does not cover.
+The forms are exact because each vector is first scaled by its own power
+of two, 2^k with k >= 0 the least that makes every coordinate an integer
+(r does not change), and a vector fits if its integers X are at most
+`_LIMB_CAP` = 2^64 in magnitude. The cap does not depend on the width, so
+appending zeros never changes a pair's route.
 
-On both routes the divisor of two equal radicands is the radicand itself,
-not the product of its square roots, which can miss it by an ulp.
+`pearson` and `cosine` form a fitting pair's sums in Python ints
+(`_exact_pair`). `similarity_matrix` forms them for the pairs of fitting
+rows from error-free matrix products (Ozaki, Ogita, Oishi & Rump, Numer.
+Algorithms 59, 2012): the rows' integers are split into L signed limbs of
+b bits, X = sum_a X_a 2^(ab) with |X_a| <= 2^(b-1), where b is the largest
+with 2b + 2 log2(w) + 1 <= 53 (for L <= 4; `_limb_plan` gives the rule for
+any L) and L the fewest that hold the largest |X|. One float64 matmul of
+the rows' stacked limbs gives the products of every limb a of row i with
+every limb c of row j; a pair's level t gathers those with a + c = t, of
+weight 2^(tb). A sum of w products of two limbs is at most w 2^(2b-2) in
+magnitude, a level of sxy at most L w 2^(2b-2), and Pearson's levels of
+w*sxy and of sx*sy each at most L w^2 2^(2b-2), so a level of its
+numerator is at most L w^2 2^(2b-1) <= 2^53. Every partial sum is an
+integer in that range, exact in float64 in any order, so no result depends
+on the BLAS, its kernel or its threads. Each form's 2L - 1 levels are
+rounded once by `_exact_sums`; at L = 1 the one level is the form. Counts
+up to 2^(b-1) need one limb (262,144 at w = 80), which multiplies them as
+they are. The Gram is taken a block of rows at a time; under "missing" the
+diagonal is set to 0, and pair i, j subtracts position j's terms from row
+i's sums.
 
-Where the float route's products are exact (each |x_k * y_k| and x_k^2
-at most 2^53), both routes divide the same correctly rounded sums, so
-their cosines are equal (the integer route writes +0.0 for -0.0). Pearson
-can differ in the last bits: the integer route does not center in float.
+The float fallback takes a pair with a vector past the limb cap, such as
+one holding both 1e-300 and 1e300: Pearson centers both vectors in float
+first, and every sum of squares or products is rounded once, from its
+exact value, by `_exact_sums`, a vectorised error-free summation whose
+result is certified a posteriori, with `math.fsum` only for the rows the
+certificate does not cover.
 
 `pearson` and `cosine` test their pair, and `similarity_matrix` tests each
-pair, pair i, j under "missing" without positions i and j. The matrix
-scores its integer pairs from an int64 Gram matrix of its rows, a block of
-rows at a time, and the others through the body that scores one float
-pair, a chunk of at most `_CHUNK_CELLS` matrix cells at a time. So the
-matrix gives, bit for bit, what `pearson` or `cosine` give on each pair,
-and raises for the same first undefined pair in row-major order, whichever
-route scored it.
+pair, pair i, j under "missing" without positions i and j. The matrix's
+pairs with a row past the cap go through the body that scores one pair, a
+chunk of at most `_CHUNK_CELLS` matrix cells at a time (under "missing"
+such a pair's vectors may still fit). Every fitting pair's forms are the
+same exact integers, each rounded once, so the matrix gives, bit for bit,
+what `pearson` or `cosine` give on each pair, and raises for the same first
+undefined pair in row-major order, whichever way it was scored.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +96,15 @@ _OVERFLOW = (NonFiniteValueError,
 _CHUNK_CELLS = 2 ** 14
 # _exact_sums certifies a row only if its sum is at most this in magnitude.
 _CERT_MAX = 2.0 ** 1000
-# A vector of width w takes the integer route only if it is integral and its
-# absolute coordinates sum to at most isqrt(_INT_RANGE // w).
-_INT_RANGE = 2 ** 62
+# A vector fits the limbs if its scaled integers are at most this in
+# magnitude; one past it takes the float fallback. The bound does not
+# depend on the width, so appending zeros keeps a pair's route.
+_LIMB_CAP = 2.0 ** 64
+# A product of two blocks' limbs multiplies fewer than this many pairs of
+# cells (rows times rows times width). OpenBLAS runs such a product on one
+# thread by default; on a shared two-core machine, products spread over
+# two threads took up to milliseconds more each.
+_GEMM_PRODUCTS = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -102,7 +127,7 @@ def cosine(x, y) -> float:
 
 def _pair(measure: str, x, y) -> float:
     """`measure` of the vectors x and y: the one-pair case of
-    `_integer_scores` or of `_scores`, as the module docstring's test picks.
+    `_vector_scores`.
 
     Exact sums make the result invariant under appending coordinates that
     are zero in both vectors.
@@ -110,58 +135,74 @@ def _pair(measure: str, x, y) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_vectors(measure, x.shape, y.shape)
-    pair = np.stack([x, y])
-    if not np.isfinite(pair).all():
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise NonFiniteValueError(f"{measure} undefined for a vector with "
                                   "NaN or infinite coordinates")
-    width = len(x)
-    kept, bound = _integer_cells(pair, width)
-    # Kept cells are integers of at most 2^31 / sqrt(w), summed exactly.
-    if kept.all() and (np.abs(pair).sum(axis=1) <= bound).all():
-        ints = pair.astype(np.int64)
-        gram = ints @ ints.T
-        sums = ints.sum(axis=1)
-        r, undefined = _integer_scores(measure, width, gram[:1, 1],
-                                       gram[:1, 0], gram[1:, 1], sums[:1],
-                                       sums[1:])
-        if undefined[0]:
-            _raise_undefined(measure)
-        return float(r[0])
-    space = _sum_space(2, width)
-    rows, ss = _prepared(measure, pair, space)
-    return float(_scores(measure, rows[:1], ss[:1], rows[1:], ss[1:],
-                         space)[0])
+    r, undefined, overflow = _vector_scores(measure, x[None], y[None],
+                                            _sum_space(1, len(x)))
+    if undefined[0] or overflow[0]:
+        _raise_undefined(measure, overflow=bool(overflow[0]))
+    return float(r[0])
 
 
-def _integer_cells(rows: np.ndarray, width: int) -> tuple[np.ndarray, int]:
-    """The mask of the cells of the float array `rows` that are integers of
-    magnitude at most `bound` = isqrt(_INT_RANGE // width), and `bound`. A
-    vector of `width` cells takes the integer route if every cell is in the
-    mask and the cells' magnitudes sum to at most `bound` (a cell past
-    `bound` would take the sum past it on its own)."""
-    bound = math.isqrt(_INT_RANGE // width)
-    kept = np.floor(rows) == rows
-    kept &= np.abs(rows) <= bound
-    return kept, bound
+def _vector_scores(measure: str, x: np.ndarray, y: np.ndarray, space
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`measure` of each pair k of the rows x[k] and y[k] of two 2-D
+    arrays of finite values, and the masks of the undefined pairs and of
+    those whose centering leaves the float range (whose scores mean
+    nothing). A pair whose two vectors fit the limbs is scored by
+    `_exact_pair`, every other one on the float fallback, its sums in
+    `space`."""
+    pairs = len(x)
+    rows = np.concatenate([x, y])
+    k, top = _scales(rows, _exponents(rows))
+    fits = np.maximum(top[:pairs], top[pairs:]) <= _LIMB_CAP
+    r = np.empty(pairs)
+    undefined = np.zeros(pairs, dtype=bool)
+    overflow = np.zeros(pairs, dtype=bool)
+    for p in np.flatnonzero(fits).tolist():
+        r[p], undefined[p] = _exact_pair(measure, np.ldexp(x[p], k[p]),
+                                         np.ldexp(y[p], k[pairs + p]))
+    rest = np.flatnonzero(~fits)
+    if len(rest):
+        xr, sxx = _prepared(measure, x[rest], space)
+        yr, syy = _prepared(measure, y[rest], space)
+        r[rest], undefined[rest], overflow[rest] = _scores(
+            measure, xr, sxx, yr, syy, space)
+    return r, undefined, overflow
 
 
-def _integer_scores(measure: str, width: int, sxy: np.ndarray,
-                    sxx: np.ndarray, syy: np.ndarray, sx: np.ndarray,
-                    sy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`measure` of the pairs of integer vectors of `width` with the int64
-    sums sxy, sxx, syy, sx and sy (arrays that broadcast together), clipped
-    to [-1, 1], and the mask of the undefined pairs. Under the integer
-    route's test every value formed here is exact; where a pair fails the
-    test its sums may have wrapped around, and its score means nothing."""
+def _exact_pair(measure: str, x: np.ndarray, y: np.ndarray
+                ) -> tuple[float, bool]:
+    """`measure` of the integer-valued float vectors x and y, and whether
+    it is undefined: the numerator and radicands in Python ints, each
+    converted to float once (round half to even, as `_exact_sums`
+    rounds), then divided as `_ratio` divides."""
+    x, y = [int(v) for v in x.tolist()], [int(v) for v in y.tolist()]
+    sxy = sum(map(operator.mul, x, y))
+    sxx, syy = sum(map(operator.mul, x, x)), sum(map(operator.mul, y, y))
     if measure == "pearson":
-        sxy = width * sxy - sx * sy
-        sxx = width * sxx - sx * sx
-        syy = width * syy - sy * sy
-    undefined = (sxx == 0) | (syy == 0)
+        w, sx, sy = len(x), sum(x), sum(y)
+        sxy, sxx, syy = w * sxy - sx * sy, w * sxx - sx * sx, \
+            w * syy - sy * sy
+    num, rx, ry = float(sxy), float(sxx), float(syy)
+    if rx == 0 or ry == 0:
+        return 0.0, True
+    r = num / (rx if rx == ry else math.sqrt(rx) * math.sqrt(ry))
+    return min(1.0, max(-1.0, r)) + 0.0, False
+
+
+def _ratio(num: np.ndarray, rx: np.ndarray, ry: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """num / `_divisor`(rx, ry) for the rounded exact forms of pairs,
+    clipped to [-1, 1] with -0.0 as +0.0, and the mask of the undefined
+    pairs, those with a zero radicand."""
+    undefined = (rx == 0) | (ry == 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = sxy.astype(float)
-        r /= _divisor(sxx.astype(float), syy.astype(float))
-    return np.clip(r, -1.0, 1.0, out=r), undefined
+        r = num / _divisor(rx, ry)
+    r = np.clip(r, -1.0, 1.0, out=r)
+    r += 0.0
+    return r, undefined
 
 
 def _divisor(sxx: np.ndarray, syy: np.ndarray) -> np.ndarray:
@@ -188,6 +229,109 @@ def _check_vectors(measure: str, x_shape: tuple, y_shape: tuple) -> None:
                                 f"length >= {min_width}")
 
 
+def _limb_plan(width: int, top: float) -> tuple[int, int]:
+    """b and L for a Gram of rows of `width` cells whose scaled integers
+    are at most `top` in magnitude: the fewest limbs L, each of the largest
+    b with 2b + 2 ceil(log2(width)) + max(2, ceil(log2(L))) <= 54, for
+    which top <= 2^(Lb - 1). That makes L w^2 2^(2b-1) <= 2^53; for L <= 4
+    it is 2b + 2 log2(w) + 1 <= 53."""
+    count = 1
+    while True:
+        bits = (54 - 2 * (width - 1).bit_length()
+                - max(2, (count - 1).bit_length())) // 2
+        if top <= 2.0 ** (count * bits - 1):
+            return bits, count
+        count += 1
+
+
+def _exponents(rows: np.ndarray) -> np.ndarray | None:
+    """For each cell of the 2-D array of finite `rows`, the least k for
+    which cell * 2^k is an integer (0 for a zero cell, negative for an
+    integer with trailing zero bits); None if every cell is an integer."""
+    if (np.floor(rows) == rows).all():
+        return None
+    mantissa, exponent = np.frexp(rows)
+    digits = np.ldexp(mantissa, 53).astype(np.int64)
+    lowest = digits & -digits  # the lowest set bit of |digits|
+    # cell = digits * 2^(exponent - 53); with lowest = 2^(z - 1), the
+    # cell's lowest set bit is 2^(exponent - 54 + z).
+    return np.where(lowest != 0, 54 - exponent - np.frexp(lowest)[1], 0)
+
+
+def _scales(rows: np.ndarray, need: np.ndarray | None
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of the 2-D array of finite `rows`, whose
+    `_exponents` are `need`: k >= 0, the least for which row * 2^k holds
+    only integers, and the largest magnitude there (inf past the float
+    range)."""
+    top = np.abs(rows).max(axis=1)
+    if need is None:
+        return np.zeros(len(rows), dtype=np.int64), top
+    k = np.maximum(need.max(axis=1), 0)
+    with np.errstate(over="ignore"):
+        return k, np.ldexp(top, k)
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The row-wise dot products of the 2-D array x with each 2-D array
+    y[c]."""
+    return np.einsum("ik,cik->ci", x, y)
+
+
+def _split(rows: np.ndarray, bits: int, count: int) -> np.ndarray:
+    """The `count` signed limbs of the integer-valued float array `rows`,
+    of magnitude at most 2^(`bits` - 1) each, rows = sum_a limbs[a] *
+    2^(a * bits): limbs[a] is the rest rounded to a multiple of 2^(a *
+    bits), from the top down. Every step is exact: the rest is an integer
+    of at most 53 significant bits. One limb is `rows` itself."""
+    if count == 1:
+        return rows[None]
+    limbs = np.empty((count,) + rows.shape)
+    rest = rows
+    for a in range(count - 1, 0, -1):
+        np.rint(rest * 2.0 ** (-a * bits), out=limbs[a])
+        rest = rest - limbs[a] * 2.0 ** (a * bits)
+    limbs[0] = rest
+    return limbs
+
+
+def _levels(x: np.ndarray, y: np.ndarray, product=np.multiply
+            ) -> np.ndarray:
+    """The levels of the products of two stacks of L limbs (or limb sums):
+    level t, for t < 2L - 1, sums product(x[a], y)[c] over a + c = t,
+    where product(x[a], y) gives the products of x[a] with each y[c]."""
+    count = len(x)
+    levels = None
+    for a in range(count):
+        products = product(x[a], y)
+        if levels is None:
+            levels = np.zeros((2 * count - 1,) + products.shape[1:])
+        levels[a:a + count] += products
+    return levels
+
+
+def _form(measure: str, width: int, second: np.ndarray, first_x: np.ndarray,
+          first_y: np.ndarray, out: np.ndarray) -> None:
+    """Write to `out` the levels of cosine's sum(xy), or of Pearson's
+    w*sum(xy) - sum(x)*sum(y), from the levels `second` of sum(xy) and the
+    limb sums first_x and first_y of sum(x) and sum(y)."""
+    if measure == "cosine":
+        out[...] = second
+    else:
+        np.multiply(second, width, out=out)
+        out -= _levels(first_x, first_y)
+
+
+def _rounded(terms: np.ndarray, bits: int, space) -> np.ndarray:
+    """sum_t terms[:, t] * 2^(t * bits) for each row of the 2-D array
+    `terms` (which it overwrites), rounded once to nearest by `_exact_sums`
+    in `space`; one term is returned as it is."""
+    if terms.shape[1] == 1:
+        return terms[:, 0]
+    terms *= 2.0 ** (bits * np.arange(terms.shape[1]))
+    return _exact_sums(terms, space)
+
+
 def _prepared(measure: str, rows: np.ndarray, space
               ) -> tuple[np.ndarray, np.ndarray]:
     """The rows of the fresh 2-D array `rows`, centered in place for
@@ -200,23 +344,23 @@ def _prepared(measure: str, rows: np.ndarray, space
 
 
 def _scores(measure: str, x: np.ndarray, sxx: np.ndarray, y: np.ndarray,
-            syy: np.ndarray, space, name=None) -> np.ndarray:
-    """`measure` of each pair k of rows x[k] and y[k] from `_prepared`,
-    whose sums of squares are sxx[k] and syy[k]: sum(xy) / `_divisor`,
-    clipped to [-1, 1], which the rounding of the divisor can leave by an
-    ulp. The products overwrite x, and are summed in `space`. The first
-    undefined pair raises, its message followed by name(k) when `name` is
-    given."""
-    # Centered values past the float range leave a sum of squares that is
-    # not finite, even after scaling.
-    finite = np.isfinite(sxx) & np.isfinite(syy)
-    bad = np.flatnonzero(~finite | (sxx == 0) | (syy == 0))
-    if len(bad):
-        k = int(bad[0])
-        _raise_undefined(measure, None if name is None else name(k),
-                         overflow=not finite[k])
-    r = _exact_sums(np.multiply(x, y, out=x), space) / _divisor(sxx, syy)
-    return np.clip(r, -1.0, 1.0)
+            syy: np.ndarray, space
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The float fallback's `measure` of each pair k of rows x[k] and y[k]
+    from `_prepared`, whose sums of squares are sxx[k] and syy[k]:
+    sum(xy) / `_divisor`, clipped to [-1, 1], which the rounding of the
+    divisor can leave by an ulp; the products are summed in `space`. Also
+    the masks of the undefined pairs and of those whose centered values
+    left the float range (a sum of squares not finite, even after
+    scaling); their scores mean nothing."""
+    overflow = ~(np.isfinite(sxx) & np.isfinite(syy))
+    undefined = ~overflow & ((sxx == 0) | (syy == 0))
+    r = np.zeros(len(x))
+    good = np.flatnonzero(~(overflow | undefined))
+    if len(good):
+        r[good] = _exact_sums(x[good] * y[good], space) / \
+            _divisor(sxx[good], syy[good])
+    return np.clip(r, -1.0, 1.0, out=r), undefined, overflow
 
 
 def _scaled_rows(rows: np.ndarray, space) -> tuple[np.ndarray, np.ndarray]:
@@ -393,11 +537,11 @@ def similarity_matrix(matrix: LabeledMatrix, measure: str = "pearson",
     vals = np.eye(n)
     if n > 1:
         _check_vectors(measure, (width,), (width,))
-        fits, stop = _integer_pairs(measure, values, width, missing, vals)
+        fits, stop = _limb_pairs(measure, values, width, missing, vals)
         # The other pairs i < j, in row-major order, up to the first
-        # undefined integer pair: an undefined one among them comes first.
-        first, second = np.triu_indices(n, 1) if fits is None \
-            else np.nonzero(np.triu(~fits, 1))
+        # undefined pair of fitting rows: an undefined one among them
+        # comes first.
+        first, second = np.nonzero(np.triu(~(fits[:, None] & fits), 1))
         if stop is not None:
             before = first * n + second < stop[0] * n + stop[1]
             first, second = first[before], second[before]
@@ -414,75 +558,166 @@ def _pair_name(labels, i, j) -> str:
     return f"(pair {labels[i]!r}, {labels[j]!r})"
 
 
-def _integer_pairs(measure: str, values: np.ndarray, width: int,
-                   missing: bool, vals: np.ndarray):
-    """Score into `vals` every pair of rows of the square non-negative
-    `values` that takes the integer route, from an int64 Gram matrix of the
-    rows, a block of rows at a time. Return the symmetric mask of those
-    pairs (None if there are none), and the first of them i < j, in
-    row-major order, that is undefined, or None; that pair and the ones
-    after it are not scored.
+def _rows(values: np.ndarray, start: int, stop: int, missing: bool
+          ) -> np.ndarray:
+    """Rows start to stop of the square `values`, with their diagonal
+    cells set to 0 (in a copy) under `missing`."""
+    rows = values[start:stop]
+    stop = start + len(rows)
+    if missing:
+        rows = rows.copy()
+        rows[np.arange(stop - start), np.arange(start, stop)] = 0.0
+    return rows
 
-    Under `missing` the diagonal is set to 0, which no pair's vectors hold,
-    and pair i, j subtracts positions i and j from each sum (one of the
-    two is then 0): sxy is the Gram entry itself, and sxx and sx lose
-    x_j^2 and x_j. The sums of all n cells may wrap around in int64, but a
-    pair's own sums are exact wherever the pair passes the test."""
+
+def _row_scales(values: np.ndarray, missing: bool):
+    """`_scales` of the rows of the square `values` (diagonal zeroed under
+    `missing`), k and the largest scaled magnitude, a block of rows at a
+    time. Under `missing` also pos and lift: row i without position pos[i]
+    needs a scale 2^lift[i] smaller than row i's own (where only that cell
+    needs k[i]; lift[i] is 0 elsewhere), without any other position the
+    same scale."""
     n = len(values)
-    kept, bound = _integer_cells(values, width)
-    lost = n - np.count_nonzero(kept, axis=1)  # cells not kept, per row
-    if missing:
-        lost -= ~kept.diagonal()
-    if (lost > missing).all():  # no row fits, as on most --log input
-        return None, None
-    ints = np.zeros((n, n), dtype=np.int64)
-    np.copyto(ints, values, casting="unsafe", where=kept)
-    if missing:
-        np.fill_diagonal(ints, 0)
-    size = ints.sum(axis=1)  # the cells are non-negative
-    if missing:
-        # Row i without position j fits if it lost no cell but that one
-        # and its other cells sum to at most `bound`.
-        fits = (lost == 0)[:, None] | ((lost == 1)[:, None] & ~kept)
-        fits &= ints >= (size - bound)[:, None]
-        fits &= fits.T
-    else:
-        row_fits = (lost == 0) & (size <= bound)
-        fits = row_fits[:, None] & row_fits
-    squares = np.einsum("ij,ij->i", ints, ints)
     block = max(1, _CHUNK_CELLS // n)
-    for a in range(0, n - 1, block):
-        # Rows i in [a, b) against rows j in [a, n), of which the pairs
-        # i < j are kept.
-        b = min(a + block, n - 1)
-        scored = np.triu(fits[a:b, a:], 1)
-        if not scored.any():
-            continue
-        sxy = ints[a:b] @ ints[a:].T
-        if missing:
-            xj, yi = ints[a:b, a:], ints[a:, a:b].T
-            r, undefined = _integer_scores(
-                measure, width, sxy, squares[a:b, None] - xj * xj,
-                squares[a:] - yi * yi, size[a:b, None] - xj, size[a:] - yi)
-        else:
-            r, undefined = _integer_scores(
-                measure, width, sxy, squares[a:b, None], squares[a:],
-                size[a:b, None], size[a:])
-        undefined &= scored
-        if undefined.any():
-            i, j = np.unravel_index(np.argmax(undefined), undefined.shape)
-            return fits, (a + int(i), a + int(j))
-        np.copyto(vals[a:b, a:], r, where=scored)
-        np.copyto(vals.T[a:b, a:], r, where=scored)
-    return fits, None
+    k, top = np.empty(n, dtype=np.int64), np.empty(n)
+    pos, lift = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    for a in range(0, n, block):
+        rows = _rows(values, a, a + block, missing)
+        need = _exponents(rows)
+        k[a:a + block], top[a:a + block] = _scales(rows, need)
+        if missing and need is not None:
+            pos[a:a + block] = need.argmax(axis=1)
+            lift[a:a + block] = k[a:a + block] - np.maximum(
+                np.partition(need, -2, axis=1)[:, -2], 0)
+    return k, top, pos, lift
+
+
+def _limb_pairs(measure: str, values: np.ndarray, width: int, missing: bool,
+                vals: np.ndarray):
+    """Score into `vals` every pair of rows of the square `values` of which
+    both rows fit the limbs (diagonal zeroed under `missing`), from a Gram
+    matrix of the rows' limbs, a block of rows at a time. Return the mask
+    of the rows that fit, and the first pair i < j of them, in row-major
+    order, that is undefined, or None.
+
+    A row fits if its own scaling, `_scales`, leaves it within the limb
+    cap; then so does each of its pair vectors, whose cells are among the
+    row's. Under `missing` the diagonal is 0, which no pair's vectors
+    hold, and pair i, j subtracts position j's terms from row i's sums
+    (sxy is the Gram entry itself). Where j = pos[i] (`_row_scales`), row
+    i's scale is 2^lift[i] more than the pair's own vector would take. That
+    changes each sum by an exact power of two, which leaves r alone but for
+    the test of equal radicands, so x's numerator and radicand are first
+    brought to the frame of the pair's own vectors.
+
+    Row blocks are taken from the last, each against the rows from its
+    own first on; the limb sums and squares of the later rows are then
+    known."""
+    n = len(values)
+    k, top, pos, lift = _row_scales(values, missing)
+    fits = top <= _LIMB_CAP
+    if not fits.any():
+        return fits, None
+    bits, count = _limb_plan(width, top[fits].max())
+    # Each level of a block pair's forms takes at most _CHUNK_CELLS cells,
+    # and each product of two blocks' limbs stays under _GEMM_PRODUCTS.
+    block = max(1, min(math.isqrt(_CHUNK_CELLS // (2 * count - 1)),
+                       math.isqrt((_GEMM_PRODUCTS - 1) // n)))
+    starts = range(0, n, block)
+    sums, squares = np.empty((count, n)), np.empty((2 * count - 1, n))
+    radicands = np.empty(n)
+    space = _sum_space(3 * block * block, 2 * count - 1) if count > 1 \
+        else None
+    scaled = k.any() or not fits.all()
+
+    def limbs(a):
+        rows = _rows(values, a, a + block, missing)
+        if scaled:
+            with np.errstate(over="ignore"):
+                rows = np.ldexp(rows, k[a:a + block, None])
+            rows[~fits[a:a + block]] = 0.0
+        return _split(rows, bits, count)
+
+    stop = n * n
+    for a in reversed(starts):
+        x_limbs = limbs(a)
+        end = a + x_limbs.shape[1]
+        sums[:, a:end] = x_limbs.sum(axis=2)
+        squares[:, a:end] = _levels(x_limbs, x_limbs, _dot)
+        if not missing:
+            terms = np.empty((end - a, 2 * count - 1))
+            _form(measure, width, squares[:, a:end], sums[:, a:end],
+                  sums[:, a:end], terms.T)
+            radicands[a:end] = _rounded(terms, bits, space)
+        for c in starts[a // block:]:
+            if c == a:
+                i, j = np.triu_indices(end - a, 1)
+            else:
+                i, j = np.indices((end - a, min(c + block, n) - c))
+                i, j = i.ravel(), j.ravel()
+            if not fits.all():
+                kept = fits[a + i] & fits[c + j]
+                i, j = i[kept], j[kept]
+            if not len(i):
+                continue
+            y_limbs = x_limbs if c == a else limbs(c)
+            # Limb u of the block's rows against limb v of the other's; on
+            # the diagonal block, v against u is the transpose.
+            cols = y_limbs.shape[1]
+            ij, ji = i * cols + j, j * cols + i
+            sxy = np.zeros((2 * count - 1, len(i)))
+            for u in range(count):
+                for v in range(u if c == a else 0, count):
+                    gram = x_limbs[u] @ y_limbs[v].T
+                    sxy[u + v] += gram.take(ij)
+                    if c == a and v > u:
+                        sxy[u + v] += gram.take(ji)
+            i, j = i + a, j + c
+            sx, sy = sums.take(i, axis=1), sums.take(j, axis=1)
+            # One row of terms per form of each pair, a column per level.
+            terms = np.empty((3 if missing else 1, len(i), 2 * count - 1))
+            if missing:
+                xj = x_limbs.reshape(count, -1).take((i - a) * n + j, axis=1)
+                yi = y_limbs.reshape(count, -1).take((j - c) * n + i, axis=1)
+                sx -= xj
+                sy -= yi
+                sxx = squares.take(i, axis=1) - _levels(xj, xj)
+                syy = squares.take(j, axis=1) - _levels(yi, yi)
+                _form(measure, width, sxx, sx, sx, terms[1].T)
+                _form(measure, width, syy, sy, sy, terms[2].T)
+            _form(measure, width, sxy, sx, sy, terms[0].T)
+            num, *radicands_ij = _rounded(
+                terms.reshape(-1, 2 * count - 1), bits, space).reshape(
+                len(terms), -1)
+            if missing:
+                rx, ry = radicands_ij
+                shift = np.where(pos[j] == i, lift[j], 0) - \
+                    np.where(pos[i] == j, lift[i], 0)
+                if shift.any():
+                    # A lift past 64 bits leaves a vector of zeros, whose
+                    # pair is undefined; the other side may then overflow.
+                    with np.errstate(over="ignore"):
+                        num = np.ldexp(num, shift)
+                        rx = np.ldexp(rx, 2 * shift)
+            else:
+                rx, ry = radicands[i], radicands[j]
+            r, undefined = _ratio(num, rx, ry)
+            vals[i, j] = vals[j, i] = r
+            bad = np.flatnonzero(undefined)
+            if len(bad):
+                stop = min(stop, int(i[bad[0]]) * n + int(j[bad[0]]))
+    return fits, None if stop == n * n else divmod(stop, n)
 
 
 def _float_pairs(measure: str, values: np.ndarray, first: np.ndarray,
                  second: np.ndarray, missing: bool, vals: np.ndarray,
                  labels) -> None:
     """Score into `vals` the pairs of rows first[k] < second[k] of
-    `values`, given in row-major order, a chunk at a time, each by the
-    body that scores pearson(x, y) or cosine(x, y) on the float route."""
+    `values`, given in row-major order, of which a row is past the limb
+    cap, a chunk at a time, each by the body that scores pearson(x, y) or
+    cosine(x, y). Under include such a pair's vector is that row, and it
+    takes the float fallback; under missing its vectors lack positions i
+    and j, and may fit."""
     n = len(values)
     width = n - 2 if missing else n
     chunk = max(1, min(len(first), _CHUNK_CELLS // n))
@@ -500,7 +735,8 @@ def _float_pairs(measure: str, values: np.ndarray, first: np.ndarray,
             # indices are in range, so "clip" changes nothing else.
             x = np.take(rows, i, axis=0, out=x_rows[:len(i)], mode="clip")
             y = np.take(rows, j, axis=0, out=y_rows[:len(j)], mode="clip")
-            sxx, syy = ss[i], ss[j]
+            r, undefined, overflow = _scores(measure, x, ss[i], y, ss[j],
+                                             space)
         else:
             # Pair k compares rows i[k] and j[k], both without positions
             # i[k] and j[k].
@@ -508,10 +744,12 @@ def _float_pairs(measure: str, values: np.ndarray, first: np.ndarray,
             keep = np.ones((len(i), n), dtype=bool)
             keep[pairs, i] = False
             keep[pairs, j] = False
-            x, sxx = _prepared(measure, values[i][keep].reshape(-1, width),
-                               space)
-            y, syy = _prepared(measure, values[j][keep].reshape(-1, width),
-                               space)
-        vals[i, j] = vals[j, i] = _scores(
-            measure, x, sxx, y, syy, space,
-            lambda k: _pair_name(labels, i[k], j[k]))
+            r, undefined, overflow = _vector_scores(
+                measure, values[i][keep].reshape(-1, width),
+                values[j][keep].reshape(-1, width), space)
+        bad = np.flatnonzero(undefined | overflow)
+        if len(bad):
+            k = int(bad[0])
+            _raise_undefined(measure, _pair_name(labels, i[k], j[k]),
+                             overflow=bool(overflow[k]))
+        vals[i, j] = vals[j, i] = r

@@ -290,22 +290,33 @@ def reference_restricted_growth_strings(n, max_groups):
 
 
 def reference_pair(measure, x, y):
-    """pearson or cosine of x and y: `reference_integer_pair` when both
-    vectors are integral with absolute coordinates summing to at most
-    isqrt(2^62 // width), else `reference_float_pair`."""
+    """pearson or cosine of x and y: `reference_integer_pair` of the two
+    vectors' dyadic integers when both are within the limb cap, else
+    `reference_float_pair`."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     min_width = 2 if measure == "pearson" else 1
     if x.shape != y.shape or x.ndim != 1 or len(x) < min_width:
         raise InvalidInputError(f"{measure} needs two equal-length "
                                 f"vectors, length >= {min_width}")
-    bound = math.isqrt(2 ** 62 // len(x))
-    vectors = x.tolist(), y.tolist()
-    if all(math.isfinite(v) and v.is_integer() for vec in vectors
-           for v in vec) and \
-            all(sum(abs(int(v)) for v in vec) <= bound for vec in vectors):
-        return reference_integer_pair(measure, x, y)
+    ints = reference_dyadic(x), reference_dyadic(y)
+    if all(v is not None for v in ints):
+        return reference_integer_pair(measure, *ints)
     return reference_float_pair(measure, x, y)
+
+
+def reference_dyadic(x):
+    """The coordinates of the vector x times 2^k, k >= 0 the least that
+    makes each an integer, as Python ints; None if one is not finite or
+    one passes the limb cap, 2^64 in magnitude."""
+    if not all(math.isfinite(v) for v in x.tolist()):
+        return None
+    ratios = [v.as_integer_ratio() for v in x.tolist()]
+    k = max(d.bit_length() - 1 for _, d in ratios)
+    ints = [n << (k - d.bit_length() + 1) for n, d in ratios]
+    if max(abs(v) for v in ints) > 2 ** 64:
+        return None
+    return ints
 
 
 def reference_integer_pair(measure, x, y):

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import itertools
 import json
 import math
+import os
 import re
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
-from infodiv import build_matrix, cosine, exhaustive_partition, \
-    format_number, parse_csv, verify_greedy, write_csv
+from infodiv import InfodivError, build_matrix, cosine, \
+    exhaustive_partition, format_number, parse_csv, verify_greedy, write_csv
 from infodiv import cli
 from infodiv.cli import run_cli
 from infodiv.io import canonical_json
@@ -479,3 +485,78 @@ def test_too_small_a_matrix_exits_2(tmp_path, capsys, csv_text, argv,
     assert run_cli([argv[0], str(p), *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+# Cells of every scale a count matrix can hold: zero, subnormals, the
+# smallest normal, tiny and huge reals, and the largest finite magnitudes.
+_FUZZ_CELLS = [0.0, 5e-324, 1e-310, 2e-308, 1e-300, 0.5, 1.0, 3.0, 1e300,
+               1.7e308]
+
+
+@st.composite
+def accepted_matrices(draw):
+    """A matrix of 2-6 rows that `build_matrix` accepts, of cells drawn
+    from _FUZZ_CELLS, square with matching labels in half of them; and a
+    grouping of its rows."""
+    n = draw(st.integers(2, 6))
+    k = n if draw(st.booleans()) else draw(st.integers(1, 6))
+    values = draw(st.lists(st.lists(st.sampled_from(_FUZZ_CELLS),
+                                    min_size=k, max_size=k),
+                           min_size=n, max_size=n))
+    rows = [f"r{i}" for i in range(n)]
+    cols = rows if k == n else [f"c{j}" for j in range(k)]
+    try:
+        build_matrix(rows, cols, values)
+    except InfodivError:
+        reject()
+    groups = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return rows, cols, values, {r: f"g{g}" for r, g in zip(rows, groups)}
+
+
+@given(accepted_matrices())
+@example((["a", "b", "c"], ["c1", "c2"],
+          [[0.0, 5e-324], [5e-324, 5e-324], [1.0, 2.0]],
+          {"a": "g0", "b": "g0", "c": "g1"}))
+@example((["a", "b", "c", "d"], ["c0"],
+          [[1e300], [5e-324], [5e-324], [5e-324]],
+          {"a": "g0", "b": "g0", "c": "g0", "d": "g0"}))
+@settings(max_examples=100, deadline=None)
+def test_every_command_on_an_accepted_matrix_exits_0_or_2(case):
+    # No traceback on valid input: each command either answers or names
+    # what is undefined in one line. Rows whose totals lie below the grand
+    # sum by more than the float range of a weight once made cluster and
+    # oracle raise an AssertionError (first example), and the exhaustive
+    # search of such a group a TypeError (second example).
+    rows, cols, values, groups = case
+    with tempfile.TemporaryDirectory() as tmp:
+        m = os.path.join(tmp, "m.csv")
+        with open(m, "w") as fh:
+            fh.write(",".join(["x", *cols]) + "\n")
+            for label, row in zip(rows, values):
+                fh.write(",".join([label, *map(repr, row)]) + "\n")
+        g = os.path.join(tmp, "groups.json")
+        with open(g, "w") as fh:
+            json.dump(groups, fh)
+        argvs = [["cluster", m, "--mode", mode, "--stop", stop]
+                 for mode, stop in itertools.product(
+                     ["greedy", "exhaustive"], ["divisive", "full"])]
+        argvs += [["oracle", m], ["entropy", m, "--groups", g]]
+        argvs += [["similarity", m, "--measure", measure, "--diagonal",
+                   diagonal, *log]
+                  for measure, diagonal, log in itertools.product(
+                      ["pearson", "cosine"], ["include", "missing"],
+                      [[], ["--log"]])]
+        wrong = {}
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    code = run_cli(argv)
+                except Exception as exc:  # reported below, with its argv
+                    code = repr(exc)
+            err = err.getvalue()
+            if code not in (0, 2) or code == 2 and (
+                    not err.startswith("error: ") or err.count("\n") != 1):
+                wrong[" ".join(argv[:1] + argv[2:])] = (code, err)
+    assert wrong == {}

@@ -1,8 +1,12 @@
 import decimal
+import fractions
 import itertools
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import (
     cocitation_matrix,
     examples,
+    reference_dyadic,
     reference_float_pair,
     reference_integer_forms,
     reference_integer_pair,
@@ -31,6 +36,7 @@ from infodiv import (
     pearson,
     similarity_csv,
     similarity_matrix,
+    write_csv,
 )
 from infodiv import similarity
 from infodiv.similarity import _exact_sums, _sum_space
@@ -111,10 +117,13 @@ def test_cosine_zero_padding_invariance(x, y, k):
 @given(vec, vec)
 @settings(max_examples=300, deadline=None)
 def test_pearson_is_cosine_of_centered(x, y):
+    # Pearson r is exact, so the vectors are centered exactly, in
+    # fractions, and each centered value is rounded once.
     n = min(len(x), len(y))
-    x, y = np.array(x[:n]), np.array(y[:n])
-    dx, dy = x - x.mean(), y - y.mean()
-    if (dx * dx).sum() == 0 or (dy * dy).sum() == 0:
+    x, y = x[:n], y[:n]
+    dx, dy = ([float(fractions.Fraction(v) - sum(map(fractions.Fraction, u))
+                     / n) for v in u] for u in (x, y))
+    if not any(dx) or not any(dy):
         return
     assert pearson(x, y) == pytest.approx(cosine(dx, dy), abs=1e-12)
 
@@ -130,8 +139,9 @@ def test_symmetry_and_scale_invariance(x, y, c):
         return
     assert cosine(x, y) == cosine(y, x)
     assert cosine(c * x, y) == pytest.approx(cosine(x, y), abs=1e-12)
-    dx, dy = x - x.mean(), y - y.mean()
-    if (dx * dx).sum() > 0 and (dy * dy).sum() > 0:
+    # Pearson is undefined exactly where a vector is constant, also where
+    # a float centering leaves a residue.
+    if len(set(x.tolist())) > 1 and len(set(y.tolist())) > 1:
         assert pearson(x, y) == pytest.approx(pearson(y, x), abs=1e-15)
 
 
@@ -462,17 +472,19 @@ def test_small_chunks_match_the_per_pair_loop(monkeypatch, seed,
         assert got.tobytes() == reference_similarity_matrix(*args).tobytes()
 
 
-@pytest.mark.parametrize("diagonal_mode, measure", [
-    pytest.param(diagonal_mode, measure, id=diagonal_mode + suffix)
+@pytest.mark.parametrize("diagonal_mode, measure, logged", [
+    pytest.param(diagonal_mode, measure, logged,
+                 id=diagonal_mode + suffix + ("-log" if logged else ""))
+    for logged in (False, True)
     for measure, suffix in [("pearson", ""), ("cosine", "-cosine")]
     for diagonal_mode in ("include", "missing")])
-def test_similarity_matrix_memory_is_bounded(diagonal_mode, measure):
-    # Counts take the integer route. The result, the int64 cells and a
-    # float temporary of the route's test are O(n^2), 0.7 MB each at
-    # n = 300; every other temporary is bounded by the block size (2.9 MB
-    # in all was measured for Pearson under missing). The float route's
-    # peak is 3.1 MB for include and 2.3 MB for missing.
+def test_similarity_matrix_memory_is_bounded(diagonal_mode, measure, logged):
+    # The result is 0.7 MB at n = 300; every other temporary is bounded by
+    # the block size. Counts need one limb; under --log the rows need four,
+    # and each block's limbs are split from the values when they are used.
     matrix = cocitation_matrix(np.random.default_rng(4), 300)
+    if logged:
+        matrix = log_transform(matrix)
     tracemalloc.start()
     try:
         similarity_matrix(matrix, measure, diagonal_mode)
@@ -504,11 +516,70 @@ def test_similarity_pair_matches_the_fsum_reference(xy, measure):
         assert type(got) is float and got.hex() == expected.hex()
 
 
+@st.composite
+def dyadic_rows(draw, signed):
+    """2-6 rows of 1-9 dyadic cells m * 2^e, |m| < 2^20, all e of a row
+    within `span` (up to 70) bits of the row's top exponent, which lies in
+    [-1000, 900]: scaled to integers, a row's largest lies on either side
+    of the limb cap, 2^64, as does 2^64 itself; in half of them a row is
+    constant."""
+    n, width = draw(st.integers(2, 6)), draw(st.integers(1, 9))
+    low = -(2 ** 20) if signed else 0
+    rows = []
+    for _ in range(n):
+        top, span = draw(st.integers(-1000, 900)), draw(st.integers(0, 70))
+        rows.append([math.ldexp(draw(st.integers(low, 2 ** 20)),
+                                top - draw(st.integers(0, span)))
+                     for _ in range(width)])
+    if draw(st.booleans()):
+        rows[0] = [rows[0][0]] * width
+    if draw(st.booleans()):
+        rows[-1][0] = math.ldexp(1.0, 64 + draw(st.integers(-1, 1)))
+    return rows
+
+
+@given(dyadic_rows(signed=True), st.sampled_from(["pearson", "cosine"]))
+@settings(max_examples=examples(300), deadline=None)
+def test_dyadic_pairs_match_the_exact_reference(rows, measure):
+    # Each pair of rows against the dyadic reference: both vectors scaled to
+    # Python ints, the forms exact, each rounded once.
+    fn = pearson if measure == "pearson" else cosine
+    for x, y in itertools.combinations(rows, 2):
+        got = _outcome(fn, x, y)
+        expected = _outcome(reference_pair, measure, x, y)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert got.hex() == expected.hex()
+
+
+@given(dyadic_rows(signed=False), st.sampled_from(["pearson", "cosine"]),
+       st.sampled_from(["include", "missing"]))
+@settings(max_examples=examples(300), deadline=None)
+def test_dyadic_matrices_match_the_exact_reference(rows, measure,
+                                                   diagonal_mode):
+    # A square of such rows, each padded or cut to the row count; a zero
+    # row gets a 1 on its diagonal.
+    n = len(rows)
+    values = np.array([(row * n)[:n] for row in rows])
+    for i in np.flatnonzero(~values.any(axis=1)):
+        values[i, i] = 1.0
+    labels = [f"a{i}" for i in range(n)]
+    matrix = build_matrix(labels, labels, values)
+    args = (matrix, measure, diagonal_mode)
+    expected = _outcome(reference_similarity_matrix, *args)
+    got = _outcome(similarity_matrix, *args)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert got.values.tobytes() == expected.tobytes()
+
+
 def _float_route(fn, *args):
-    """fn(*args) with every pair on the float route: under a guard of 0
-    only all-zero vectors would pass, and they are undefined on either
+    """fn(*args) with every pair on the float fallback: under a limb cap of
+    0 only all-zero vectors would fit, and they are undefined on either
     route."""
-    with mock.patch.object(similarity, "_INT_RANGE", 0):
+    with mock.patch.object(similarity, "_LIMB_CAP", 0.0):
         return _outcome(fn, *args)
 
 
@@ -609,29 +680,33 @@ def test_integer_route_pearson_is_nearer_than_the_float_route():
 @pytest.mark.parametrize("measure", ["pearson", "cosine"])
 @pytest.mark.parametrize("diagonal_mode", ["include", "missing"])
 def test_integer_route_ends_at_its_guard(measure, diagonal_mode):
-    # In every row the cells that pair (a, b) compares (under missing, all
-    # but positions a and b) sum to the guard of width 4, isqrt(2^62 // 4)
-    # = 2^30; then row a's sum is one past it. Pair (a, b) takes the
-    # integer route at the guard and the float route past it. Seed 1648
-    # draws counts on which the two routes differ in all eight cases, so
-    # that the test tells them apart.
-    n, kept = (4, slice(0, 4)) if diagonal_mode == "include" \
-        else (6, slice(2, 6))
-    values = np.random.default_rng(1648).integers(1, 2 ** 28, (n, n))
-    values[:, kept.stop - 1] = 2 ** 30 - values[:, kept.start:kept.stop - 1] \
-        .sum(axis=1)
+    # The cells that pair (a, b) compares (under missing, all but positions
+    # a and b) are multiples of 2^10 in [2^62, 2^63), but for row a's first,
+    # 0.5, and last, 2^63: scaled by 2 to integers, row a's largest is the
+    # limb cap, 2^64. With 0.25 in place of 0.5 the scale is 4 and the
+    # largest 2^65, past the cap. Pair (a, b) takes the exact route at the
+    # cap and the float fallback past it; under missing, row a past the cap
+    # leaves its pairs to the per-pair body, which scores pair (a, c)
+    # exactly, as its vectors lack the 0.25. The seeds draw cells on which
+    # the two routes differ in all eight cases, so that the test tells them
+    # apart.
+    n, kept, seed = (4, slice(0, 4), 11) if diagonal_mode == "include" \
+        else (6, slice(2, 6), 0)
+    values = np.ldexp(np.random.default_rng(seed).integers(
+        2 ** 52, 2 ** 53, (n, n)).astype(float), 10)
+    values[0, kept.stop - 1] = 2.0 ** 63
     labels = list("abcdef"[:n])
     fn = pearson if measure == "pearson" else cosine
-    for extra, route, other in [(0, reference_integer_pair,
-                                 reference_float_pair),
-                                (1, reference_float_pair,
-                                 reference_integer_pair)]:
-        values[0, kept.stop - 1] += extra
-        x, y = values[0, kept].astype(float), values[1, kept].astype(float)
-        expected = route(measure, x, y)
-        assert expected != other(measure, x, y)
+    for frac, scale in [(0.5, 2), (0.25, 4)]:
+        values[0, kept.start] = frac
+        x, y = values[0, kept], values[1, kept]
+        exact = reference_integer_pair(measure, *[[int(v * scale) for v in u]
+                                                  for u in (x, y)])
+        other = reference_float_pair(measure, x, y)
+        assert exact != other
+        expected = exact if scale == 2 else other
         assert fn(x, y).hex() == expected.hex()
-        matrix = build_matrix(labels, labels, values.astype(float))
+        matrix = build_matrix(labels, labels, values)
         got = similarity_matrix(matrix, measure, diagonal_mode).values
         assert got[0, 1].hex() == expected.hex()
         assert got.tobytes() == reference_similarity_matrix(
@@ -640,50 +715,57 @@ def test_integer_route_ends_at_its_guard(measure, diagonal_mode):
 
 @pytest.mark.parametrize("measure", ["pearson", "cosine"])
 def test_integer_route_skips_the_diagonal_under_missing(measure):
-    # No pair's vectors hold a diagonal cell under missing, so non-integer
-    # and huge cells there leave every pair on the integer route; under
-    # include they put every pair on the float route.
+    # No pair's vectors hold a diagonal cell under missing, so diagonal
+    # cells of any scale leave every pair on the exact route; under include
+    # the rows holding 1e300 and 1e-300 pass the limb cap and put their
+    # pairs on the float fallback, and the other rows' dyadic cells fit.
     matrix = cocitation_matrix(np.random.default_rng(5), 12)
     values = matrix.values.copy()
     np.fill_diagonal(values, [0.5, 1e300, 2.0 ** 63, 7.25, 2.0 ** 40, 1e-300,
                               3.5, 2.0 ** 31, 1e17, 0.25, 9.75, 2.0 ** 62])
     matrix = build_matrix(matrix.row_labels, matrix.col_labels, values)
-    for diagonal_mode, route in [("missing", reference_integer_pair),
-                                 ("include", reference_float_pair)]:
+    for diagonal_mode, past in [("missing", ()), ("include", (1, 5))]:
         got = similarity_matrix(matrix, measure, diagonal_mode).values
         assert got.tobytes() == reference_similarity_matrix(
             matrix, measure, diagonal_mode).tobytes()
         for i, j in itertools.combinations(range(12), 2):
             keep = [k for k in range(12)
                     if diagonal_mode == "include" or k not in (i, j)]
-            assert got[i, j] == route(measure, values[i, keep],
-                                      values[j, keep])
+            x, y = values[i, keep], values[j, keep]
+            expected = reference_float_pair(measure, x, y) \
+                if i in past or j in past else reference_integer_pair(
+                    measure, reference_dyadic(x), reference_dyadic(y))
+            assert got[i, j] == expected
 
 
 # Square matrices whose pairs take different routes, with constant rows
 # (Pearson) or rows that are zero but for two positions (cosine under
 # missing), so that undefined pairs fall on both routes; and the first
-# undefined pair in row-major order, which the float route alone also
-# names. The key says which route that pair takes.
+# undefined pair in row-major order, which the float fallback alone also
+# names. The key says which route that pair takes ("integer" for the exact
+# one). A row holding both 1 and 2^-70 (`_P`) passes the limb cap, and so do
+# the pairs whose vectors keep both.
+_P = 2.0 ** -70
 _MIXED = {
     "integer-first": ("pearson", "include", [
-        [4, 1, 2, 0, 5], [0.5, 3, 1, 2, 2], [2, 2, 2, 2, 2],
-        [1.5, 1.5, 1.5, 1.5, 1.5], [1, 0, 3, 2, 6]], ("a", "c")),
+        [4, 1, 2, 0, 5], [_P, 3, 1, 2, 2], [2, 2, 2, 2, 2],
+        [3, 3, 3, 3, 3], [1, 0, 3, 2, 6]], ("a", "c")),
     "float-first": ("pearson", "include", [
-        [4.5, 1, 2, 0, 5], [1, 3, 1, 2, 2], [2.5, 2.5, 2.5, 2.5, 2.5],
+        [4, 1, 2, _P, 5], [1, 3, 1, 2, 2], [2.5, 2.5, 2.5, 2.5, 2.5],
         [3, 3, 3, 3, 3], [1, 0, 3, 2, 6]], ("a", "c")),
     "float-before-integer": ("pearson", "include", [
-        [4, 1, 2, 0, 5], [2.5, 2.5, 2.5, 2.5, 2.5], [3, 3, 3, 3, 3],
+        [4, 1, 2, _P, 5], [2.5, 2.5, 2.5, 2.5, 2.5], [3, 3, 3, 3, 3],
         [1, 0, 3, 2, 6], [0.5, 3, 1, 2, 2]], ("a", "b")),
     "missing-integer-first": ("cosine", "missing", [
         [4, 1, 2, 0, 5], [1, 3, 1, 2, 2], [0, 3, 5, 0, 0],
-        [1, 0.5, 3, 2, 6], [0, 0, 0, 2.5, 7]], ("b", "c")),
+        [1, _P, 3, 2, 6], [0, 0, 0, 2.5, 7]], ("b", "c")),
     "missing-float-first": ("cosine", "missing", [
-        [4, 1, 2, 0, 5], [0.5, 3, 0, 2.5, 0], [1, 2, 5, 0, 3],
+        [4, 1, 2, 0, 5], [1, 3, _P, 2.5, 0], [1, 2, 5, 0, 3],
         [0, 1.5, 0, 2, 0], [0, 0, 4, 0, 7]], ("b", "d")),
-    # Rows a and b hold non-integer cells at positions a and b alone.
+    # Row a passes the cap through its cell at position b alone, so pair
+    # (a, b) fits though row a does not.
     "missing-integer-in-float-rows": ("cosine", "missing", [
-        [2.5, 0.5, 0, 0, 0], [1.5, 3, 1, 2, 2], [1, 2, 5, 0, 3],
+        [2.5, _P, 1, 0, 0], [1, 3, 0, 0, 0], [1, 2, 5, 0, 3],
         [1, 2, 0.5, 3, 0], [0, 0, 0, 1, 4]], ("a", "b")),
 }
 
@@ -706,3 +788,47 @@ def test_mixed_routes_raise_for_the_first_undefined_pair(monkeypatch, case,
                            diagonal_mode)
     assert got == _float_route(similarity_matrix, matrix, measure,
                                diagonal_mode)
+
+
+# Runs `similarity` on the CSV argv[1] under both measures, both diagonal
+# modes and with and without --log, and prints the sha256 of each output;
+# then again with the whole matrix in one block, so that each product of
+# limbs is large enough for the BLAS to spread over its threads.
+_SIMILARITY_RUNS = """
+import hashlib, itertools, os, sys
+from infodiv import similarity
+from infodiv.cli import run_cli
+for blocks in ["blocks", "one block"]:
+    if blocks == "one block":
+        similarity._CHUNK_CELLS, similarity._GEMM_PRODUCTS = 2 ** 20, 2 ** 30
+    for measure, diagonal, log in itertools.product(
+            ["pearson", "cosine"], ["include", "missing"], [[], ["--log"]]):
+        out = os.path.join(sys.argv[2], "out.csv")
+        assert run_cli(["similarity", sys.argv[1], "--measure", measure,
+                        "--diagonal", diagonal, *log, "--out", out]) == 0
+        with open(out, "rb") as fh:
+            print(measure, diagonal, *log,
+                  hashlib.sha256(fh.read()).hexdigest())
+"""
+
+
+def test_similarity_bytes_do_not_depend_on_the_blas(tmp_path):
+    # The limb products are the one BLAS call in `similarity`: every sum of
+    # their products is an integer below 2^53, exact in any order, so
+    # neither the number of BLAS threads, nor the kernel the BLAS picks for
+    # the CPU, nor the block size changes a byte. At 150 authors the --log
+    # rows need four limbs.
+    matrix = cocitation_matrix(np.random.default_rng(31), 150)
+    csv_path = tmp_path / "m.csv"
+    csv_path.write_text(write_csv(matrix))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for env in [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"},
+                {"OPENBLAS_CORETYPE": "Prescott"}]:
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", _SIMILARITY_RUNS, str(csv_path),
+             str(tmp_path)], env={"PYTHONPATH": src, **env},
+            capture_output=True, check=True, text=True).stdout)
+    lines = outputs[0].splitlines()
+    assert len(lines) == 16 and lines[:8] == lines[8:]
+    assert outputs[0] == outputs[1] == outputs[2]
