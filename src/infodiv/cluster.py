@@ -46,6 +46,7 @@ the same whatever the BLAS build or its threads.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Iterator
@@ -69,6 +70,9 @@ MAX_BISECT_ROWS = 24
 MAX_PARTITION_ROWS = 12
 _CELLS = 1 << 18  # matrix cells pooled per exhaustive kernel call
 _ARGMAX_MIN = 64  # scores from which _first_best tries the argmax
+# A weight below this, the smallest normal float, keeps only some of its
+# bits, so a ratio of such weights is not the ratio of the raw totals.
+_TINY_WEIGHT = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -167,19 +171,21 @@ def _scored_split(sums: np.ndarray, total: float, left: RowSubset,
     """A group's split into `left` and `right` from the raw sums of the
     group and both halves, rows 0-2 of `sums`, in one `_entropies` call;
     each weight is a pooled total over `total`, the grand sum. Where a
-    weight underflows to 0, local_h0 is formed from the raw totals, whose
-    ratios it needs alone."""
+    weight is below _TINY_WEIGHT, local_h0 is formed from the raw totals,
+    whose ratios it needs alone, scaled by a power of two that brings the
+    group's into [1/2, 1): a total in the subnormal range, like such a
+    weight, keeps only some of its bits in a product."""
     h, x = _entropies(sums)
     w = x / total
     (h_agg, h_l, h_r), (w_sub, w_l, w_r) = h.tolist(), w.tolist()
     # Within-subtree weights; the chain rule wants global_delta = w_sub * h0.
     a_sub, a_l, a_r = w_sub, w_l, w_r
-    if not min(w_sub, w_l, w_r) > 0:
-        a_sub, a_l, a_r = x.tolist()
+    if not min(w_sub, w_l, w_r) >= _TINY_WEIGHT:
         # Zero rows are rejected at ingestion, so every total is positive.
-        if not min(a_sub, a_l, a_r) > 0:
+        if not x.min() > 0:
             raise AssertionError(
                 f"a group of {left + right} has zero probability")
+        a_sub, a_l, a_r = np.ldexp(x, -math.frexp(x[0])[1]).tolist()
     local_h0 = max(h_agg - (a_l * h_l + a_r * h_r) / a_sub, 0.0)
     divisive = (h_l < h_agg - STRICT_TOL) and (h_r < h_agg - STRICT_TOL)
     return SplitEvaluation(left=left, right=right, h_aggregate=h_agg,
@@ -369,8 +375,8 @@ def exhaustive_bisect(model: ProbabilityModel,
     the table for all 2^n subsets of its rows, so a single bisection of a
     small group of a 12-row model pays for the 4096-subset table; every
     later call, at any node of the same model, scores by lookup alone.
-    On a larger model, and for a group whose weight in the table underflows
-    to 0, the left halves are pooled a chunk at a time
+    On a larger model, and for a group with a row whose weight in the
+    table is below _TINY_WEIGHT, the left halves are pooled a chunk at a time
     (`_pooled_subsets`) and ranked by `_split_scores`, each right half
     the group's sum minus the left's, by the kernel's X H form. On other
     input the table adds its sums in an order of its own, without BLAS,
@@ -396,9 +402,10 @@ def exhaustive_bisect(model: ProbabilityModel,
     if table:
         h, w, wh = _subset_table(model)
         group = sum(1 << j for j in subtree)
-        # A group whose weight underflows to 0 has no scores in the table;
-        # its raw rows are ranked as on a larger model.
-        table = w[group] > 0
+        # Every subset of the group weighs at least its lightest row. One
+        # below _TINY_WEIGHT would be scored from weights that lost bits;
+        # the group's raw rows are ranked as on a larger model instead.
+        table = min(w[1 << j] for j in subtree) >= _TINY_WEIGHT
     bits = [1 << j for j in (subtree[1:] if table else range(n - 1))]
     masks = np.zeros(1, dtype=np.int32)
     for bit in reversed(bits):

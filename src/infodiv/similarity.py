@@ -19,31 +19,33 @@ it by an ulp.
 The forms are exact because each vector is first scaled by its own power
 of two, 2^k with k >= 0 the least that makes every coordinate an integer
 (r does not change), and a vector fits if its integers X are at most
-`_LIMB_CAP` = 2^64 in magnitude. The cap does not depend on the width, so
-appending zeros never changes a pair's route.
+`_LIMB_CAP` = 2^64 in magnitude and it has at most 2^22 coordinates, past
+which no limb width holds the levels below (`_limb_plan`). Below that
+width the cap does not depend on it, so appending zeros never changes a
+pair's route.
 
-`pearson` and `cosine` form a fitting pair's sums in Python ints
-(`_exact_pair`). `similarity_matrix` forms them for the pairs of fitting
-rows from error-free matrix products (Ozaki, Ogita, Oishi & Rump, Numer.
-Algorithms 59, 2012): the rows' integers are split into L signed limbs of
-b bits, X = sum_a X_a 2^(ab) with |X_a| <= 2^(b-1), where b is the largest
+Both `similarity_matrix` and `pearson`/`cosine` form a fitting pair's
+sums from error-free matrix products (Ozaki, Ogita, Oishi & Rump, Numer.
+Algorithms 59, 2012): the integers are split into L signed limbs of b
+bits, X = sum_a X_a 2^(ab) with |X_a| <= 2^(b-1), where b is the largest
 with 2b + 2 log2(w) + 1 <= 53 (for L <= 4; `_limb_plan` gives the rule for
 any L) and L the fewest that hold the largest |X|. One float64 matmul of
-the rows' stacked limbs gives the products of every limb a of row i with
-every limb c of row j; a pair's level t gathers those with a + c = t, of
-weight 2^(tb). A sum of w products of two limbs is at most w 2^(2b-2) in
-magnitude, a level of sxy at most L w 2^(2b-2), and Pearson's levels of
-w*sxy and of sx*sy each at most L w^2 2^(2b-2), so a level of its
-numerator is at most L w^2 2^(2b-1) <= 2^53. Every partial sum is an
-integer in that range, exact in float64 in any order, so no result depends
-on the BLAS, its kernel or its threads. Each form's 2L - 1 levels are
-rounded once by `_exact_sums`; at L = 1 the one level is the form. Counts
-up to 2^(b-1) need one limb (262,144 at w = 80), which multiplies them as
-they are. The Gram is taken a block of rows at a time; under "missing" the
-diagonal is set to 0, and pair i, j subtracts position j's terms from row
-i's sums.
+the stacked limbs gives the products of every limb a of row i with every
+limb c of row j (`_limb_pairs` for the matrix's rows, a block at a time;
+`_limb_scores` for the two vectors of each pair); a pair's level t
+gathers those with a + c = t, of weight 2^(tb). A sum of w products of
+two limbs is at most w 2^(2b-2) in magnitude, a level of sxy at most
+L w 2^(2b-2), and Pearson's levels of w*sxy and of sx*sy each at most
+L w^2 2^(2b-2), so a level of its numerator is at most L w^2 2^(2b-1)
+<= 2^53. Every partial sum is an integer in that range, exact in float64
+in any order, so no result depends on the BLAS, its kernel or its
+threads. Each form's 2L - 1 levels are rounded once by `_exact_sums`; at
+L = 1 the one level is the form. Counts up to 2^(b-1) need one limb
+(262,144 at w = 80), which multiplies them as they are. Under "missing"
+the matrix's diagonal is set to 0, and pair i, j subtracts position j's
+terms from row i's sums.
 
-The float fallback takes a pair with a vector past the limb cap, such as
+The float fallback takes a pair with a vector that does not fit, such as
 one holding both 1e-300 and 1e300: Pearson centers both vectors in float
 first, and every sum of squares or products is rounded once, from its
 exact value, by `_exact_sums`, a vectorised error-free summation whose
@@ -63,7 +65,6 @@ undefined pair in row-major order, whichever way it was scored.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,17 +95,17 @@ _OVERFLOW = (NonFiniteValueError,
 # most this many cells (rows times width), so that their temporaries stay
 # near 1 MB at any size.
 _CHUNK_CELLS = 2 ** 14
+# _exact_sums sums at most this many terms in all by math.fsum alone,
+# which is quicker there than its vectorised tree (33 against 65 us for
+# one row of 1024; 5.0 against 0.47 ms for one of 100,000).
+_FSUM_CELLS = 2 ** 10
 # _exact_sums certifies a row only if its sum is at most this in magnitude.
 _CERT_MAX = 2.0 ** 1000
 # A vector fits the limbs if its scaled integers are at most this in
 # magnitude; one past it takes the float fallback. The bound does not
-# depend on the width, so appending zeros keeps a pair's route.
+# depend on the width, so appending zeros keeps a pair's route (up to the
+# 2^22 coordinates past which `_limb_plan` finds no limbs).
 _LIMB_CAP = 2.0 ** 64
-# A product of two blocks' limbs multiplies fewer than this many pairs of
-# cells (rows times rows times width). OpenBLAS runs such a product on one
-# thread by default; on a shared two-core machine, products spread over
-# two threads took up to milliseconds more each.
-_GEMM_PRODUCTS = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -151,18 +152,24 @@ def _vector_scores(measure: str, x: np.ndarray, y: np.ndarray, space
     arrays of finite values, and the masks of the undefined pairs and of
     those whose centering leaves the float range (whose scores mean
     nothing). A pair whose two vectors fit the limbs is scored by
-    `_exact_pair`, every other one on the float fallback, its sums in
+    `_limb_scores`, every other one on the float fallback, its sums in
     `space`."""
-    pairs = len(x)
+    pairs, width = x.shape
     rows = np.concatenate([x, y])
     k, top = _scales(rows, _exponents(rows))
-    fits = np.maximum(top[:pairs], top[pairs:]) <= _LIMB_CAP
+    top = np.maximum(top[:pairs], top[pairs:])
+    fits = (top <= _LIMB_CAP) & (_limb_plan(width, _LIMB_CAP) is not None)
     r = np.empty(pairs)
     undefined = np.zeros(pairs, dtype=bool)
     overflow = np.zeros(pairs, dtype=bool)
-    for p in np.flatnonzero(fits).tolist():
-        r[p], undefined[p] = _exact_pair(measure, np.ldexp(x[p], k[p]),
-                                         np.ldexp(y[p], k[pairs + p]))
+    fit = np.flatnonzero(fits)
+    if len(fit):
+        both = np.concatenate([fit, pairs + fit])
+        scaled = rows if len(fit) == pairs else rows[both]
+        if k.any():
+            scaled = np.ldexp(scaled, k[both, None])
+        r[fit], undefined[fit] = _limb_scores(measure, scaled,
+                                              top[fit].max())
     rest = np.flatnonzero(~fits)
     if len(rest):
         xr, sxx = _prepared(measure, x[rest], space)
@@ -172,24 +179,37 @@ def _vector_scores(measure: str, x: np.ndarray, y: np.ndarray, space
     return r, undefined, overflow
 
 
-def _exact_pair(measure: str, x: np.ndarray, y: np.ndarray
-                ) -> tuple[float, bool]:
-    """`measure` of the integer-valued float vectors x and y, and whether
-    it is undefined: the numerator and radicands in Python ints, each
-    converted to float once (round half to even, as `_exact_sums`
-    rounds), then divided as `_ratio` divides."""
-    x, y = [int(v) for v in x.tolist()], [int(v) for v in y.tolist()]
-    sxy = sum(map(operator.mul, x, y))
-    sxx, syy = sum(map(operator.mul, x, x)), sum(map(operator.mul, y, y))
-    if measure == "pearson":
-        w, sx, sy = len(x), sum(x), sum(y)
-        sxy, sxx, syy = w * sxy - sx * sy, w * sxx - sx * sx, \
-            w * syy - sy * sy
-    num, rx, ry = float(sxy), float(sxx), float(syy)
-    if rx == 0 or ry == 0:
-        return 0.0, True
-    r = num / (rx if rx == ry else math.sqrt(rx) * math.sqrt(ry))
-    return min(1.0, max(-1.0, r)) + 0.0, False
+def _limb_scores(measure: str, rows: np.ndarray, top: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """`measure` of each pair k of the integer-valued rows x[k] and y[k],
+    stacked as `rows` = [x, y] and at most `top` in magnitude, and the mask
+    of the undefined pairs: the forms of `_limb_pairs`, from the same limbs
+    and levels, each pair's from products of its stacked limbs, taken
+    `_CHUNK_CELLS` cells of `rows` at a time."""
+    pairs, width = len(rows) // 2, rows.shape[1]
+    bits, count = _limb_plan(width, top)
+    sums = np.zeros((count, 2, pairs))
+    gram = np.zeros((pairs, 2 * count, 2 * count))
+    step = max(1, _CHUNK_CELLS // len(rows))
+    for start in range(0, width, step):
+        limbs = _split(rows[:, start:start + step], bits, count).reshape(
+            count, 2, pairs, -1)
+        sums += limbs.sum(axis=3)
+        stack = limbs.transpose(2, 0, 1, 3).reshape(pairs, 2 * count, -1)
+        gram += stack @ stack.transpose(0, 2, 1)
+    # gram[a, c, s, t] holds, for each pair, the product of limb a of its
+    # vector s with limb c of its vector t (s, t = 0 for x, 1 for y); the
+    # forms take s, t = 0, 1, then 0, 0, then 1, 1.
+    gram = gram.reshape(pairs, count, 2, count, 2).transpose(1, 3, 2, 4, 0)
+    s, t = [0, 0, 1], [1, 0, 1]
+    # One row of terms per form of each pair, a column per level.
+    terms = np.empty((3, pairs, 2 * count - 1))
+    _form(measure, width, _levels(gram[:, :, s, t]), sums[:, s], sums[:, t],
+          terms.transpose(2, 0, 1))
+    space = _sum_space(3 * pairs, 2 * count - 1) if count > 1 else None
+    num, rx, ry = _rounded(terms.reshape(-1, 2 * count - 1), bits,
+                           space).reshape(3, -1)
+    return _ratio(num, rx, ry)
 
 
 def _ratio(num: np.ndarray, rx: np.ndarray, ry: np.ndarray
@@ -229,16 +249,19 @@ def _check_vectors(measure: str, x_shape: tuple, y_shape: tuple) -> None:
                                 f"length >= {min_width}")
 
 
-def _limb_plan(width: int, top: float) -> tuple[int, int]:
+def _limb_plan(width: int, top: float) -> tuple[int, int] | None:
     """b and L for a Gram of rows of `width` cells whose scaled integers
     are at most `top` in magnitude: the fewest limbs L, each of the largest
     b with 2b + 2 ceil(log2(width)) + max(2, ceil(log2(L))) <= 54, for
     which top <= 2^(Lb - 1). That makes L w^2 2^(2b-1) <= 2^53; for L <= 4
-    it is 2b + 2 log2(w) + 1 <= 53."""
+    it is 2b + 2 log2(w) + 1 <= 53. None if no b >= 1 will do: b falls as
+    L grows, and for a top of 2^64 that is the case past 2^22 cells."""
     count = 1
     while True:
         bits = (54 - 2 * (width - 1).bit_length()
                 - max(2, (count - 1).bit_length())) // 2
+        if bits < 1:
+            return None
         if top <= 2.0 ** (count * bits - 1):
             return bits, count
         count += 1
@@ -272,12 +295,6 @@ def _scales(rows: np.ndarray, need: np.ndarray | None
         return k, np.ldexp(top, k)
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The row-wise dot products of the 2-D array x with each 2-D array
-    y[c]."""
-    return np.einsum("ik,cik->ci", x, y)
-
-
 def _split(rows: np.ndarray, bits: int, count: int) -> np.ndarray:
     """The `count` signed limbs of the integer-valued float array `rows`,
     of magnitude at most 2^(`bits` - 1) each, rows = sum_a limbs[a] *
@@ -295,18 +312,16 @@ def _split(rows: np.ndarray, bits: int, count: int) -> np.ndarray:
     return limbs
 
 
-def _levels(x: np.ndarray, y: np.ndarray, product=np.multiply
-            ) -> np.ndarray:
-    """The levels of the products of two stacks of L limbs (or limb sums):
-    level t, for t < 2L - 1, sums product(x[a], y)[c] over a + c = t,
-    where product(x[a], y) gives the products of x[a] with each y[c]."""
-    count = len(x)
+def _levels(products) -> np.ndarray:
+    """The levels of the products of two stacks of L limbs (or limb sums),
+    given for each limb a of the one as the array of its products with
+    every limb c of the other: level t, for t < 2L - 1, sums those with
+    a + c = t."""
     levels = None
-    for a in range(count):
-        products = product(x[a], y)
+    for a, row in enumerate(products):
         if levels is None:
-            levels = np.zeros((2 * count - 1,) + products.shape[1:])
-        levels[a:a + count] += products
+            levels = np.zeros((2 * len(row) - 1,) + row.shape[1:])
+        levels[a:a + len(row)] += row
     return levels
 
 
@@ -319,7 +334,7 @@ def _form(measure: str, width: int, second: np.ndarray, first_x: np.ndarray,
         out[...] = second
     else:
         np.multiply(second, width, out=out)
-        out -= _levels(first_x, first_y)
+        out -= _levels(x * first_y for x in first_x)
 
 
 def _rounded(terms: np.ndarray, bits: int, space) -> np.ndarray:
@@ -383,7 +398,8 @@ def _exact_sums(terms: np.ndarray, space) -> np.ndarray:
     """The sum of each row of the 2-D float array `terms`, rounded once to
     nearest: what `math.fsum` returns for the row, or inf where fsum
     overflows. Rows of non-negative terms are covered, and so is any row
-    whose absolute terms sum to at most _CERT_MAX.
+    whose absolute terms sum to at most _CERT_MAX. Up to `_FSUM_CELLS`
+    terms in all are summed by fsum alone; more take the steps below.
 
     Reduce: the columns are added in a pairwise tree, each addition by
     Knuth's TwoSum, s + e = a + b exactly. TwoSum is exact for any finite
@@ -427,6 +443,9 @@ def _exact_sums(terms: np.ndarray, space) -> np.ndarray:
     n_rows, width = terms.shape
     sums = np.zeros(n_rows)
     if width == 0:
+        return sums
+    if n_rows * width <= _FSUM_CELLS:
+        _fsums(terms, np.arange(n_rows), sums)
         return sums
     level_cells, spare_cells, err_cells = space
     block = max(1, min(n_rows, len(level_cells) // width))
@@ -473,12 +492,18 @@ def _exact_sums(terms: np.ndarray, space) -> np.ndarray:
             d += bound
             d *= 2.0 + 2.0 ** -49
             certified = (d < gap) & (size <= _CERT_MAX)
-        for k in np.flatnonzero(~certified).tolist():
-            try:
-                c[k] = math.fsum(rows[k].tolist())
-            except OverflowError:  # a partial sum passes the float range
-                c[k] = math.inf
+        _fsums(rows, np.flatnonzero(~certified), c)
     return sums
+
+
+def _fsums(rows: np.ndarray, picked: np.ndarray, out: np.ndarray) -> None:
+    """Write to out[k] the `math.fsum` of rows[k] for each k in `picked`,
+    or inf where fsum overflows."""
+    for k in picked.tolist():
+        try:
+            out[k] = math.fsum(rows[k].tolist())
+        except OverflowError:  # a partial sum passes the float range
+            out[k] = math.inf
 
 
 def _sum_space(rows: int, width: int) -> tuple[np.ndarray, ...]:
@@ -619,10 +644,8 @@ def _limb_pairs(measure: str, values: np.ndarray, width: int, missing: bool,
     if not fits.any():
         return fits, None
     bits, count = _limb_plan(width, top[fits].max())
-    # Each level of a block pair's forms takes at most _CHUNK_CELLS cells,
-    # and each product of two blocks' limbs stays under _GEMM_PRODUCTS.
-    block = max(1, min(math.isqrt(_CHUNK_CELLS // (2 * count - 1)),
-                       math.isqrt((_GEMM_PRODUCTS - 1) // n)))
+    # Each level of a block pair's forms takes at most _CHUNK_CELLS cells.
+    block = max(1, math.isqrt(_CHUNK_CELLS // (2 * count - 1)))
     starts = range(0, n, block)
     sums, squares = np.empty((count, n)), np.empty((2 * count - 1, n))
     radicands = np.empty(n)
@@ -638,74 +661,86 @@ def _limb_pairs(measure: str, values: np.ndarray, width: int, missing: bool,
             rows[~fits[a:a + block]] = 0.0
         return _split(rows, bits, count)
 
+    def forms(a, x_limbs, c, y_limbs, i, j):
+        # The numerator and radicands of the pairs of rows i and j, each
+        # rounded once, from the limbs of the blocks from a and from c;
+        # the temporaries go when it returns.
+        # Limb u of the block's rows against limb v of the other's; on
+        # the diagonal block, v against u is the transpose.
+        cols = y_limbs.shape[1]
+        ij = (i - a) * cols + (j - c)
+        ji = (j - c) * cols + (i - a) if c == a else None
+        sxy = np.zeros((2 * count - 1, len(i)))
+        for u in range(count):
+            for v in range(u if c == a else 0, count):
+                gram = x_limbs[u] @ y_limbs[v].T
+                sxy[u + v] += gram.take(ij)
+                if c == a and v > u:
+                    sxy[u + v] += gram.take(ji)
+        sx, sy = sums.take(i, axis=1), sums.take(j, axis=1)
+        # One row of terms per form of each pair, a column per level.
+        terms = np.empty((3 if missing else 1, len(i), 2 * count - 1))
+        if missing:
+            xj = x_limbs.reshape(count, -1).take((i - a) * n + j, axis=1)
+            yi = y_limbs.reshape(count, -1).take((j - c) * n + i, axis=1)
+            sx -= xj
+            sy -= yi
+            sxx = squares.take(i, axis=1) - _levels(x * xj for x in xj)
+            syy = squares.take(j, axis=1) - _levels(y * yi for y in yi)
+            _form(measure, width, sxx, sx, sx, terms[1].T)
+            _form(measure, width, syy, sy, sy, terms[2].T)
+        _form(measure, width, sxy, sx, sy, terms[0].T)
+        rounded = _rounded(terms.reshape(-1, 2 * count - 1), bits,
+                           space).reshape(len(terms), -1)
+        return rounded if missing else (rounded[0], radicands[i],
+                                        radicands[j])
+
+    def score(a, x_limbs, c):
+        # Score the pairs of the rows of x_limbs, from a on, with those of
+        # the block from c on, and return the first undefined one as
+        # i * n + j, or n * n.
+        end = a + x_limbs.shape[1]
+        if c == a:
+            i, j = np.triu_indices(end - a, 1)
+        else:
+            i, j = np.indices((end - a, min(c + block, n) - c))
+            i, j = i.ravel(), j.ravel()
+        if not fits.all():
+            kept = fits[a + i] & fits[c + j]
+            i, j = i[kept], j[kept]
+        if not len(i):
+            return n * n
+        i, j = i + a, j + c
+        num, rx, ry = forms(a, x_limbs, c, x_limbs if c == a else limbs(c),
+                            i, j)
+        if missing:
+            shift = np.where(pos[j] == i, lift[j], 0) - \
+                np.where(pos[i] == j, lift[i], 0)
+            if shift.any():
+                # A lift past 64 bits leaves a vector of zeros, whose
+                # pair is undefined; the other side may then overflow.
+                with np.errstate(over="ignore"):
+                    num = np.ldexp(num, shift)
+                    rx = np.ldexp(rx, 2 * shift)
+        r, undefined = _ratio(num, rx, ry)
+        vals[i, j] = vals[j, i] = r
+        bad = np.flatnonzero(undefined)
+        return int(i[bad[0]]) * n + int(j[bad[0]]) if len(bad) else n * n
+
     stop = n * n
     for a in reversed(starts):
         x_limbs = limbs(a)
         end = a + x_limbs.shape[1]
         sums[:, a:end] = x_limbs.sum(axis=2)
-        squares[:, a:end] = _levels(x_limbs, x_limbs, _dot)
+        squares[:, a:end] = _levels(np.einsum("ik,cik->ci", x, x_limbs)
+                                    for x in x_limbs)
         if not missing:
             terms = np.empty((end - a, 2 * count - 1))
             _form(measure, width, squares[:, a:end], sums[:, a:end],
                   sums[:, a:end], terms.T)
             radicands[a:end] = _rounded(terms, bits, space)
         for c in starts[a // block:]:
-            if c == a:
-                i, j = np.triu_indices(end - a, 1)
-            else:
-                i, j = np.indices((end - a, min(c + block, n) - c))
-                i, j = i.ravel(), j.ravel()
-            if not fits.all():
-                kept = fits[a + i] & fits[c + j]
-                i, j = i[kept], j[kept]
-            if not len(i):
-                continue
-            y_limbs = x_limbs if c == a else limbs(c)
-            # Limb u of the block's rows against limb v of the other's; on
-            # the diagonal block, v against u is the transpose.
-            cols = y_limbs.shape[1]
-            ij, ji = i * cols + j, j * cols + i
-            sxy = np.zeros((2 * count - 1, len(i)))
-            for u in range(count):
-                for v in range(u if c == a else 0, count):
-                    gram = x_limbs[u] @ y_limbs[v].T
-                    sxy[u + v] += gram.take(ij)
-                    if c == a and v > u:
-                        sxy[u + v] += gram.take(ji)
-            i, j = i + a, j + c
-            sx, sy = sums.take(i, axis=1), sums.take(j, axis=1)
-            # One row of terms per form of each pair, a column per level.
-            terms = np.empty((3 if missing else 1, len(i), 2 * count - 1))
-            if missing:
-                xj = x_limbs.reshape(count, -1).take((i - a) * n + j, axis=1)
-                yi = y_limbs.reshape(count, -1).take((j - c) * n + i, axis=1)
-                sx -= xj
-                sy -= yi
-                sxx = squares.take(i, axis=1) - _levels(xj, xj)
-                syy = squares.take(j, axis=1) - _levels(yi, yi)
-                _form(measure, width, sxx, sx, sx, terms[1].T)
-                _form(measure, width, syy, sy, sy, terms[2].T)
-            _form(measure, width, sxy, sx, sy, terms[0].T)
-            num, *radicands_ij = _rounded(
-                terms.reshape(-1, 2 * count - 1), bits, space).reshape(
-                len(terms), -1)
-            if missing:
-                rx, ry = radicands_ij
-                shift = np.where(pos[j] == i, lift[j], 0) - \
-                    np.where(pos[i] == j, lift[i], 0)
-                if shift.any():
-                    # A lift past 64 bits leaves a vector of zeros, whose
-                    # pair is undefined; the other side may then overflow.
-                    with np.errstate(over="ignore"):
-                        num = np.ldexp(num, shift)
-                        rx = np.ldexp(rx, 2 * shift)
-            else:
-                rx, ry = radicands[i], radicands[j]
-            r, undefined = _ratio(num, rx, ry)
-            vals[i, j] = vals[j, i] = r
-            bad = np.flatnonzero(undefined)
-            if len(bad):
-                stop = min(stop, int(i[bad[0]]) * n + int(j[bad[0]]))
+            stop = min(stop, score(a, x_limbs, c))
     return fits, None if stop == n * n else divmod(stop, n)
 
 

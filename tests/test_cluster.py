@@ -674,3 +674,37 @@ def test_entropies_of_zero_columns_and_rows():
     h, w = _entropies(sums)  # no RuntimeWarning for the row of weight 0
     assert h.tolist() == [0.0, 0.0, 1.0, 1.0]
     assert w.tolist() == [0.0, 0.5, 0.5, 1e-323]
+
+
+# Rows of a few units of the smallest subnormal, 2^-1074, beside a row of
+# total 2: rows 0 and 1 total 3 and 5 units, whose weights over the grand
+# sum, 1.5 and 2.5 units, round to 2 and 2.
+_U = 5e-324
+_SUBNORMAL = [[_U, 2 * _U, 0.0], [4 * _U, _U, 0.0], [0.0, 1.0, 1.0],
+              [0.0, _U, 3 * _U]]
+
+
+def test_subnormal_groups_score_as_their_scaled_copies():
+    # A group's split depends on its rows alone, and on them only up to a
+    # common power of two. Scaling the whole matrix by 2^1000 leaves every
+    # weight as it is and takes the raw totals out of the subnormal range;
+    # scaling the group's rows alone makes their weights normal too.
+    values = np.array(_SUBNORMAL)
+    scaled = np.ldexp(values, 1000)
+    rows_scaled = values.copy()
+    rows_scaled[[0, 1, 3]] = scaled[[0, 1, 3]]
+    models = [probability_model(build_matrix(list("abcd"), list("xyz"), v))
+              for v in (values, scaled, rows_scaled)]
+    for bisect in (lambda pm, group: evaluate_bipartition(pm, group, (0,)),
+                   greedy_bisect, exhaustive_bisect):
+        for group in (0, 1), (0, 1, 3):
+            got = [bisect(pm, group) for pm in models]
+            assert got[0] == got[1]
+            assert got[0].left == got[2].left
+            assert got[0].local_h0 == pytest.approx(got[2].local_h0,
+                                                    rel=1e-12)
+    # Weighted 3:5, not 1:1.
+    h = [reference_entropies(np.array(row))[0] for row in
+         ([5 / 8, 3 / 8], [1 / 3, 2 / 3], [4 / 5, 1 / 5])]
+    assert evaluate_bipartition(models[0], (0, 1), (0,)).local_h0 == \
+        pytest.approx(h[0] - (3 * h[1] + 5 * h[2]) / 8, rel=1e-12)

@@ -365,10 +365,14 @@ def _fsum_or_inf(row):
 
 
 def _assert_exact_sums(rows):
+    # Small inputs are summed by fsum itself; the vectorised tree is
+    # checked on them as well, with that shortcut off.
     terms = np.array(rows, dtype=float)
-    sums = _exact_sums(terms, _sum_space(*terms.shape))
-    got = [float(v).hex() for v in sums]
-    assert got == [_fsum_or_inf(row).hex() for row in rows]
+    want = [_fsum_or_inf(row).hex() for row in rows]
+    for fsum_cells in (similarity._FSUM_CELLS, 0):
+        with mock.patch.object(similarity, "_FSUM_CELLS", fsum_cells):
+            sums = _exact_sums(terms, _sum_space(*terms.shape))
+        assert [float(v).hex() for v in sums] == want
 
 
 # Rows the certificate must get right or hand to math.fsum, each summed
@@ -677,6 +681,18 @@ def test_integer_route_pearson_is_nearer_than_the_float_route():
     assert totals["integer"][1] > totals["float"][1]
 
 
+def test_limb_plan_holds_the_cap_up_to_2_22_coordinates():
+    # Planned limbs hold the top and keep every level of a form below 2^53;
+    # past 2^22 coordinates no limb of one bit or more holds 2^64, and such
+    # a pair takes the float fallback.
+    for width in [1, 2, 50, 80, 300, 10 ** 5, 2 ** 22]:
+        for top in [0.0, 1.0, 2.0 ** 20, 2.0 ** 53, 2.0 ** 64]:
+            bits, count = similarity._limb_plan(width, top)
+            assert bits >= 1 and top <= 2.0 ** (count * bits - 1)
+            assert count * width ** 2 * 2.0 ** (2 * bits - 1) <= 2.0 ** 53
+    assert similarity._limb_plan(2 ** 22 + 1, 2.0 ** 64) is None
+
+
 @pytest.mark.parametrize("measure", ["pearson", "cosine"])
 @pytest.mark.parametrize("diagonal_mode", ["include", "missing"])
 def test_integer_route_ends_at_its_guard(measure, diagonal_mode):
@@ -800,7 +816,7 @@ from infodiv import similarity
 from infodiv.cli import run_cli
 for blocks in ["blocks", "one block"]:
     if blocks == "one block":
-        similarity._CHUNK_CELLS, similarity._GEMM_PRODUCTS = 2 ** 20, 2 ** 30
+        similarity._CHUNK_CELLS = 2 ** 20
     for measure, diagonal, log in itertools.product(
             ["pearson", "cosine"], ["include", "missing"], [[], ["--log"]]):
         out = os.path.join(sys.argv[2], "out.csv")
@@ -813,8 +829,8 @@ for blocks in ["blocks", "one block"]:
 
 
 def test_similarity_bytes_do_not_depend_on_the_blas(tmp_path):
-    # The limb products are the one BLAS call in `similarity`: every sum of
-    # their products is an integer below 2^53, exact in any order, so
+    # The limb products are the only BLAS calls in `similarity`: every sum
+    # of their products is an integer below 2^53, exact in any order, so
     # neither the number of BLAS threads, nor the kernel the BLAS picks for
     # the CPU, nor the block size changes a byte. At 150 authors the --log
     # rows need four limbs.
