@@ -30,18 +30,10 @@ the search's own sums. On count input all these sums are exact (see
 `matrix`), so a split's score and its report depend only on its row sets.
 
 The exhaustive search, `exhaustive_bisect`, scores every bipartition of
-a group. On a model of at most MAX_PARTITION_ROWS (12) rows it looks each
-one up in the model's subset table: the entropy h, the weight w and w * h
-of every one of its 2^n row subsets by `_entropies`, built on first use
-from two half tables of subset sums (Horowitz & Sahni, JACM 21, 1974),
-with no BLAS call, and kept on the model. Every node of an exhaustive tree
-and the partition oracle share it; the oracle breaks its ties against
-`decompose`'s bits, so the table keeps the reported form. On a larger
-model such a table would not pay (2^24 subsets of three floats are
-384 MB): the left halves of a group are pooled a chunk at a time by a
-matmul and ranked by `_split_scores`, within about 1e-13 bits of the
-reported scores. On other input the table's sums are added in their own order,
-the same whatever the BLAS build or its threads.
+a group by the same kernel. Its left halves are each a sum of two
+entries of the group's own half tables of subset sums (Horowitz &
+Sahni, JACM 21, 1974), added without BLAS, so on any input its scores
+are the same under any BLAS build or thread count.
 """
 
 from __future__ import annotations
@@ -65,9 +57,6 @@ from .matrix import (
 
 STRICT_TOL = 1e-12  # strict ">" / "<" comparisons in bits
 MAX_BISECT_ROWS = 24
-# Rows up to which a model's every row subset is tabulated (2^12 subsets,
-# 96 KB), and up to which `oracle` searches set partitions.
-MAX_PARTITION_ROWS = 12
 _CELLS = 1 << 18  # matrix cells pooled per exhaustive kernel call
 _ARGMAX_MIN = 64  # scores from which _first_best tries the argmax
 # A weight below this, the smallest normal float, keeps only some of its
@@ -245,17 +234,6 @@ def _first_best(scores: np.ndarray, floor: float) -> tuple[int | None, float]:
     return best, floor
 
 
-def _pooled_subsets(rows: np.ndarray, masks: np.ndarray
-                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """`masks` in chunks of at most _CELLS // columns, each with the sums of
-    the `rows` its masks select (bit i selects row i)."""
-    step = max(1, _CELLS // rows.shape[1])
-    bits = np.arange(len(rows))
-    for start in range(0, len(masks), step):
-        chunk = masks[start:start + step]
-        yield chunk, (chunk[:, None] >> bits & 1).astype(float) @ rows
-
-
 def _subset_sums(rows: np.ndarray) -> np.ndarray:
     """The sum of every subset of `rows`, indexed by bitmask (bit i selects
     row i), built one row at a time in row order:
@@ -264,47 +242,6 @@ def _subset_sums(rows: np.ndarray) -> np.ndarray:
     for i, row in enumerate(rows):
         np.add(sums[:1 << i], row, out=sums[1 << i:2 << i])
     return sums
-
-
-def _tabulate_subsets(values: np.ndarray, total: float
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """h, w and w * h of every subset of the rows of `values`, indexed by
-    bitmask (bit i selects row i): the entropy in bits of the subset's
-    pooled raw rows and their total over `total`, the grand sum; all three
-    are 0 for the empty set, and read-only.
-
-    A subset's sum is the `_subset_sums` entry of its rows among the first
-    n // 2 plus that of its other rows, one add per cell, with no BLAS
-    call; on count input it is exact (see `matrix`). The sums are scored
-    in chunks of at most _CELLS cells, one `_entropies` call each, so the
-    working memory does not grow with the column count."""
-    n, c = values.shape
-    b = n // 2
-    low, high = _subset_sums(values[:b]), _subset_sums(values[b:])
-    h, w = np.zeros(1 << n), np.zeros(1 << n)
-    step = max(1, _CELLS // c)
-    for start in range(1, 1 << n, step):
-        end = min(start + step, 1 << n)
-        masks = np.arange(start, end)
-        sums = high[masks >> b]
-        sums += low[masks & (1 << b) - 1]
-        h[start:end], w[start:end] = _entropies(sums)
-    w /= total
-    table = h, w, w * h
-    for column in table:
-        column.setflags(write=False)
-    return table
-
-
-def _subset_table(model: ProbabilityModel
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_tabulate_subsets` of the model's values, built on the first call
-    and kept in `model.cache` for every later one."""
-    table = model.cache.get("subsets")
-    if table is None:
-        table = model.cache["subsets"] = _tabulate_subsets(model.values,
-                                                           model.total)
-    return table
 
 
 def greedy_bisect(model: ProbabilityModel, subtree: RowSubset,
@@ -368,19 +305,17 @@ def exhaustive_bisect(model: ProbabilityModel,
     such subset. The winner is reported by `evaluate_bipartition`. A group
     of two rows has one bipartition and is not searched.
 
-    On a model of at most MAX_PARTITION_ROWS rows a split of the group S
-    into B and S - B scores max(h[S] - (wh[B] + wh[S - B]) / w[S], 0), the
-    reported form on lookups in the model's subset table
-    (`_subset_table`). The first call on any subtree of the model builds
-    the table for all 2^n subsets of its rows, so a single bisection of a
-    small group of a 12-row model pays for the 4096-subset table; every
-    later call, at any node of the same model, scores by lookup alone.
-    On a larger model, and for a group with a row whose weight in the
-    table is below _TINY_WEIGHT, the left halves are pooled a chunk at a time
-    (`_pooled_subsets`) and ranked by `_split_scores`, each right half
-    the group's sum minus the left's, by the kernel's X H form. On other
-    input the table adds its sums in an order of its own, without BLAS,
-    so its scores do not depend on the BLAS build or its threads.
+    Every group is ranked by `_split_scores` and `_first_best`, the greedy
+    search's kernel and tie rule. The other rows of the group are split
+    into a low and a high half, each with its `_subset_sums` table, the
+    first row added to every entry of the low one (Horowitz & Sahni, JACM
+    21, 1974). A candidate's left half is then one low entry plus one high
+    entry, one add per cell with no BLAS call, and its right half the
+    group's sum minus that. On count input every sum is exact (see
+    `matrix`); on other input the sums are added in this order of their
+    own, the same under any BLAS build or thread count. The candidates
+    are scored in chunks of at most _CELLS cells, in one buffer reused
+    by every chunk.
     """
     subtree = tuple(sorted(check_subset(model, subtree)))
     n = len(subtree)
@@ -394,44 +329,41 @@ def exhaustive_bisect(model: ProbabilityModel,
         return evaluate_bipartition(model, subtree, subtree[:1])
 
     # The candidates are the first row with each subset of the others but
-    # all of them, as bitmasks in the lexicographic order of their sorted
-    # tuples. A row's bit is its bit in the table, or else its place among
-    # the others. The subsets of rows j.. are the empty set, {j}, {j} with
-    # each nonempty one of rows j+1.., then those nonempty ones again.
-    table = model.n_rows <= MAX_PARTITION_ROWS
-    if table:
-        h, w, wh = _subset_table(model)
-        group = sum(1 << j for j in subtree)
-        # Every subset of the group weighs at least its lightest row. One
-        # below _TINY_WEIGHT would be scored from weights that lost bits;
-        # the group's raw rows are ranked as on a larger model instead.
-        table = min(w[1 << j] for j in subtree) >= _TINY_WEIGHT
-    bits = [1 << j for j in (subtree[1:] if table else range(n - 1))]
+    # all of them, as bitmasks over the others (bit j for subtree[j + 1])
+    # in the lexicographic order of their sorted tuples. The subsets of
+    # rows j.. are the empty set, {j}, {j} with each nonempty one of rows
+    # j+1.., then those nonempty ones again.
     masks = np.zeros(1, dtype=np.int32)
-    for bit in reversed(bits):
+    for bit in reversed([1 << j for j in range(n - 1)]):
         masks = np.concatenate(([0, bit], masks[1:] | bit, masks[1:]),
                                dtype=np.int32)
     masks = np.delete(masks, n - 1)  # the full set, after {0}, {0, 1}, ...
     if len(masks) != 2 ** (n - 1) - 1:
         raise AssertionError(f"{len(masks)} candidates for {n} rows")
-    if table:
-        lefts = masks | 1 << subtree[0]
-        scores = np.maximum(
-            h[group] - (wh[lefts] + wh[group ^ lefts]) / w[group], 0.0)
-        best = int(masks[_first_best(scores, -np.inf)[0]])
-    else:
-        rows = model.values[list(subtree)]
-        total = rows.sum(axis=0)
-        table, floor = _xlog2x_table(model), -np.inf
-        for chunk, sums in _pooled_subsets(rows[1:], masks):
-            halves = np.empty((2 * len(sums) + 1, sums.shape[1]))
-            halves[0] = total
-            np.add(rows[0], sums, out=halves[1:len(sums) + 1])
-            k, floor = _first_best(_split_scores(halves, table), floor)
-            if k is not None:
-                best = int(chunk[k])
-    left = subtree[:1] + tuple(row for row, bit in zip(subtree[1:], bits)
-                               if best & bit)
+    rows = model.values[list(subtree)]
+    b = (n - 1) // 2
+    low = _subset_sums(rows[1:b + 1]) + rows[0]
+    high = _subset_sums(rows[b + 1:])
+    # Row 0 of `sums` holds the group's sum, rows 1..k a chunk's left
+    # halves and rows k+1..2k, first, their high entries.
+    step = min(len(masks), max(1, _CELLS // rows.shape[1]))
+    sums = np.empty((2 * step + 1, rows.shape[1]))
+    rows.sum(axis=0, out=sums[0])
+    table, floor = _xlog2x_table(model), -np.inf
+    for start in range(0, len(masks), step):
+        chunk = masks[start:start + step]
+        k = len(chunk)
+        # mode="clip" writes into `out` directly; every index is in range.
+        np.take(low, chunk & (1 << b) - 1, axis=0, out=sums[1:k + 1],
+                mode="clip")
+        np.take(high, chunk >> b, axis=0, out=sums[k + 1:2 * k + 1],
+                mode="clip")
+        sums[1:k + 1] += sums[k + 1:2 * k + 1]
+        i, floor = _first_best(_split_scores(sums[:2 * k + 1], table), floor)
+        if i is not None:
+            best = int(chunk[i])
+    left = subtree[:1] + tuple(row for j, row in enumerate(subtree[1:])
+                               if best >> j & 1)
     return evaluate_bipartition(model, subtree, left)
 
 

@@ -67,8 +67,9 @@ class ProbabilityModel:
 
     values: np.ndarray  # the matrix's values, shared, read-only
     total: float        # their grand sum, finite and positive
-    # Tables derived from `values` on first use, such as the subset table
-    # of `cluster._subset_table`. The values are read-only, so no entry
+    # Tables derived from `values` on first use: the x log2 x table of
+    # `entropy._xlog2x_table` and the subset costs of
+    # `oracle.exhaustive_partition`. The values are read-only, so no entry
     # goes stale.
     cache: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)

@@ -3,18 +3,15 @@
 Searching all bipartitions of n rows means 2^(n-1) - 1 candidates; all set
 partitions, Bell(n). Both explode quickly, so hard size guards raise rather
 than let a call run for hours. `exhaustive_bisect` lives in `cluster` and
-is re-exported here. Up to MAX_PARTITION_ROWS (12) rows both searches read
-the model's subset table (`cluster._subset_table`): the entropy h, the
-weight w and w * h of every row subset, built once per model from two half
-tables of subset sums, with no BLAS call. So `oracle` tabulates its model
-once, for the partition search and the root bisection alike. On count
-input every subset sum is exact, so the costs have the bits of any other
-order of the rows; on other input they are the same under any BLAS build
-or thread count. Bisections of 13-24 rows pool their halves by a
-streaming matmul instead (see `cluster`). Partitions are enumerated by one
-depth-first search over row bitmasks of blocks, in the lexicographic order
-of restricted growth strings (Knuth, TAOCP 4A, 7.2.1.5), and ranked by
-sums of the table's per-subset costs w * h. The search is branch and
+is re-exported here. The partition search, up to MAX_PARTITION_ROWS (12)
+rows, reads its model's subset costs P(B) * H(B), one float per row subset
+B, tabulated once per model from two half tables of subset sums with no
+BLAS call (`_subset_costs`). On count input every subset sum is exact, so
+the costs have the bits of any other order of the rows; on other input
+they are the same under any BLAS build or thread count. Partitions are
+enumerated by one depth-first search over row bitmasks of blocks, in the
+lexicographic order of restricted growth strings (Knuth, TAOCP 4A,
+7.2.1.5), and ranked by sums of the costs. The search is branch and
 bound: P(B) * H(B) is superadditive under merging, so a prefix that cannot
 come within a 1e-9-bit margin of the incumbent is dropped with all its
 completions. Identical rows are its worst case: every partition ties,
@@ -25,12 +22,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cluster import MAX_PARTITION_ROWS, STRICT_TOL, ClusterOptions, \
-    _subset_table, exhaustive_bisect, greedy_bisect
-from .entropy import Grouping, decompose
+import numpy as np
+
+from .cluster import _CELLS, STRICT_TOL, ClusterOptions, _subset_sums, \
+    exhaustive_bisect, greedy_bisect
+from .entropy import Grouping, _entropies, decompose
 from .errors import InvalidInputError, SizeLimitError
 from .matrix import ProbabilityModel, as_indices
 
+# Rows up to which `exhaustive_partition` searches set partitions, and a
+# model's every row subset is tabulated (2^12 subsets, 32 KB).
+MAX_PARTITION_ROWS = 12
 # Bits below the incumbent at which a prefix is pruned: far above
 # STRICT_TOL plus the rounding of the bound.
 _PRUNE_MARGIN = 1e-9
@@ -53,7 +55,7 @@ def exhaustive_partition(model: ProbabilityModel,
 
     Ties are resolved toward fewer groups, then toward the lexicographically
     smallest restricted growth string. Each row subset B costs
-    P(B) * H(B), the w * h of the model's subset table; a partition's H0 is
+    P(B) * H(B), read from the model's `_subset_costs`; a partition's H0 is
     H(n) minus the sum over its blocks. Only the winner goes through
     `decompose`.
 
@@ -80,7 +82,9 @@ def exhaustive_partition(model: ProbabilityModel,
         raise InvalidInputError(f"max_groups must be in 1..{n}, "
                                 f"got {max_groups}")
 
-    cost = _subset_table(model)[2].tolist()
+    if "subsets" not in model.cache:
+        model.cache["subsets"] = _subset_costs(model.values, model.total)
+    cost = model.cache["subsets"].tolist()
     h_n = cost[-1]
     # rest[i]: the singleton costs of rows i..n-1, the least they can add.
     rest = [0.0] * (n + 1)
@@ -125,6 +129,32 @@ def exhaustive_partition(model: ProbabilityModel,
     return OracleReport(best_grouping=best_grouping,
                         best_h0=decompose(model, best_grouping).h0,
                         candidates_examined=_partitions(n, max_groups))
+
+
+def _subset_costs(values: np.ndarray, total: float) -> np.ndarray:
+    """P(B) * H(B) of every subset B of the rows of `values`, indexed by
+    bitmask (bit i selects row i): the entropy in bits of the subset's
+    pooled raw rows times their total over `total`, the grand sum; 0 for
+    the empty set. Read-only.
+
+    A subset's sum is the `_subset_sums` entry of its rows among the first
+    n // 2 plus that of its other rows, one add per cell, with no BLAS
+    call; on count input it is exact (see `matrix`). The sums are scored
+    in chunks of at most _CELLS cells, one `_entropies` call each, so the
+    working memory does not grow with the column count."""
+    n, c = values.shape
+    b = n // 2
+    low, high = _subset_sums(values[:b]), _subset_sums(values[b:])
+    costs = np.zeros(1 << n)
+    step = max(1, _CELLS // c)
+    for start in range(1, 1 << n, step):
+        masks = np.arange(start, min(start + step, 1 << n))
+        sums = high[masks >> b]
+        sums += low[masks & (1 << b) - 1]
+        h, x = _entropies(sums)
+        costs[start:start + len(masks)] = x / total * h
+    costs.setflags(write=False)
+    return costs
 
 
 def _partitions(n: int, max_groups: int) -> int:

@@ -307,10 +307,11 @@ def test_bisect_searches_match_per_candidate_reference(m, data):
        st.data())
 @settings(max_examples=examples(100), deadline=None)
 def test_subset_table_searches_match_the_references(m, data):
-    # On a model of at most 12 rows both exhaustive searches score by
-    # lookup in one subset table; the references score every candidate
-    # through evaluate_bipartition or decompose. The bisection is of a
-    # random group of the rows, as at a node of a tree.
+    # The partition search scores by lookup in the model's subset costs,
+    # the bisection by the kernel on sums from the group's half tables;
+    # the references score every candidate through evaluate_bipartition or
+    # decompose. The bisection is of a random group of the rows, as at a
+    # node of a tree.
     pm = probability_model(m)
     order = data.draw(st.permutations(range(m.n_rows)))
     subtree = tuple(order[:data.draw(st.integers(2, m.n_rows))])
@@ -326,12 +327,12 @@ def test_subset_table_searches_match_the_references(m, data):
                 reference_exhaustive_partition(pm, max_groups)
 
 
-def test_streaming_bisect_of_a_larger_model_matches_the_reference(
-        rng, monkeypatch):
-    # Above 12 rows no table is built: the left halves of a group are
-    # pooled a chunk at a time, here of a few rows of columns each.
+def test_chunked_bisect_of_any_model_matches_the_reference(rng, monkeypatch):
+    # A bisection builds no table of the model's subsets: the left halves
+    # of a group are scored a chunk at a time, here of a few rows of
+    # columns each.
     for _ in range(10):
-        m = random_matrix(rng, max_rows=16, min_rows=13, max_cols=5)
+        m = random_matrix(rng, max_rows=16, min_rows=4, max_cols=5)
         pm = probability_model(m)
         subtree = tuple(rng.permutation(m.n_rows)[:rng.integers(3, 8)]
                         .tolist())

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infodiv import cluster
+from infodiv import cluster, oracle
 from infodiv import (
     ClusterOptions,
     SizeLimitError,
@@ -302,13 +302,14 @@ def test_exhaustive_partition_matches_reference_on_near_ties():
 
 
 def test_exhaustive_searches_agree_across_subset_chunks(rng, monkeypatch):
-    # A cell budget of a few rows of columns splits every subset table
+    # A cell budget of a few rows of columns splits every subset-cost table
     # and every mask list into many kernel calls.
     for _ in range(10):
         m = random_matrix(rng, max_rows=7, min_rows=5, max_cols=5)
         pm = probability_model(m)
         rows = tuple(range(m.n_rows))
         monkeypatch.setattr(cluster, "_CELLS", 3 * m.n_cols)
+        monkeypatch.setattr(oracle, "_CELLS", 3 * m.n_cols)
         chunked = (exhaustive_bisect(pm, rows), exhaustive_partition(pm, 3),
                    exhaustive_partition(pm, m.n_rows))
         monkeypatch.undo()
@@ -339,8 +340,8 @@ def test_exhaustive_memory_is_bounded_for_wide_matrices(search):
 
 @pytest.mark.parametrize("stop", ["divisive", "full"])
 def test_exhaustive_tree_memory_is_bounded_for_wide_matrices(stop):
-    # The subset table of 12 x 4000 cells is built a chunk of subsets at a
-    # time and keeps three floats per subset.
+    # Each group of a 12 x 4000 tree is scored a chunk of candidates at a
+    # time, from half tables of at most 2^6 subset sums.
     vals = np.random.default_rng(7).poisson(2.0, size=(12, 4000))
     vals[vals.sum(axis=1) == 0, 0] = 1
     m = build_matrix([f"r{i:02d}" for i in range(12)],
@@ -354,12 +355,12 @@ def test_exhaustive_tree_memory_is_bounded_for_wide_matrices(stop):
     assert peak < 32 * 2 ** 20
 
 
-def test_twelve_row_runs_build_one_subset_table(tmp_path, monkeypatch,
-                                               capsys):
+def test_only_the_partition_search_tabulates_subsets(tmp_path, monkeypatch,
+                                                     capsys):
     # `cluster --mode exhaustive --stop full` bisects every group of a
-    # 12-row tree, and `oracle` searches the partitions and bisects the
-    # root: each run tabulates its model's subsets once and pools none
-    # by matmul.
+    # 12-row tree from the group's own half tables and tabulates no model
+    # subsets; `oracle` also searches the partitions, which tabulate them
+    # once.
     vals = np.random.default_rng(3).poisson(4.0, size=(12, 6)) + \
         np.eye(12, 6, dtype=int)
     path = tmp_path / "m.csv"
@@ -367,53 +368,50 @@ def test_twelve_row_runs_build_one_subset_table(tmp_path, monkeypatch,
                     "".join(f"r{i:02d}," + ",".join(map(str, row)) + "\n"
                             for i, row in enumerate(vals.tolist())))
     builds = []
-    tabulate_subsets = cluster._tabulate_subsets
+    subset_costs = oracle._subset_costs
 
     def tabulate(*args):
         builds.append(len(args[0]))
-        return tabulate_subsets(*args)
+        return subset_costs(*args)
 
-    def pooled(*args):
-        raise AssertionError("pooled subsets by matmul")
-
-    monkeypatch.setattr(cluster, "_tabulate_subsets", tabulate)
-    monkeypatch.setattr(cluster, "_pooled_subsets", pooled)
-    for argv in (["cluster", str(path), "--mode", "exhaustive", "--stop",
-                  "full"], ["oracle", str(path)]):
+    monkeypatch.setattr(oracle, "_subset_costs", tabulate)
+    for argv, want in ((["cluster", str(path), "--mode", "exhaustive",
+                         "--stop", "full"], []),
+                       (["oracle", str(path)], [12])):
         builds.clear()
         assert run_cli(argv) == 0, capsys.readouterr().err
-        assert builds == [12]
+        assert builds == want
 
 
-POOLED_DIGEST = """
+WINNERS_DIGEST = """
 import hashlib
 import numpy as np
-from infodiv import cluster
+from infodiv import build_matrix, exhaustive_bisect, probability_model
+from infodiv.oracle import _subset_costs
 rng = np.random.default_rng(7)
 digest = hashlib.sha256()
-for _ in range(30):
-    n, c = int(rng.integers(10, 13)), int(rng.integers(4, 40))
-    rows = (rng.poisson(3.0, size=(n, c)) +
-            rng.integers(0, 2 ** 30, size=(n, c))).astype(float)
-    for chunk, sums in cluster._pooled_subsets(rows, np.arange(1, 1 << n)):
-        digest.update(sums.tobytes())
-    for values in (rng.random((n, c)) * 100, np.log2(1 + rows)):
-        h, w, _ = cluster._tabulate_subsets(values, float(values.sum()))
-        digest.update(h.tobytes() + w.tobytes())
+for _ in range(8):
+    n, c = int(rng.integers(13, 17)), int(rng.integers(2, 6))
+    counts = rng.poisson(3.0, size=(n, c)) + np.eye(n, c, dtype=int)
+    for values in (rng.random((n, c)) * 100, np.log2(1 + counts)):
+        pm = probability_model(build_matrix(range(n), range(c), values))
+        split = exhaustive_bisect(pm, tuple(range(n)))
+        digest.update(f"{split.left} {split.local_h0.hex()}".encode())
+        costs = _subset_costs(values[:10], float(values[:10].sum()))
+        digest.update(costs.tobytes())
 print(digest.hexdigest())
 """
 
 
-def test_pooled_subsets_do_not_depend_on_the_blas_settings():
-    # The streaming subset sums are a float matmul through BLAS. On counts
-    # every sum is an integer below 2^53, exact in whatever order the BLAS
-    # adds, so the bytes are the same under any thread count or kernel.
-    # (The same matrices divided by their grand sums gave other bytes under
-    # OPENBLAS_CORETYPE=Prescott than by default.) The subset table adds
-    # its sums without BLAS, so its entropies and weights keep their bytes
-    # on non-integer cells too: uniform floats and log2(1 + counts).
+def test_exhaustive_winners_do_not_depend_on_the_blas_settings():
+    # The exhaustive bisection and the partition search's subset costs add
+    # their sums without BLAS, so on non-integer cells too, uniform floats
+    # and log2(1 + counts), whose sums round, a bisection's winner and its
+    # score, and every cost, keep their bytes under any thread count or
+    # kernel. (Sums of such cells pooled by a float matmul gave other
+    # bytes under OPENBLAS_CORETYPE=Prescott than by default.)
     src = str(Path(__file__).resolve().parents[1] / "src")
-    digests = {subprocess.run([sys.executable, "-c", POOLED_DIGEST],
+    digests = {subprocess.run([sys.executable, "-c", WINNERS_DIGEST],
                               check=True, capture_output=True, text=True,
                               env={"PYTHONPATH": src, **setting}).stdout
                for setting in ({"OPENBLAS_NUM_THREADS": "1"},
