@@ -121,7 +121,8 @@ def _xlog2x_table(model: ProbabilityModel) -> np.ndarray | None:
     if "xlog2x" not in model.cache:
         top = model.values.sum(axis=0).max()
         table = None
-        if top <= _TABLE_MAX and (model.values % 1 == 0).all():
+        if top <= _TABLE_MAX and \
+                (np.floor(model.values) == model.values).all():
             table = _xlog2x(np.arange(int(top) + 1, dtype=float))
             table.setflags(write=False)
         model.cache["xlog2x"] = table

@@ -10,7 +10,8 @@ output independent of the input row order.
 
 The CSV reader has two routes, each giving the doubles `float` gives:
 plain text whose every cell is 1 to 15 ASCII digits is decoded exactly by
-numpy a block of lines at a time, and everything else goes through
+numpy, which finds the line ends, commas and digits a block of whole lines
+at a time (Python only slices the labels); anything else goes through
 `csv.reader` and `float` (see `parse_csv`).
 
 The CSV writer formats each distinct value of a matrix once and builds
@@ -115,11 +116,9 @@ def _read(handle) -> str:
     return text
 
 
-# Characters that keep a text off the digit decoder: the quote, which only
-# csv.reader reads, and NUL, which csv.reader rejects before Python 3.11.
-_NOT_PLAIN = '"\0'
-# _digit_cells decodes the lines a block of at most this many cells (or one
-# line) at a time, so that its temporaries, about 40 bytes a cell, stay near
+# _digit_cells decodes the lines a block of at most this many cells (twice
+# as many bytes, or one line) at a time, so that its temporaries, about 40
+# bytes a cell (a few index arrays and the block's bytes), stay near
 # 0.6 MB. The whole text at once raises the peak memory of a large read.
 _BLOCK_CELLS = 2 ** 14
 
@@ -129,57 +128,94 @@ def _digit_cells(text: str):
     csv.reader's rows of `text`, if every cell is 1 to 15 ASCII digits;
     else None.
 
-    Without quotes, NUL, a carriage return outside "\\r\\n" or a line over
-    csv.field_size_limit(), csv.reader's rows are the non-blank lines split
-    at every comma. The cells of each block of lines are joined into one
-    ASCII buffer, commas around, and numpy finds the commas and builds each
-    value by Horner's rule, v = 10 v + digit, in float64. Every partial
-    value is an integer below 10^15 < 2^53, so every step is exact, and the
-    result is the cell's integer exactly: the double `float` reads, since
-    `float` is correctly rounded. Signs, padding, points, exponents, empty
-    cells, non-ASCII characters and 16 digits or more make it return None.
+    Without quotes, NUL (which csv.reader rejects before Python 3.11), a
+    carriage return outside "\\r\\n" or a line over csv.field_size_limit()
+    bytes, csv.reader's rows are the non-blank lines split at every comma.
+    numpy reads the UTF-8 bytes in blocks of whole lines: it finds each
+    block's line ends, then, once the cells are allocated, its commas, and
+    gives the k-th line the k-th `width` of them. Every byte of every cell
+    must be a digit and no width negative, so no cell runs across a line
+    end: each line holds the commas it is given, whatever the block's
+    comma total. Horner's rule, v = 10 v + digit, reads the digits of all
+    cells at once, right-aligned, 0 before a cell's first. Every partial
+    value is an integer below 10^15 < 2^53, so every step is exact in
+    float64, and the result is the double the correctly rounded `float`
+    reads.
     """
-    if any(c in text for c in _NOT_PLAIN):
+    if '"' in text or "\0" in text:
         return None
     if "\r" in text:
         if text.count("\r") != text.count("\r\n"):
             return None
         text = text.replace("\r\n", "\n")
-    lines = [line for line in text.split("\n") if line]
-    if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
+    text = text.lstrip("\n")
+    data = text.encode("utf-8", "surrogatepass")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    head, limit = data.find(b"\n"), csv.field_size_limit()
+    header = data[:head].decode("utf-8", "surrogatepass")
+    width = header.count(",")
+    if width == 0 or head > limit or head + 1 == len(data):
         return None
-    width, body = lines[0].count(","), lines[1:]
-    if width == 0 or any(line.count(",") != width for line in body):
-        return None
-    cells = np.empty((len(body), width))
-    step = max(1, _BLOCK_CELLS // width)
-    for first in range(0, len(body), step):
-        parts = [line.partition(",")[2] for line in body[first:first + step]]
-        block = ",".join(["", *parts, ""])
-        if not block.isascii():
+    # Blocks of whole lines, of 2 * _BLOCK_CELLS bytes at most (a cell and
+    # its comma take two) or of one line, each with its lines' ends.
+    buf, blocks, lo, n = np.frombuffer(data, np.uint8), [], head + 1, 0
+    while lo < len(data):
+        hi = len(data) if len(data) - lo <= 2 * _BLOCK_CELLS else \
+            data.rfind(b"\n", lo, lo + 2 * _BLOCK_CELLS) + 1 or \
+            data.find(b"\n", lo) + 1
+        stops = (buf[lo:hi] == 10).nonzero()[0]  # b"\n"
+        if hi - lo > limit + 1 and \
+                np.diff(stops, prepend=-1).max() > limit + 1:
             return None
-        digits = np.frombuffer(block.encode("ascii"), np.uint8) - ord("0")
-        commas = (digits > 9).nonzero()[0]
-        # Every line has `width` cells, so its commas are the only
-        # non-digits exactly when there are as many as that needs.
-        if len(commas) != len(parts) * width + 1:
+        blocks.append((lo, stops))
+        n, lo = n + len(stops), hi
+    cells, labels, ascii_text = np.empty((n, width)), [], text.isascii()
+    for lo, stops in blocks:
+        digits = buf[lo:lo + stops[-1]] - 48  # b"0"; counted from `lo`
+        commas = (digits == 252).nonzero()[0]  # b","
+        if len(commas) != len(stops) * width:
+            if b"\n\n" in data:  # blank lines, which csv.reader skips
+                return _digit_cells(re.sub("\n+", "\n", text))
             return None
-        starts = commas[:-1] + 1
-        widths = commas[1:] - starts
-        most = widths.max()
-        if widths.min() < 1 or most > 15:
+        # A cell ends before the next comma or its line's end. A negative
+        # width is past 15 as an unsigned number; an empty cell's last
+        # digit is its own comma.
+        lasts = np.empty_like(commas)
+        np.subtract(commas[1:], 1, out=lasts[:-1])
+        np.subtract(stops, 1, out=lasts[width - 1::width])
+        widths = lasts - commas
+        most = int(np.maximum.reduce(widths.view(np.uint64)))
+        if not 1 <= most <= 15:
             return None
-        values = cells[first:first + step].reshape(-1)  # a view
-        values[:] = digits[starts]
-        for k in range(1, most):
-            # Digit k of each cell; past its last digit a cell keeps its
-            # value, and "clip" keeps a short last cell inside the buffer.
-            more = widths > k
-            np.multiply(values, 10, out=values, where=more)
-            np.add(values, digits[k:].take(starts, mode="clip"), out=values,
-                   where=more)
-    return ([line[:line.index(",")].strip() for line in body],
-            [c.strip() for c in lines[0].split(",")[1:]], cells)
+        values = cells[len(labels):len(labels) + len(stops)].reshape(-1)
+        for shift in range(most - 1, -1, -1):
+            # The digit `shift` places before each cell's last, 0 where the
+            # cell is shorter; "clip" keeps such a position in the block.
+            digit = digits.take(lasts - shift if shift else lasts,
+                                mode="clip")
+            if shift:
+                digit *= widths > shift
+            if shift == most - 1:
+                values[:] = top = digit
+            else:
+                np.maximum(top, digit, out=top)
+                values *= 10
+                values += digit
+        if np.maximum.reduce(top) > 9:
+            return None
+        # A label runs from the line break before it, which strip() removes,
+        # to its line's first comma. In ASCII a byte's position is its
+        # character's.
+        bounds = zip([0, *stops.tolist()], commas[::width].tolist())
+        if ascii_text:
+            block = text[lo:lo + stops[-1]]
+            labels += [block[s:f].strip() for s, f in bounds]
+        else:
+            block = data[lo:lo + stops[-1]]
+            labels += [block[s:f].decode("utf-8", "surrogatepass").strip()
+                       for s, f in bounds]
+    return labels, [c.strip() for c in header.split(",")[1:]], cells
 
 
 def _row_cells(rows: list[list[str]]):

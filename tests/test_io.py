@@ -207,7 +207,8 @@ PLAIN_CSV = ("x, c2,c1\n"
 
 
 # Texts at each check that keeps a text off the digit decoder: carriage
-# returns outside "\r\n", a row too long or too short, a quote, NUL, and
+# returns outside "\r\n", a row too long or too short (also two rows whose
+# wrong widths balance, as they do within one block), a quote, NUL, and
 # cells that are not digits; among them cells, unquoted labels and whole
 # rows holding characters that str.strip() strips or str.splitlines()
 # splits at, but csv.reader neither splits at nor strips (the ASCII
@@ -215,7 +216,8 @@ PLAIN_CSV = ("x, c2,c1\n"
 @pytest.mark.parametrize("text", [
     "x,a\nr,\x1c5\n", "x,a\nr,5\x1f\n", "x,a\nr,5#\n", "x#,a\nr#,5\n",
     "x,a,b\rr,1,2\n", "x,a,b\r\nr,1,2\r", "x,a,b\nr,1,2,3\n",
-    "x,a,b\nr,1\n", "x,a\nr,1e400\n", "x,a\nr,1_0\n", "x,a\nr,\u0661\n",
+    "x,a,b\nr,1\n", "x,a,b\nr,1,2,3\ns,4\n", "x,a,b\nr,1\ns,2,3,4\n",
+    "x,a\nr,1e400\n", "x,a\nr,1_0\n", "x,a\nr,\u0661\n",
     'x,a\n"r",1\n', "x,a\nr,1\x00\n", "x\nr\n", "x,a\n\n",
     "x\x1c,a\x1d,b\x1e\n\x1fr\x1c,1,2\ns\x1d\x1e,3,4\n",
     "x,a\x0bb,\x0bc\nr\x0b,1,2\n\x0bs,3,4\n",
@@ -249,9 +251,11 @@ def test_parse_csv_rejects_a_binary_stream():
 
 # Plain integer CSV: unquoted labels with "-", blanks and non-ASCII
 # characters; cells of 1 to 15 digits with leading zeros, and in half of
-# the texts one of 16 digits, which `_digit_cells` declines; LF or CRLF
-# line ends; blank lines. The block size is drawn from one cell up, so a
-# text spans one to many blocks, and its rows may be wider than a block.
+# the texts one of 16 digits, which `_digit_cells` declines; in a quarter,
+# one cell moved to the next or the previous row, so that a block holding
+# both rows has as many commas as it should; LF or CRLF line ends; blank
+# lines. The block size is drawn from one cell up, so a text spans one to
+# many blocks, and its rows may be wider than a block.
 INTEGER_LABEL = st.text("ab1- \u00e9\u4e2d", max_size=4)
 INTEGER_CELL = st.one_of(
     st.text("0123456789", min_size=1, max_size=15),
@@ -271,6 +275,11 @@ def integer_csv_texts(draw):
     if draw(st.booleans()):
         rows[draw(st.integers(0, n_rows - 1))][
             draw(st.integers(0, width - 1))] = draw(SIXTEEN_DIGITS)
+    if n_rows > 1 and draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, n_rows - 2))
+        source, target = draw(st.permutations([rows[i], rows[i + 1]]))
+        target.insert(draw(st.integers(0, width)),
+                      source.pop(draw(st.integers(0, width - 1))))
     lines = [",".join(next(labels) for _ in range(width + 1))]
     lines += [",".join([next(labels), *row]) for row in rows]
     for at in draw(st.lists(st.integers(0, len(lines)), max_size=3)):
@@ -346,8 +355,8 @@ def _digit_csv(rng, n_rows, n_cols):
 @pytest.mark.parametrize("last", ["", "1.5"])
 def test_parse_csv_block_size_does_not_change_the_result(rng, monkeypatch,
                                                          last):
-    # 60 rows of 300 cells: two blocks at the default size; a "1.5" as the
-    # last cell sends the text to csv.reader only in the last block.
+    # 60 rows of 300 cells, 162 KB: five blocks at the default size; a
+    # "1.5" as the last cell sends the text to csv.reader only in the last.
     text = _digit_csv(rng, 60, 300)
     if last:
         text = text[:text.rindex(",") + 1] + last + "\n"
@@ -590,6 +599,25 @@ def test_csv_writes_any_array_layout_as_its_values(values):
     want = reference_write_csv(labels, labels, values)
     assert write_csv(LabeledMatrix(labels, labels, values)) == want
     assert similarity_csv(SimilarityMatrix(labels, values)) == want
+
+
+def test_parse_csv_memory_is_bounded(tmp_path):
+    # A 2000 x 300 CSV of counts below 1000, read from a file: the text,
+    # its bytes, the cells and one block's temporaries are what the digit
+    # decoder holds at once; 10.3 MB was measured.
+    values = np.random.default_rng(3).integers(0, 1000, (2000, 300))
+    path = tmp_path / "counts.csv"
+    path.write_text(write_csv(LabeledMatrix(
+        tuple(f"r{i:04d}" for i in range(2000)),
+        tuple(f"c{j:03d}" for j in range(300)), values)).replace(".0", ""))
+    tracemalloc.start()
+    try:
+        m = parse_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(m.values, values)
+    assert peak < 12 * 10 ** 6
 
 
 def test_similarity_csv_memory_is_bounded():
