@@ -45,26 +45,28 @@ L = 1 the one level is the form. Counts up to 2^(b-1) need one limb
 the matrix's diagonal is set to 0, and pair i, j subtracts position j's
 terms from row i's sums.
 
-The float fallback takes a pair with a vector that does not fit, such as
-one holding both 1e-300 and 1e300: Pearson centers both vectors in float
-first, and every sum of squares or products is rounded once, from its
-exact value, by `_exact_sums`, a vectorised error-free summation whose
-result is certified a posteriori, with `math.fsum` only for the rows the
-certificate does not cover.
+A pair with a vector that does not fit, such as one holding both 1e-300
+and 1e300, is scored from the same forms in Python ints (`_int_score`),
+rounded as the limbs' are: within the cap the two routes agree bit for
+bit, so the cap picks the cheaper route, never the result. Its radicands
+are rounded as rx / 4^ex and ry / 4^ey and its numerator as
+num / 2^(ex + ey), which keeps every value in the float range and changes
+no bit of r unless r falls below the normal range.
 
 `pearson` and `cosine` test their pair, and `similarity_matrix` tests each
 pair, pair i, j under "missing" without positions i and j. The matrix's
 pairs with a row past the cap go through the body that scores one pair, a
 chunk of at most `_CHUNK_CELLS` matrix cells at a time (under "missing"
-such a pair's vectors may still fit). Every fitting pair's forms are the
-same exact integers, each rounded once, so the matrix gives, bit for bit,
-what `pearson` or `cosine` give on each pair, and raises for the same first
+such a pair's vectors may still fit). Every pair's forms are the same
+exact integers, each rounded once, so the matrix gives, bit for bit, what
+`pearson` or `cosine` give on each pair, and raises for the same first
 undefined pair in row-major order, whichever way it was scored.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +79,6 @@ from .errors import (
 )
 from .matrix import LabeledMatrix, _validated
 
-# A sum of squares in this range has lost no small terms to underflow and
-# has not overflowed; products of two such vectors cannot overflow either.
-_SQ_LO, _SQ_HI = 2.0 ** -960, 2.0 ** 960
 # What pearson and cosine raise, and with which message, for a constant or
 # all-zero vector.
 _UNDEFINED = {
@@ -87,10 +86,6 @@ _UNDEFINED = {
                 "correlation undefined for a constant vector"),
     "cosine": (UndefinedCosine, "cosine undefined for an all-zero vector"),
 }
-# What pearson raises, and with which message, when a mean or a centered
-# value leaves the float range.
-_OVERFLOW = (NonFiniteValueError,
-             "correlation undefined: centering leaves the float range")
 # similarity_matrix scores pairs, and _exact_sums sums rows, in chunks of at
 # most this many cells (rows times width), so that their temporaries stay
 # near 1 MB at any size.
@@ -102,7 +97,7 @@ _FSUM_CELLS = 2 ** 10
 # _exact_sums certifies a row only if its sum is at most this in magnitude.
 _CERT_MAX = 2.0 ** 1000
 # A vector fits the limbs if its scaled integers are at most this in
-# magnitude; one past it takes the float fallback. The bound does not
+# magnitude; one past it is scored in Python ints. The bound does not
 # depend on the width, so appending zeros keeps a pair's route (up to the
 # 2^22 coordinates past which `_limb_plan` finds no limbs).
 _LIMB_CAP = 2.0 ** 64
@@ -139,21 +134,18 @@ def _pair(measure: str, x, y) -> float:
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise NonFiniteValueError(f"{measure} undefined for a vector with "
                                   "NaN or infinite coordinates")
-    r, undefined, overflow = _vector_scores(measure, x[None], y[None],
-                                            _sum_space(1, len(x)))
-    if undefined[0] or overflow[0]:
-        _raise_undefined(measure, overflow=bool(overflow[0]))
+    r, undefined = _vector_scores(measure, x[None], y[None])
+    if undefined[0]:
+        _raise_undefined(measure)
     return float(r[0])
 
 
-def _vector_scores(measure: str, x: np.ndarray, y: np.ndarray, space
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _vector_scores(measure: str, x: np.ndarray, y: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """`measure` of each pair k of the rows x[k] and y[k] of two 2-D
-    arrays of finite values, and the masks of the undefined pairs and of
-    those whose centering leaves the float range (whose scores mean
-    nothing). A pair whose two vectors fit the limbs is scored by
-    `_limb_scores`, every other one on the float fallback, its sums in
-    `space`."""
+    arrays of finite values, and the mask of the undefined pairs. A pair
+    whose two vectors fit the limbs is scored by `_limb_scores`, every
+    other one by `_int_score`."""
     pairs, width = x.shape
     rows = np.concatenate([x, y])
     k, top = _scales(rows, _exponents(rows))
@@ -161,7 +153,6 @@ def _vector_scores(measure: str, x: np.ndarray, y: np.ndarray, space
     fits = (top <= _LIMB_CAP) & (_limb_plan(width, _LIMB_CAP) is not None)
     r = np.empty(pairs)
     undefined = np.zeros(pairs, dtype=bool)
-    overflow = np.zeros(pairs, dtype=bool)
     fit = np.flatnonzero(fits)
     if len(fit):
         both = np.concatenate([fit, pairs + fit])
@@ -170,13 +161,9 @@ def _vector_scores(measure: str, x: np.ndarray, y: np.ndarray, space
             scaled = np.ldexp(scaled, k[both, None])
         r[fit], undefined[fit] = _limb_scores(measure, scaled,
                                               top[fit].max())
-    rest = np.flatnonzero(~fits)
-    if len(rest):
-        xr, sxx = _prepared(measure, x[rest], space)
-        yr, syy = _prepared(measure, y[rest], space)
-        r[rest], undefined[rest], overflow[rest] = _scores(
-            measure, xr, sxx, yr, syy, space)
-    return r, undefined, overflow
+    for p in np.flatnonzero(~fits).tolist():
+        r[p], undefined[p] = _int_score(measure, x[p], y[p])
+    return r, undefined
 
 
 def _limb_scores(measure: str, rows: np.ndarray, top: float
@@ -228,16 +215,54 @@ def _ratio(num: np.ndarray, rx: np.ndarray, ry: np.ndarray
 def _divisor(sxx: np.ndarray, syy: np.ndarray) -> np.ndarray:
     """sqrt(sxx * syy) as sqrt(sxx) * sqrt(syy), or sxx itself where the
     two radicands are equal: sqrt(6) * sqrt(6) rounds to 5.999999999999999.
-    The square roots are taken one at a time because sums of squares up to
-    _SQ_HI = 2^960 are kept, and the product of two would overflow."""
+    Each square root is taken on its own, so that `_int_score` gives the
+    same bits at any size by scaling each radicand by its own power of
+    four."""
     return np.where(sxx == syy, sxx, np.sqrt(sxx) * np.sqrt(syy))
 
 
-def _raise_undefined(measure: str, where: str | None = None,
-                     overflow: bool = False):
+def _int_score(measure: str, x: np.ndarray, y: np.ndarray
+               ) -> tuple[float, bool]:
+    """`measure` of the finite vectors x and y, and whether it is
+    undefined, from the forms of their dyadic integers in Python ints, of
+    any size.
+
+    Each radicand r is rounded as r / 4^e, e = (bit length - 1) // 2, and
+    the numerator as num / 2^(ex + ey): int / int rounds once, and the
+    square root of r / 4^e is that of r over 2^e. So no value leaves the
+    float range, and the result has the bits `_ratio` gives on the rounded
+    forms wherever those fit it and the result is not below the normal
+    range. Two radicands round to the same float where (rx / 4^ex, ex) =
+    (ry / 4^ey, ey), and the divisor is then that float, as in `_divisor`;
+    or where that float is a power of four, whose square roots multiply to
+    it exactly."""
+    x, y = _dyadic(x), _dyadic(y)
+    num, rx, ry = (sum(map(operator.mul, u, v))
+                   for u, v in [(x, y), (x, x), (y, y)])
+    if measure == "pearson":
+        w, sx, sy = len(x), sum(x), sum(y)
+        num, rx, ry = w * num - sx * sy, w * rx - sx * sx, w * ry - sy * sy
+    if rx == 0 or ry == 0:
+        return 0.0, True
+    ex, ey = (rx.bit_length() - 1) // 2, (ry.bit_length() - 1) // 2
+    qx, qy = rx / 4 ** ex, ry / 4 ** ey
+    divisor = qx if (qx, ex) == (qy, ey) else math.sqrt(qx) * math.sqrt(qy)
+    r = num / 2 ** (ex + ey) / divisor
+    return min(1.0, max(-1.0, r)) + 0.0, False
+
+
+def _dyadic(x: np.ndarray) -> list[int]:
+    """The coordinates of the finite vector x times 2^k, k >= 0 the least
+    that makes each an integer, as Python ints."""
+    ratios = [v.as_integer_ratio() for v in x.tolist()]
+    k = max(d.bit_length() for _, d in ratios) - 1
+    return [n << (k + 1 - d.bit_length()) for n, d in ratios]
+
+
+def _raise_undefined(measure: str, where: str | None = None):
     """Raise what `measure` raises for an undefined pair, its message
     followed by `where` when given."""
-    error, what = _OVERFLOW if overflow else _UNDEFINED[measure]
+    error, what = _UNDEFINED[measure]
     raise error(what if where is None else f"{what} {where}")
 
 
@@ -347,53 +372,6 @@ def _rounded(terms: np.ndarray, bits: int, space) -> np.ndarray:
     return _exact_sums(terms, space)
 
 
-def _prepared(measure: str, rows: np.ndarray, space
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of the fresh 2-D array `rows`, centered in place for
-    Pearson, as `_scaled_rows` returns them with their sums of squares
-    (summed in `space`, as by `_exact_sums`)."""
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        if measure == "pearson":
-            rows -= rows.mean(axis=1, keepdims=True)
-        return _scaled_rows(rows, space)
-
-
-def _scores(measure: str, x: np.ndarray, sxx: np.ndarray, y: np.ndarray,
-            syy: np.ndarray, space
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The float fallback's `measure` of each pair k of rows x[k] and y[k]
-    from `_prepared`, whose sums of squares are sxx[k] and syy[k]:
-    sum(xy) / `_divisor`, clipped to [-1, 1], which the rounding of the
-    divisor can leave by an ulp; the products are summed in `space`. Also
-    the masks of the undefined pairs and of those whose centered values
-    left the float range (a sum of squares not finite, even after
-    scaling); their scores mean nothing."""
-    overflow = ~(np.isfinite(sxx) & np.isfinite(syy))
-    undefined = ~overflow & ((sxx == 0) | (syy == 0))
-    r = np.zeros(len(x))
-    good = np.flatnonzero(~(overflow | undefined))
-    if len(good):
-        r[good] = _exact_sums(x[good] * y[good], space) / \
-            _divisor(sxx[good], syy[good])
-    return np.clip(r, -1.0, 1.0, out=r), undefined, overflow
-
-
-def _scaled_rows(rows: np.ndarray, space) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of the fresh 2-D array `rows` (which it may overwrite) and
-    their exactly rounded sums of squares. Only a row whose sum lies
-    outside [_SQ_LO, _SQ_HI], or overflows, is first scaled by an exact
-    power of two, to a largest magnitude in [0.5, 1); the ratio of
-    `_scores` does not change under such a scaling."""
-    ss = _exact_sums(rows * rows, space)
-    out = np.flatnonzero(~((ss >= _SQ_LO) & (ss <= _SQ_HI)))
-    if len(out):
-        _, exponent = np.frexp(np.max(np.abs(rows[out]), axis=1))
-        scaled = np.ldexp(rows[out], -exponent[:, None])
-        rows[out] = scaled
-        ss[out] = _exact_sums(scaled * scaled, space)
-    return rows, ss
-
-
 def _exact_sums(terms: np.ndarray, space) -> np.ndarray:
     """The sum of each row of the 2-D float array `terms`, rounded once to
     nearest: what `math.fsum` returns for the row, or inf where fsum
@@ -430,11 +408,10 @@ def _exact_sums(terms: np.ndarray, space) -> np.ndarray:
     `math.fsum`, with inf for its OverflowError.
     Overflow: fsum raises where a partial sum it forms leaves the float
     range, and it forms no value much above the sum of the absolute terms
-    it has read. Squares are non-negative, so for them that sum is S
-    itself, at most (1 + 2^-50) * _CERT_MAX when c is certified; for the
-    products of two rows scaled by `_scaled_rows` it is at most
-    sqrt(sxx * syy) <= 2^960 by Cauchy-Schwarz. Neither fsum nor the tree
-    then comes near overflow where a certified c is returned.
+    it has read. For non-negative terms that sum is S itself, at most
+    (1 + 2^-50) * _CERT_MAX when c is certified; the weighted limb levels
+    that `_rounded` sums are each below 2^183 in magnitude. Neither fsum
+    nor the tree then comes near overflow where a certified c is returned.
 
     The rows are summed a block at a time, in the working arrays `space`
     that `_sum_space` made for at least this many terms per row.
@@ -571,8 +548,8 @@ def similarity_matrix(matrix: LabeledMatrix, measure: str = "pearson",
             before = first * n + second < stop[0] * n + stop[1]
             first, second = first[before], second[before]
         if len(first):
-            _float_pairs(measure, values, first, second, missing, vals,
-                         labels)
+            _vector_pairs(measure, values, first, second, missing, vals,
+                          labels)
         if stop is not None:
             _raise_undefined(measure, _pair_name(labels, *stop))
     vals.setflags(write=False)
@@ -744,47 +721,31 @@ def _limb_pairs(measure: str, values: np.ndarray, width: int, missing: bool,
     return fits, None if stop == n * n else divmod(stop, n)
 
 
-def _float_pairs(measure: str, values: np.ndarray, first: np.ndarray,
-                 second: np.ndarray, missing: bool, vals: np.ndarray,
-                 labels) -> None:
+def _vector_pairs(measure: str, values: np.ndarray, first: np.ndarray,
+                  second: np.ndarray, missing: bool, vals: np.ndarray,
+                  labels) -> None:
     """Score into `vals` the pairs of rows first[k] < second[k] of
     `values`, given in row-major order, of which a row is past the limb
     cap, a chunk at a time, each by the body that scores pearson(x, y) or
-    cosine(x, y). Under include such a pair's vector is that row, and it
-    takes the float fallback; under missing its vectors lack positions i
-    and j, and may fit."""
+    cosine(x, y). Under include such a pair's vectors are its rows, scored
+    in Python ints; under missing they lack positions i and j, and may
+    fit."""
     n = len(values)
-    width = n - 2 if missing else n
     chunk = max(1, min(len(first), _CHUNK_CELLS // n))
-    # Every chunk is summed, and for include gathered, in the same working
-    # arrays, allocated once: a fresh set per chunk made the heap top grow
-    # and shrink, with a page fault for each page it grew by.
-    space = _sum_space(chunk, n)
-    if not missing:  # the vectors do not depend on the pair
-        rows, ss = _prepared(measure, values.copy(), space)
-        x_rows, y_rows = np.empty((chunk, n)), np.empty((chunk, n))
     for start in range(0, len(first), chunk):
         i, j = first[start:start + chunk], second[start:start + chunk]
-        if not missing:
-            # take's default mode writes `out` through a temporary; the
-            # indices are in range, so "clip" changes nothing else.
-            x = np.take(rows, i, axis=0, out=x_rows[:len(i)], mode="clip")
-            y = np.take(rows, j, axis=0, out=y_rows[:len(j)], mode="clip")
-            r, undefined, overflow = _scores(measure, x, ss[i], y, ss[j],
-                                             space)
-        else:
+        x, y = values[i], values[j]
+        if missing:
             # Pair k compares rows i[k] and j[k], both without positions
             # i[k] and j[k].
             pairs = np.arange(len(i))
             keep = np.ones((len(i), n), dtype=bool)
             keep[pairs, i] = False
             keep[pairs, j] = False
-            r, undefined, overflow = _vector_scores(
-                measure, values[i][keep].reshape(-1, width),
-                values[j][keep].reshape(-1, width), space)
-        bad = np.flatnonzero(undefined | overflow)
+            x, y = x[keep].reshape(len(i), -1), y[keep].reshape(len(i), -1)
+        r, undefined = _vector_scores(measure, x, y)
+        bad = np.flatnonzero(undefined)
         if len(bad):
             k = int(bad[0])
-            _raise_undefined(measure, _pair_name(labels, i[k], j[k]),
-                             overflow=bool(overflow[k]))
+            _raise_undefined(measure, _pair_name(labels, i[k], j[k]))
         vals[i, j] = vals[j, i] = r

@@ -5,8 +5,8 @@ bipartition scoring through the public validated functions and the ranking
 kernel's masked entropy formula, reference exhaustive and greedy searches
 that score every candidate separately, the exhaustive tree built from
 them node by node, the recursive restricted growth string generator, the
-similarity matrix computed one pair at a time with sums in Python ints or
-`math.fsum` sums, the CSV reader that converts one cell at a time, and the
+similarity matrix computed one pair at a time with sums in Python ints,
+the CSV reader that converts one cell at a time, and the
 canonical number formatter through `decimal` alone with the CSV writer
 built on it.
 
@@ -16,6 +16,7 @@ thorough`), under which the properties that size their runs with
 
 import csv
 import decimal
+import fractions
 import functools
 import io
 import itertools
@@ -45,7 +46,7 @@ from infodiv import (
 from infodiv.cluster import STRICT_TOL
 from infodiv.matrix import check_subset
 from infodiv.oracle import OracleReport
-from infodiv.similarity import _OVERFLOW, _SQ_HI, _SQ_LO, _UNDEFINED
+from infodiv.similarity import _UNDEFINED
 
 settings.register_profile("thorough", max_examples=3000)
 
@@ -290,44 +291,55 @@ def reference_restricted_growth_strings(n, max_groups):
 
 
 def reference_pair(measure, x, y):
-    """pearson or cosine of x and y: `reference_integer_pair` of the two
-    vectors' dyadic integers when both are within the limb cap, else
-    `reference_float_pair`."""
+    """pearson or cosine of the finite vectors x and y:
+    `reference_integer_pair` of their dyadic integers."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     min_width = 2 if measure == "pearson" else 1
     if x.shape != y.shape or x.ndim != 1 or len(x) < min_width:
         raise InvalidInputError(f"{measure} needs two equal-length "
                                 f"vectors, length >= {min_width}")
-    ints = reference_dyadic(x), reference_dyadic(y)
-    if all(v is not None for v in ints):
-        return reference_integer_pair(measure, *ints)
-    return reference_float_pair(measure, x, y)
+    return reference_integer_pair(measure, reference_dyadic(x),
+                                  reference_dyadic(y))
 
 
 def reference_dyadic(x):
-    """The coordinates of the vector x times 2^k, k >= 0 the least that
-    makes each an integer, as Python ints; None if one is not finite or
-    one passes the limb cap, 2^64 in magnitude."""
-    if not all(math.isfinite(v) for v in x.tolist()):
-        return None
+    """The coordinates of the finite vector x times 2^k, k >= 0 the least
+    that makes each an integer, as Python ints."""
     ratios = [v.as_integer_ratio() for v in x.tolist()]
     k = max(d.bit_length() - 1 for _, d in ratios)
-    ints = [n << (k - d.bit_length() + 1) for n, d in ratios]
-    if max(abs(v) for v in ints) > 2 ** 64:
-        return None
-    return ints
+    return [n << (k - d.bit_length() + 1) for n, d in ratios]
 
 
 def reference_integer_pair(measure, x, y):
     """pearson or cosine of the integral vectors x and y from their sums in
-    Python ints, each numerator and radicand converted to float once."""
+    Python ints, each numerator and radicand converted to float once, and
+    +0.0 for a result that rounds to zero. Where a form passes the float
+    range, each radicand r is first divided by 4^e, e = (bit length - 1)
+    // 2, and the numerator by 2^(ex + ey); where the two radicands round
+    to the same float, ry is taken to be rx, and the divisor is rx / 4^ex
+    (two unequal radicands can reach the same value over their powers of
+    four)."""
     num, rx, ry = reference_integer_forms(measure, x, y)
     if rx == 0 or ry == 0:
         error, what = _UNDEFINED[measure]
         raise error(what)
-    r = float(num) / reference_divisor(float(rx), float(ry))
-    return min(1.0, max(-1.0, r))
+    try:
+        r = float(num) / reference_divisor(float(rx), float(ry))
+    except OverflowError:
+        if reference_rounded(rx) == reference_rounded(ry):
+            ry = rx
+        ex, ey = (rx.bit_length() - 1) // 2, (ry.bit_length() - 1) // 2
+        qx, qy = rx / 4 ** ex, ry / 4 ** ey
+        r = num / 2 ** (ex + ey) / (
+            qx if rx == ry else math.sqrt(qx) * math.sqrt(qy))
+    return min(1.0, max(-1.0, r)) + 0.0
+
+
+def reference_rounded(n):
+    """The positive int n rounded to 53 significant bits, ties to even."""
+    shift = max(0, n.bit_length() - 53)
+    return round(fractions.Fraction(n, 2 ** shift)) * 2 ** shift
 
 
 def reference_divisor(rx, ry):
@@ -350,51 +362,6 @@ def reference_integer_forms(measure, x, y):
     return w * sxy - sx * sy, w * sxx - sx * sx, w * syy - sy * sy
 
 
-def reference_float_pair(measure, x, y):
-    """pearson or cosine of x and y with every sum a `math.fsum` of a list
-    of Python floats, as the library computed them before its vectorised
-    exact sums."""
-    pair = np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        if measure == "pearson":
-            pair = reference_centered(pair)
-            if not np.isfinite(pair).all():
-                error, what = _OVERFLOW
-                raise error(what)
-        (x, y), (sxx, syy) = reference_scaled_rows(pair)
-        if sxx == 0 or syy == 0:
-            error, what = _UNDEFINED[measure]
-            raise error(what)
-        r = math.fsum((x * y).tolist()) / reference_divisor(sxx, syy)
-    return min(1.0, max(-1.0, r))
-
-
-def reference_scaled_rows(rows):
-    """The rows of `rows` and their sums of squares, each a `math.fsum`;
-    a row whose sum lies outside [2^-960, 2^960], or overflows, is first
-    scaled by an exact power of two to a largest magnitude in [0.5, 1)."""
-    squares = (rows * rows).tolist()
-    try:
-        ss = list(map(math.fsum, squares))
-    except OverflowError:  # some row's squares sum past the float range
-        ss = []
-        for row in squares:
-            try:
-                ss.append(math.fsum(row))
-            except OverflowError:
-                ss.append(math.inf)
-    for k, s in enumerate(ss):
-        if not _SQ_LO <= s <= _SQ_HI:
-            rows[k] = np.ldexp(rows[k],
-                               -math.frexp(float(np.max(np.abs(rows[k]))))[1])
-            ss[k] = math.fsum((rows[k] * rows[k]).tolist())
-    return rows, np.array(ss)
-
-
-def reference_centered(rows):
-    return rows - rows.mean(axis=1, keepdims=True)
-
-
 def reference_similarity_matrix(matrix, measure="pearson",
                                 diagonal_mode="include"):
     """The values of similarity_matrix, one reference_pair call per pair
@@ -410,8 +377,7 @@ def reference_similarity_matrix(matrix, measure="pearson",
                 x, y = x[keep], y[keep]
             try:
                 vals[i, j] = vals[j, i] = reference_pair(measure, x, y)
-            except (UndefinedCorrelation, UndefinedCosine,
-                    NonFiniteValueError) as exc:
+            except (UndefinedCorrelation, UndefinedCosine) as exc:
                 raise type(exc)(
                     f"{exc} (pair {matrix.row_labels[i]!r}, "
                     f"{matrix.row_labels[j]!r})") from exc

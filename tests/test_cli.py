@@ -403,6 +403,8 @@ def test_similarity_accepts_a_grand_sum_past_the_float_range(tmp_path,
 @pytest.mark.parametrize("diagonal", ["include", "missing"])
 def test_pearson_centering_past_the_float_range_exits_2(tmp_path, capsys,
                                                         diagonal):
+    # A float mean of row a's vectors would overflow; their exact forms
+    # show them constant.
     p = tmp_path / "huge.csv"
     p.write_text("x,a,b,c,d\na,1e308,1e308,1e308,1e308\nb,1,2,3,4\n"
                  "c,2,1,1,5\nd,1,1,2,3\n")
@@ -410,8 +412,8 @@ def test_pearson_centering_past_the_float_range_exits_2(tmp_path, capsys,
     assert run_cli(argv + ["--measure", "pearson"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: correlation undefined: centering leaves " \
-        "the float range (pair 'a', 'b')\n"
+    assert captured.err == "error: correlation undefined for a constant " \
+        "vector (pair 'a', 'b')\n"
     assert run_cli(argv + ["--measure", "cosine"]) == 0
 
 

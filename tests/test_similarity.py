@@ -17,8 +17,6 @@ from hypothesis import strategies as st
 from conftest import (
     cocitation_matrix,
     examples,
-    reference_dyadic,
-    reference_float_pair,
     reference_integer_forms,
     reference_integer_pair,
     reference_pair,
@@ -83,10 +81,10 @@ def test_vector_shapes_are_checked(measure, x, y):
 
 
 def test_scaling_one_vector_leaves_the_other():
-    # x's squares are finite but sum past the float range, so x is scaled;
-    # y's sum of squares is in range, so y is not. Scaling y as well (to a
-    # largest magnitude below 1) would round its 2**-604 to zero, and the
-    # cosine, the smallest subnormal, with it.
+    # x's squares sum past the float range, and y's integers pass the limb
+    # cap. The forms are exact, so y's 2**-604 is not lost beside its
+    # 2**470: the cosine, 2**-0.5 times the smallest subnormal, rounds to
+    # it.
     x, y = [0.0, 1.2e154, 1.2e154], [2.0 ** 470, 2.0 ** -604, 0.0]
     assert cosine(x, y) == cosine(y, x) == 2.0 ** -1074
 
@@ -157,11 +155,22 @@ def test_tiny_and_huge_vectors_do_not_underflow_or_overflow():
 
 @pytest.mark.parametrize("x", [[1e308] * 4, [-1.7e308, 1.7e308, 1.7e308]],
                          ids=["mean", "centered"])
-def test_pearson_centering_past_the_float_range_is_an_error(x):
+def test_pearson_where_float_centering_overflows(x):
+    # A float mean of the first x, or the centered values of the second,
+    # would leave the float range; the exact forms do not. The first is
+    # constant, so its Pearson r is undefined; the second's is that of
+    # sign(x).
     y = list(range(len(x)))
     for args in [(x, y), (y, x)]:
-        with pytest.raises(NonFiniteValueError, match="float range"):
-            pearson(*args)
+        assert _outcome(pearson, *args) == _outcome(reference_pair,
+                                                    "pearson", *args)
+    if len(set(x)) == 1:
+        with pytest.raises(UndefinedCorrelation, match=re.escape(
+                "correlation undefined for a constant vector")):
+            pearson(x, y)
+    else:
+        assert pearson(x, y) == pytest.approx(pearson(np.sign(x), y),
+                                              abs=1e-15)
     assert cosine(x, y) == pytest.approx(cosine(np.sign(x), y), abs=1e-15)
 
 
@@ -236,8 +245,8 @@ def test_equal_rows_are_written_as_exactly_one(measure):
 
 
 def test_equal_radicands_divide_by_the_radicand_itself():
-    # Both radicands are 6 (Pearson) or 5 (cosine) on the integer route,
-    # 1.5 or 1.25 on the float route: sqrt(6) * sqrt(6) rounds to
+    # Both radicands are 6 (Pearson) or 5 (cosine), also for the halves,
+    # which scale to the same integers: sqrt(6) * sqrt(6) rounds to
     # 5.999999999999999, which made r 0.5000000000000001.
     assert pearson([1, 2, 0], [2, 1, 0]) == 0.5
     assert cosine([1, 2, 0], [2, 1, 0]) == 0.8
@@ -509,6 +518,8 @@ vector_pairs = st.integers(1, 12).flatmap(lambda n: st.tuples(*[
 @given(vector_pairs, st.sampled_from(["pearson", "cosine"]))
 @example(([1.0, 2.0 ** -53, 0.0], [1.0, 1.0, 0.0]), "cosine")
 @example(([1.2e154, 1.2e154, 0.0], [2.0 ** 470, 2.0 ** -604, 0.0]), "cosine")
+@example(([1.37e-198, 0.0, 0.0, 0.0, 6.77e125], [-1.0, 0.0, 0.0, 0.0, 0.0]),
+         "cosine")
 @settings(max_examples=examples(400), deadline=None)
 def test_similarity_pair_matches_the_fsum_reference(xy, measure):
     fn = pearson if measure == "pearson" else cosine
@@ -579,8 +590,8 @@ def test_dyadic_matrices_match_the_exact_reference(rows, measure,
         assert got.values.tobytes() == expected.tobytes()
 
 
-def _float_route(fn, *args):
-    """fn(*args) with every pair on the float fallback: under a limb cap of
+def _int_route(fn, *args):
+    """fn(*args) with every pair scored in Python ints: under a limb cap of
     0 only all-zero vectors would fit, and they are undefined on either
     route."""
     with mock.patch.object(similarity, "_LIMB_CAP", 0.0):
@@ -592,10 +603,9 @@ _EXACT = decimal.Context(prec=50)
 
 def _pearson_error(matrix, diagonal_mode, values):
     """|values[i, j] - r| for each pair i < j, r the exact Pearson r of the
-    pair's vectors to 50 digits; and whether values[i, j] is the double
-    nearest r."""
+    pair's vectors to 50 digits."""
     n = matrix.n_rows
-    errors, nearest = [], []
+    errors = []
     for i, j in itertools.combinations(range(n), 2):
         keep = [k for k in range(n)
                 if diagonal_mode == "include" or k not in (i, j)]
@@ -603,8 +613,7 @@ def _pearson_error(matrix, diagonal_mode, values):
             "pearson", matrix.values[i, keep], matrix.values[j, keep])
         exact = _EXACT.divide(num, _EXACT.multiply(rx, ry).sqrt(_EXACT))
         errors.append(abs(decimal.Decimal(values[i, j]) - exact))
-        nearest.append(values[i, j] == float(exact))
-    return errors, nearest
+    return errors
 
 
 @st.composite
@@ -631,60 +640,39 @@ def integer_square_matrices(draw):
 @example(build_matrix(list("abc"), list("abc"),
                       [[1, 2 ** 30, 2 ** 30], [3, 2 ** 29, 2], [1, 2, 5]]),
          "include")
+@example(build_matrix(list("abcdef"), list("abcdef"),
+                      [[0, 0, 0, 1, 1, 2], [2, 2, 2, 2, 2, 2],
+                       [1, 0, 3, 1, 0, 2], [4, 1, 1, 5, 0, 0],
+                       [0, 2, 0, 1, 3, 1], [1, 1, 0, 0, 2, 6]]),
+         "include")
 @settings(max_examples=examples(300), deadline=None)
 def test_integer_route_cosine_and_pearson_accuracy(matrix, diagonal_mode):
-    # Cosine: where every product is exact in float both routes divide the
-    # same correctly rounded sums. Pearson: the numerator and radicands are
-    # exact, then seven roundings of at most 2^-53 relative each (the two
-    # radicands' conversions at half weight under their square roots)
-    # bound the error by 6 * 2^-53 * |r|; most of them must be near their
-    # extremes at once to pass 2 * 2^-52 (1.24 * 2^-52 was the largest of
-    # 79,303 random pairs). An undefined pair raises on either route.
-    got = _outcome(similarity_matrix, matrix, "cosine", diagonal_mode)
-    if matrix.values.max() <= 2 ** 26:
-        expected = _float_route(similarity_matrix, matrix, "cosine",
-                                diagonal_mode)
+    # Both measures are the same bits from the limbs and from Python ints,
+    # and an undefined pair raises on either route. In the second example
+    # the cosine radicands of rows a and b, 6 and 24, are both 1.5 over
+    # their powers of four; they are not equal. Pearson: the numerator and
+    # radicands are exact, then seven roundings of at most 2^-53 relative
+    # each (the two radicands' conversions at half weight under their
+    # square roots) bound the error by 6 * 2^-53 * |r|; most of them must
+    # be near their extremes at once to pass 2 * 2^-52 (1.24 * 2^-52 was
+    # the largest of 79,303 random pairs).
+    for measure in ["cosine", "pearson"]:
+        got = _outcome(similarity_matrix, matrix, measure, diagonal_mode)
+        expected = _int_route(similarity_matrix, matrix, measure,
+                              diagonal_mode)
         if isinstance(expected, tuple):
             assert got == expected
         else:
             assert got.values.tobytes() == expected.values.tobytes()
-    got = _outcome(similarity_matrix, matrix, "pearson", diagonal_mode)
-    if isinstance(got, tuple):
-        assert got == _float_route(similarity_matrix, matrix, "pearson",
-                                   diagonal_mode)
-        return
-    errors, _ = _pearson_error(matrix, diagonal_mode, got.values)
-    assert max(errors, default=0) <= 2 * 2.0 ** -52
-
-
-def test_integer_route_pearson_is_nearer_than_the_float_route():
-    # Over the pairs of three cocitation matrices under both diagonal modes
-    # (3476), the integer route's Pearson r is more often the double
-    # nearest the exact r, and nearer in total (measured: 2150 against 1676
-    # nearest; total error 366 against 456 units of 2^-52). It is not so
-    # pair by pair: one rounding of a float centering can land nearer.
-    totals = {"integer": [0, 0], "float": [0, 0]}
-    for seed in (1, 2, 3):
-        rng = np.random.default_rng(seed)
-        matrix = cocitation_matrix(rng, int(rng.integers(20, 41)))
-        for diagonal_mode in ("include", "missing"):
-            for route, sim in [
-                    ("integer", similarity_matrix(matrix, "pearson",
-                                                  diagonal_mode)),
-                    ("float", _float_route(similarity_matrix, matrix,
-                                           "pearson", diagonal_mode))]:
-                errors, nearest = _pearson_error(matrix, diagonal_mode,
-                                                 sim.values)
-                totals[route][0] += sum(errors)
-                totals[route][1] += sum(nearest)
-    assert totals["integer"][0] < totals["float"][0]
-    assert totals["integer"][1] > totals["float"][1]
+    if not isinstance(got, tuple):
+        errors = _pearson_error(matrix, diagonal_mode, got.values)
+        assert max(errors, default=0) <= 2 * 2.0 ** -52
 
 
 def test_limb_plan_holds_the_cap_up_to_2_22_coordinates():
     # Planned limbs hold the top and keep every level of a form below 2^53;
     # past 2^22 coordinates no limb of one bit or more holds 2^64, and such
-    # a pair takes the float fallback.
+    # a pair is scored in Python ints.
     for width in [1, 2, 50, 80, 300, 10 ** 5, 2 ** 22]:
         for top in [0.0, 1.0, 2.0 ** 20, 2.0 ** 53, 2.0 ** 64]:
             bits, count = similarity._limb_plan(width, top)
@@ -700,12 +688,11 @@ def test_integer_route_ends_at_its_guard(measure, diagonal_mode):
     # a and b) are multiples of 2^10 in [2^62, 2^63), but for row a's first,
     # 0.5, and last, 2^63: scaled by 2 to integers, row a's largest is the
     # limb cap, 2^64. With 0.25 in place of 0.5 the scale is 4 and the
-    # largest 2^65, past the cap. Pair (a, b) takes the exact route at the
-    # cap and the float fallback past it; under missing, row a past the cap
-    # leaves its pairs to the per-pair body, which scores pair (a, c)
-    # exactly, as its vectors lack the 0.25. The seeds draw cells on which
-    # the two routes differ in all eight cases, so that the test tells them
-    # apart.
+    # largest 2^65, past the cap. Pair (a, b) is scored from the limbs at
+    # the cap and in Python ints past it, to the same exact value; under
+    # missing, row a past the cap leaves its pairs to the per-pair body,
+    # which scores pair (a, c) from the limbs, as its vectors lack the
+    # 0.25.
     n, kept, seed = (4, slice(0, 4), 11) if diagonal_mode == "include" \
         else (6, slice(2, 6), 0)
     values = np.ldexp(np.random.default_rng(seed).integers(
@@ -716,14 +703,14 @@ def test_integer_route_ends_at_its_guard(measure, diagonal_mode):
     for frac, scale in [(0.5, 2), (0.25, 4)]:
         values[0, kept.start] = frac
         x, y = values[0, kept], values[1, kept]
-        exact = reference_integer_pair(measure, *[[int(v * scale) for v in u]
-                                                  for u in (x, y)])
-        other = reference_float_pair(measure, x, y)
-        assert exact != other
-        expected = exact if scale == 2 else other
-        assert fn(x, y).hex() == expected.hex()
+        expected = reference_integer_pair(
+            measure, *[[int(v * scale) for v in u] for u in (x, y)])
         matrix = build_matrix(labels, labels, values)
-        got = similarity_matrix(matrix, measure, diagonal_mode).values
+        with mock.patch.object(similarity, "_int_score",
+                               wraps=similarity._int_score) as ints:
+            assert fn(x, y).hex() == expected.hex()
+            assert ints.called == (scale == 4)
+            got = similarity_matrix(matrix, measure, diagonal_mode).values
         assert got[0, 1].hex() == expected.hex()
         assert got.tobytes() == reference_similarity_matrix(
             matrix, measure, diagonal_mode).tobytes()
@@ -732,35 +719,30 @@ def test_integer_route_ends_at_its_guard(measure, diagonal_mode):
 @pytest.mark.parametrize("measure", ["pearson", "cosine"])
 def test_integer_route_skips_the_diagonal_under_missing(measure):
     # No pair's vectors hold a diagonal cell under missing, so diagonal
-    # cells of any scale leave every pair on the exact route; under include
-    # the rows holding 1e300 and 1e-300 pass the limb cap and put their
-    # pairs on the float fallback, and the other rows' dyadic cells fit.
+    # cells of any scale leave every pair on the limbs; under include the
+    # rows holding 1e300 and 1e-300 pass the limb cap and put their 21
+    # pairs in Python ints, and the other rows' dyadic cells fit.
     matrix = cocitation_matrix(np.random.default_rng(5), 12)
     values = matrix.values.copy()
     np.fill_diagonal(values, [0.5, 1e300, 2.0 ** 63, 7.25, 2.0 ** 40, 1e-300,
                               3.5, 2.0 ** 31, 1e17, 0.25, 9.75, 2.0 ** 62])
     matrix = build_matrix(matrix.row_labels, matrix.col_labels, values)
-    for diagonal_mode, past in [("missing", ()), ("include", (1, 5))]:
-        got = similarity_matrix(matrix, measure, diagonal_mode).values
+    for diagonal_mode, past in [("missing", 0), ("include", 21)]:
+        with mock.patch.object(similarity, "_int_score",
+                               wraps=similarity._int_score) as ints:
+            got = similarity_matrix(matrix, measure, diagonal_mode).values
+        assert ints.call_count == past
         assert got.tobytes() == reference_similarity_matrix(
             matrix, measure, diagonal_mode).tobytes()
-        for i, j in itertools.combinations(range(12), 2):
-            keep = [k for k in range(12)
-                    if diagonal_mode == "include" or k not in (i, j)]
-            x, y = values[i, keep], values[j, keep]
-            expected = reference_float_pair(measure, x, y) \
-                if i in past or j in past else reference_integer_pair(
-                    measure, reference_dyadic(x), reference_dyadic(y))
-            assert got[i, j] == expected
 
 
 # Square matrices whose pairs take different routes, with constant rows
 # (Pearson) or rows that are zero but for two positions (cosine under
 # missing), so that undefined pairs fall on both routes; and the first
-# undefined pair in row-major order, which the float fallback alone also
-# names. The key says which route that pair takes ("integer" for the exact
-# one). A row holding both 1 and 2^-70 (`_P`) passes the limb cap, and so do
-# the pairs whose vectors keep both.
+# undefined pair in row-major order, which the Python-int route alone also
+# names. The key says which route that pair takes: "integer" for the
+# limbs, "float" for a pair past the limb cap. A row holding both 1 and
+# 2^-70 (`_P`) passes the cap, and so do the pairs whose vectors keep both.
 _P = 2.0 ** -70
 _MIXED = {
     "integer-first": ("pearson", "include", [
@@ -802,8 +784,8 @@ def test_mixed_routes_raise_for_the_first_undefined_pair(monkeypatch, case,
     got = _outcome(similarity_matrix, matrix, measure, diagonal_mode)
     assert got == _outcome(reference_similarity_matrix, matrix, measure,
                            diagonal_mode)
-    assert got == _float_route(similarity_matrix, matrix, measure,
-                               diagonal_mode)
+    assert got == _int_route(similarity_matrix, matrix, measure,
+                             diagonal_mode)
 
 
 # Runs `similarity` on the CSV argv[1] under both measures, both diagonal
